@@ -6,7 +6,7 @@ detector over a measurement file, ``experiment`` runs the seeded end-to-end
 pipeline across systems, and ``stats`` summarizes a measurement file.
 
 Exit codes: 0 success, 1 configuration error, 2 insufficient data, 3 I/O
-failure.
+failure, 4 invalid input file.
 """
 
 import argparse
@@ -14,16 +14,21 @@ import dataclasses
 import json
 import sys
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, PreconditionError
 from .harness import (
     COALESCENCE_PRESETS,
     PAD_PRESET,
     PDMM_PRESET,
+    SECOND,
     TRAFFIC_PRESETS,
-    load_experiment_config,
+    US,
+    config_from_dict,
+    config_to_dict,
     emit_results,
+    load_experiment_config,
     measurement_stats,
     preset_experiment,
+    preset_traffic,
     run_experiment,
 )
 from .meassim import (
@@ -46,9 +51,6 @@ from .trafficgen import (
     merge,
     save_trace,
 )
-
-US = 1000
-SECOND = 1_000_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,8 +101,8 @@ def _build_parser() -> _Parser:
     exp.add_argument("--detectors", default="pdmm,pad")
     exp.add_argument("--no-attack", action="store_true")
     exp.add_argument("--window-s", type=float, default=20.0)
-    exp.add_argument("--trials", type=int, default=1)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--trials", type=int, help="default 1, or the config file's")
+    exp.add_argument("--seed", type=int, help="default 0, or the config file's seed_base")
     exp.add_argument("--out", required=True, help="base path for .json and .csv")
 
     st = sub.add_parser("stats", help="summarize a measurement file")
@@ -111,40 +113,29 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     duration_ns = int(round(args.duration_s * SECOND))
     if args.preset is not None:
-        t = TRAFFIC_PRESETS[args.preset]
-        mean_gap_ns = t["mean_gap_ns"]
-        size_bytes = t["background_size_bytes"]
-        attack_period_ns = t["attack_period_ns"]
-        attack_size = t["attack_size_bytes"]
+        background, attack = preset_traffic(args.preset, duration_ns, seed=args.seed)
     elif args.mean_gap_us is not None:
-        mean_gap_ns = args.mean_gap_us * US
-        size_bytes = args.size_bytes
-        attack_period_ns = (
-            int(round(args.attack_period_us * US)) if args.attack_period_us else None
-        )
-        attack_size = args.attack_size_bytes
-    else:
-        raise ConfigError("gen needs --preset or --mean-gap-us")
-    trace = gen_poisson(
-        PoissonConfig(
-            mean_gap_ns=mean_gap_ns,
+        background = PoissonConfig(
+            mean_gap_ns=args.mean_gap_us * US,
             duration_ns=duration_ns,
             seed=args.seed,
-            size_bytes=size_bytes,
+            size_bytes=args.size_bytes,
         )
-    )
-    if attack_period_ns is not None and not args.no_attack:
-        trace = merge(
-            trace,
-            gen_periodic(
-                AttackConfig(
-                    period_ns=int(attack_period_ns),
-                    duration_ns=duration_ns,
-                    size_bytes=attack_size,
-                    jitter_stddev_ns=args.attack_jitter_us * US,
-                )
-            ),
+        attack = (
+            AttackConfig(
+                period_ns=int(round(args.attack_period_us * US)),
+                duration_ns=duration_ns,
+                size_bytes=args.attack_size_bytes,
+            )
+            if args.attack_period_us
+            else None
         )
+    else:
+        raise ConfigError("gen needs --preset or --mean-gap-us")
+    trace = gen_poisson(background)
+    if attack is not None and not args.no_attack:
+        attack = dataclasses.replace(attack, jitter_stddev_ns=args.attack_jitter_us * US)
+        trace = merge(trace, gen_periodic(attack))
     save_trace(trace, args.out)
     print(f"wrote {len(trace)} packets to {args.out}")
     return 0
@@ -169,27 +160,26 @@ def _cmd_measure(args) -> int:
     cfg = _coalescence_from_args(args)
     trace = load_trace(args.trace)
     series = measure(trace, TransferConfig(bit_rate_bps=args.rate_gbps * 1e9), cfg)
-    echo = dataclasses.asdict(cfg)
-    echo["type"] = type(cfg).__name__
-    save_measurements(series, args.out, config=echo)
+    save_measurements(series, args.out, config=config_to_dict(cfg))
     print(f"wrote {len(series)} measurements to {args.out}")
     return 0
 
 
 def _detector_config(args):
-    overrides = {}
+    """The detector's preset, overlaid with its --config section and flag."""
+    pdmm = args.detector == "pdmm"
+    d = config_to_dict(PDMM_PRESET if pdmm else PAD_PRESET)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as f:
-            overrides = json.load(f).get(args.detector, {})
-    if args.detector == "pdmm":
-        cfg = PdmmConfig(**{**dataclasses.asdict(PDMM_PRESET), **overrides})
-        if args.threshold is not None:
-            cfg = dataclasses.replace(cfg, threshold=args.threshold)
-        return cfg
-    cfg = PadConfig(**{**dataclasses.asdict(PAD_PRESET), **overrides})
-    if args.peak_factor is not None:
-        cfg = dataclasses.replace(cfg, peak_factor=args.peak_factor)
-    return cfg
+            doc = json.load(f)
+        section = doc.get(args.detector, {}) if isinstance(doc, dict) else None
+        if not isinstance(section, dict):
+            raise ConfigError(f"{args.config}: the {args.detector} section must be an object")
+        d.update(section)
+    flag = args.threshold if pdmm else args.peak_factor
+    if flag is not None:
+        d["threshold" if pdmm else "peak_factor"] = flag
+    return config_from_dict(d, PdmmConfig if pdmm else PadConfig)
 
 
 def _cmd_detect(args) -> int:
@@ -212,20 +202,20 @@ def _cmd_experiment(args) -> int:
     detectors = tuple(d for d in args.detectors.split(",") if d)
     window_ns = int(round(args.window_s * SECOND))
     results = {}
+    # --trials and --seed override a config file only when given
+    runs = {k: v for k, v in (("trials", args.trials), ("seed_base", args.seed)) if v is not None}
     if args.config is not None:
-        cfg = load_experiment_config(args.config)
-        cfg = dataclasses.replace(cfg, trials=args.trials, seed_base=args.seed)
+        cfg = dataclasses.replace(load_experiment_config(args.config), **runs)
         results["config"] = run_experiment(cfg)
     elif args.preset is not None:
         for system in [s for s in args.systems.split(",") if s]:
             cfg = preset_experiment(
                 traffic=args.preset,
                 system=system,
-                trials=args.trials,
-                seed_base=args.seed,
                 attack=not args.no_attack,
                 detectors=detectors,
                 detection_window_ns=window_ns,
+                **runs,
             )
             results[system] = run_experiment(cfg)
     else:
@@ -262,7 +252,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except InsufficientDataError as exc:
@@ -271,6 +261,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except PreconditionError as exc:
+        print(f"invalid input file: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,19 +9,14 @@ tables serialized as JSON and CSV.
 
 import dataclasses
 import json
+import types
 from dataclasses import dataclass
+from typing import get_args, get_origin
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .meassim import (
-    CoalescenceConfig,
-    HicConfig,
-    PicConfig,
-    TicConfig,
-    TransferConfig,
-    measure,
-)
+from .meassim import CoalescenceConfig, HicConfig, TransferConfig, measure
 from .pad import PadConfig, detect_psd, rasterize
 from .pdmm import PdmmConfig, detect_stream
 from .trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
@@ -101,7 +96,7 @@ class ExperimentConfig:
     attack: AttackConfig | None = None
     transfer: TransferConfig = TransferConfig()
     coalescence: CoalescenceConfig = COALESCENCE_PRESETS["hicv1"]
-    detectors: tuple = DETECTOR_NAMES
+    detectors: tuple[str, ...] = DETECTOR_NAMES
     pdmm: PdmmConfig = PDMM_PRESET
     pad: PadConfig = PAD_PRESET
     detection_window_ns: int = 20 * SECOND
@@ -141,6 +136,29 @@ class ExperimentResult:
     aggregate: dict
 
 
+def preset_traffic(traffic: str, duration_ns: int, seed: int = 0, attack: bool = True):
+    """(background, attack or None) configs of a named traffic preset."""
+    if traffic not in TRAFFIC_PRESETS:
+        raise ConfigError(f"unknown traffic preset: {traffic!r}")
+    t = TRAFFIC_PRESETS[traffic]
+    background = PoissonConfig(
+        mean_gap_ns=t["mean_gap_ns"],
+        duration_ns=duration_ns,
+        seed=seed,
+        size_bytes=t["background_size_bytes"],
+    )
+    attack_cfg = (
+        AttackConfig(
+            period_ns=t["attack_period_ns"],
+            duration_ns=duration_ns,
+            size_bytes=t["attack_size_bytes"],
+        )
+        if attack
+        else None
+    )
+    return background, attack_cfg
+
+
 def preset_experiment(
     traffic: str,
     system: str,
@@ -151,26 +169,9 @@ def preset_experiment(
     detection_window_ns: int = 20 * SECOND,
 ) -> ExperimentConfig:
     """Build an ExperimentConfig from named traffic and coalescence presets."""
-    if traffic not in TRAFFIC_PRESETS:
-        raise ConfigError(f"unknown traffic preset: {traffic!r}")
+    background, attack_cfg = preset_traffic(traffic, detection_window_ns, attack=attack)
     if system not in COALESCENCE_PRESETS:
         raise ConfigError(f"unknown coalescence preset: {system!r}")
-    t = TRAFFIC_PRESETS[traffic]
-    background = PoissonConfig(
-        mean_gap_ns=t["mean_gap_ns"],
-        duration_ns=detection_window_ns,
-        seed=0,
-        size_bytes=t["background_size_bytes"],
-    )
-    attack_cfg = (
-        AttackConfig(
-            period_ns=t["attack_period_ns"],
-            duration_ns=detection_window_ns,
-            size_bytes=t["attack_size_bytes"],
-        )
-        if attack
-        else None
-    )
     return ExperimentConfig(
         background=background,
         attack=attack_cfg,
@@ -228,28 +229,6 @@ def _run_trial(cfg: ExperimentConfig, seed: int):
     return TrialResult(seed=seed, stats=measurement_stats(ms), detections=detections)
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    def plain(obj):
-        if obj is None:
-            return None
-        d = dataclasses.asdict(obj)
-        d["type"] = type(obj).__name__
-        return d
-
-    return {
-        "background": plain(cfg.background),
-        "attack": plain(cfg.attack),
-        "transfer": plain(cfg.transfer),
-        "coalescence": plain(cfg.coalescence),
-        "detectors": list(cfg.detectors),
-        "pdmm": plain(cfg.pdmm) if "pdmm" in cfg.detectors else None,
-        "pad": plain(cfg.pad) if "pad" in cfg.detectors else None,
-        "detection_window_ns": cfg.detection_window_ns,
-        "trials": cfg.trials,
-        "seed_base": cfg.seed_base,
-    }
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials and aggregate detection times per detector.
 
@@ -274,7 +253,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "detection_rate": len(finite) / len(ttds),
             "timeouts": timeouts,
         }
-    return ExperimentResult(config=_config_echo(cfg), trials=trials, aggregate=aggregate)
+    echo = config_to_dict(cfg)
+    for name in DETECTOR_NAMES:
+        if name not in cfg.detectors:
+            echo[name] = None  # unused detector settings stay out of the echo
+    return ExperimentResult(config=echo, trials=trials, aggregate=aggregate)
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -335,56 +318,82 @@ def emit_results(results: dict, json_path=None, csv_path=None) -> None:
             f.write(results_csv(results))
 
 
-def _coalescence_from_dict(d) -> CoalescenceConfig:
-    if isinstance(d, str):
-        if d not in COALESCENCE_PRESETS:
-            raise ConfigError(f"unknown coalescence preset: {d!r}")
-        return COALESCENCE_PRESETS[d]
-    kind = d.get("type")
-    fields = {k: v for k, v in d.items() if k != "type"}
-    table = {"HicConfig": HicConfig, "TicConfig": TicConfig, "PicConfig": PicConfig}
-    if kind not in table:
-        raise ConfigError(f"unknown coalescence type: {kind!r}")
-    return table[kind](**fields)
+def config_to_dict(obj) -> dict:
+    """JSON-style data for a config dataclass; config_from_dict inverts it.
 
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from plain JSON-style data.
-
-    Accepts the same shape that the config echo emits; every named preset is
-    expressible this way.
+    Tuples become lists.  Every config section carries its class name under
+    "type"; an ExperimentConfig, the root of a config file, does not.
     """
-    if "background" not in d:
-        raise ConfigError("config needs a background section")
+    d = {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if not isinstance(obj, ExperimentConfig):
+        d["type"] = type(obj).__name__
+    return d
 
-    def strip(section):
-        return {k: v for k, v in section.items() if k != "type"}
 
-    def tupled(section, key):
-        v = section.get(key)
-        if isinstance(v, list):
-            section[key] = tuple(tuple(x) for x in v) if key == "size_mix" else tuple(v)
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return config_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
-    bg = strip(d["background"])
-    tupled(bg, "size_mix")
-    kwargs = {
-        "background": PoissonConfig(**bg),
-        "attack": AttackConfig(**strip(d["attack"])) if d.get("attack") else None,
-    }
-    if d.get("transfer"):
-        kwargs["transfer"] = TransferConfig(**strip(d["transfer"]))
-    if d.get("coalescence"):
-        kwargs["coalescence"] = _coalescence_from_dict(d["coalescence"])
-    if d.get("detectors") is not None:
-        kwargs["detectors"] = tuple(d["detectors"])
-    if d.get("pdmm"):
-        kwargs["pdmm"] = PdmmConfig(**strip(d["pdmm"]))
-    if d.get("pad"):
-        kwargs["pad"] = PadConfig(**strip(d["pad"]))
-    for key in ("detection_window_ns", "trials", "seed_base"):
-        if key in d and d[key] is not None:
-            kwargs[key] = d[key]
-    return ExperimentConfig(**kwargs)
+
+def config_from_dict(d, cls=ExperimentConfig):
+    """Build a config dataclass (by default an ExperimentConfig) from JSON data.
+
+    Accepts what config_to_dict emits.  A section's optional "type" names its
+    class and is required where the field allows several; a coalescence
+    section may also be a preset name.  Missing or null keys take the
+    field's default.  Unknown keys, missing required keys, unknown types and
+    values that do not match the field annotations raise ConfigError.
+    """
+    return _decode(cls, d, "config")
+
+
+def _decode(tp, value, where):
+    if tp == CoalescenceConfig and isinstance(value, str):
+        if value not in COALESCENCE_PRESETS:
+            raise ConfigError(f"{where}: unknown coalescence preset: {value!r}")
+        return COALESCENCE_PRESETS[value]
+    arms = get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    arms = [a for a in arms if a is not type(None)]
+    if dataclasses.is_dataclass(arms[0]):
+        return _decode_section(arms, value, where)
+    (tp,) = arms
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise ConfigError(f"{where} must hold {len(args)} entries")
+        return tuple(_decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where} must be {tp.__name__}, not {value!r}")
+    return value
+
+
+def _decode_section(classes, value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    by_name = {c.__name__: c for c in classes}
+    kind = value.get("type", classes[0].__name__ if len(classes) == 1 else None)
+    cls = by_name.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{where}: type must be one of {sorted(by_name)}, not {kind!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(value) - set(fields) - {"type"})
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown} for {kind}")
+    kwargs = {}
+    for name, f in fields.items():
+        if value.get(name) is not None:
+            kwargs[name] = _decode(f.type, value[name], f"{where}.{name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}: {kind} needs {name}")
+    return cls(**kwargs)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -13,17 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .trafficgen import PacketTrace
+from .trafficgen import PacketTrace, _read_int_csv
 
 _MEAS_HEADER = "m_ns,count"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One interrupt: assertion timestamp and packets serviced."""
-
-    m_ns: int
-    count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +34,6 @@ class MeasurementSeries:
 
     def __len__(self):
         return len(self.m_ns)
-
-    def __getitem__(self, i) -> MeasurementRecord:
-        return MeasurementRecord(int(self.m_ns[i]), int(self.count[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other):
         if not isinstance(other, MeasurementSeries):
@@ -257,19 +242,20 @@ def save_measurements(series: MeasurementSeries, path, config: dict | None = Non
 
 
 def load_measurements(path) -> MeasurementSeries:
+    """Read a measurement CSV (and its sidecar flags, when present).
+
+    The series must hold its invariants: counts >= 1, strictly increasing m.
+    """
     path = str(path)
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != _MEAS_HEADER:
-            raise PreconditionError(f"unexpected measurement header: {header!r}")
-        body = f.read()
+    data = _read_int_csv(path, _MEAS_HEADER)
     flags = {}
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:
             flags = json.load(f).get("flags", {})
     except OSError:
         pass  # sidecar is optional on load
-    if not body.strip():
-        return MeasurementSeries(np.empty(0, np.int64), np.empty(0, np.int64), flags)
-    data = np.loadtxt(body.splitlines(), dtype=np.int64, delimiter=",", ndmin=2)
-    return MeasurementSeries(data[:, 0], data[:, 1], flags)
+    except ValueError as exc:
+        raise PreconditionError(f"{path}.json: {exc}") from None
+    series = MeasurementSeries(data[:, 0], data[:, 1], flags)
+    series.validate()
+    return series

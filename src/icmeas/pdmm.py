@@ -64,27 +64,6 @@ class PdmmConfig:
         return (self.high_cutoff_ns - self.low_cutoff_ns) // self.bin_width_ns
 
 
-class InterArrivalHistogram:
-    """Raw-bin counts of in-range timestamp differences.
-
-    Counts are float64: real accumulation stays integer-exact, and synthetic
-    constructions (deviation_histogram) may hold fractional mass.
-    """
-
-    def __init__(self, n_bins: int):
-        if n_bins < 1:
-            raise ConfigError("n_bins must be >= 1")
-        self.counts = np.zeros(n_bins, dtype=np.float64)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    @classmethod
-    def for_config(cls, cfg: PdmmConfig) -> "InterArrivalHistogram":
-        return cls(cfg.n_bins)
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     """Outcome of a streaming detection run.
@@ -112,8 +91,14 @@ class DetectionReport:
         }
 
 
-def _block_increment(m_with_history, history_len, cfg: PdmmConfig) -> np.ndarray:
-    """Raw-bin counts contributed by one block given its preceding history."""
+def block_counts(m_with_history, history_len: int, cfg: PdmmConfig) -> np.ndarray:
+    """Raw-bin counts (float64, n_bins) of the in-range differences ending in a block.
+
+    m_with_history concatenates up to max_order prior timestamps (the
+    history) with the block's timestamps; only differences whose later
+    endpoint lies in the block are counted, each at every order that stays
+    within the available past.
+    """
     m = np.asarray(m_with_history, dtype=np.int64)
     inc = np.zeros(cfg.n_bins, dtype=np.float64)
     n = len(m)
@@ -129,21 +114,10 @@ def _block_increment(m_with_history, history_len, cfg: PdmmConfig) -> np.ndarray
     return inc
 
 
-def accumulate_block(hist: InterArrivalHistogram, m_with_history, history_len: int, cfg: PdmmConfig) -> None:
-    """Count all in-range differences ending inside the block.
-
-    m_with_history concatenates up to max_order prior timestamps (the
-    history) with the block's timestamps; only differences whose later
-    endpoint lies in the block are counted, each at every order that stays
-    within the available past.
-    """
-    hist.counts += _block_increment(m_with_history, history_len, cfg)
-
-
-def pearson_chi_square(hist: InterArrivalHistogram, sub_bins: int):
+def pearson_chi_square(counts, sub_bins: int):
     """Uniformity statistic over equal-width sub-bins and its CDF value.
 
-    Aggregates the raw bins into sub_bins cells, computes
+    Aggregates the raw-bin counts into sub_bins cells, computes
     sum((observed - expected)^2 / expected) against the uniform expectation,
     and returns (chi_square, p) where p is the chi-square CDF with
     sub_bins - 1 degrees of freedom, evaluated via the regularized lower
@@ -151,14 +125,15 @@ def pearson_chi_square(hist: InterArrivalHistogram, sub_bins: int):
     """
     if sub_bins < 2:
         raise ConfigError("sub_bins must be >= 2")
-    if len(hist.counts) % sub_bins != 0:
+    counts = np.asarray(counts, dtype=np.float64)
+    if len(counts) % sub_bins != 0:
         raise ConfigError("raw bin count must be a multiple of sub_bins")
-    total = hist.total
+    total = float(counts.sum())
     if total < 5.0 * sub_bins:
         raise InsufficientDataError(
             f"need at least {5 * sub_bins} counted differences, have {total:.0f}"
         )
-    observed = hist.counts.reshape(sub_bins, -1).sum(axis=1)
+    observed = counts.reshape(sub_bins, -1).sum(axis=1)
     expected = total / sub_bins
     chi_square = float(((observed - expected) ** 2 / expected).sum())
     p = float(gammainc((sub_bins - 1) / 2.0, chi_square / 2.0))
@@ -178,23 +153,23 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     n_blocks = len(m) // cfg.block_len
     if n_blocks < 2:
         return DetectionReport(False, None, n_blocks)
-    hist = InterArrivalHistogram.for_config(cfg)
+    counts = np.zeros(cfg.n_bins)
     window = deque() if cfg.window_blocks is not None else None
     trajectory = []
     for b in range(n_blocks):
         lo = b * cfg.block_len
         hi = lo + cfg.block_len
         hist_start = max(0, lo - cfg.max_order)
-        inc = _block_increment(m[hist_start:hi], lo - hist_start, cfg)
-        hist.counts += inc
+        inc = block_counts(m[hist_start:hi], lo - hist_start, cfg)
+        counts += inc
         if window is not None:
             window.append(inc)
             if len(window) > cfg.window_blocks:
-                hist.counts -= window.popleft()
+                counts -= window.popleft()
         if b == 0:
             continue
         try:
-            chi_square, p = pearson_chi_square(hist, cfg.sub_bins)
+            chi_square, p = pearson_chi_square(counts, cfg.sub_bins)
         except InsufficientDataError:
             continue
         trajectory.append((b, chi_square, p))
@@ -203,8 +178,8 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     return DetectionReport(False, None, n_blocks, tuple(trajectory))
 
 
-def deviation_histogram(sub_bins: int, total: float, deviation: float) -> InterArrivalHistogram:
-    """Synthetic histogram with one sub-bin raised above uniformity.
+def deviation_histogram(sub_bins: int, total: float, deviation: float) -> np.ndarray:
+    """Synthetic sub_bins counts with the first raised above uniformity.
 
     One cell holds (1/sub_bins + deviation) of the total and every other
     cell (1/sub_bins - deviation/(sub_bins-1)), preserving the total; the
@@ -217,10 +192,9 @@ def deviation_histogram(sub_bins: int, total: float, deviation: float) -> InterA
     base = 1.0 / sub_bins
     if deviation < 0 or base - deviation / (sub_bins - 1) < 0 or base + deviation > 1:
         raise ConfigError("deviation must keep all sub-bins non-negative")
-    hist = InterArrivalHistogram(sub_bins)
-    hist.counts[:] = (base - deviation / (sub_bins - 1)) * total
-    hist.counts[0] = (base + deviation) * total
-    return hist
+    counts = np.full(sub_bins, (base - deviation / (sub_bins - 1)) * total)
+    counts[0] = (base + deviation) * total
+    return counts
 
 
 def closed_form_chi_square(deviation: float, sub_bins: int, total: float) -> float:

@@ -5,7 +5,7 @@ are kept sorted by timestamp; equal timestamps are allowed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,15 +15,6 @@ BACKGROUND = 0
 ATTACK = 1
 
 _TRACE_HEADER = "t_ns,size_bytes,label"
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One wire arrival."""
-
-    t_ns: int
-    size_bytes: int
-    label: int = BACKGROUND
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +35,6 @@ class PacketTrace:
     def __len__(self):
         return len(self.t_ns)
 
-    def __getitem__(self, i) -> PacketRecord:
-        return PacketRecord(int(self.t_ns[i]), int(self.size_bytes[i]), int(self.label[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def __eq__(self, other):
         if not isinstance(other, PacketTrace):
             return NotImplemented
@@ -67,14 +51,6 @@ class PacketTrace:
     def empty(cls) -> "PacketTrace":
         return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint8))
 
-    @classmethod
-    def from_records(cls, records) -> "PacketTrace":
-        records = list(records)
-        return cls(
-            np.array([r.t_ns for r in records], np.int64),
-            np.array([r.size_bytes for r in records], np.int64),
-            np.array([r.label for r in records], np.uint8),
-        )
 
 
 @dataclass(frozen=True)
@@ -90,7 +66,7 @@ class PoissonConfig:
     duration_ns: int
     seed: int
     size_bytes: int = 1500
-    size_mix: tuple = ()
+    size_mix: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
         if self.mean_gap_ns <= 0:
@@ -199,13 +175,35 @@ def save_trace(trace: PacketTrace, path) -> None:
         np.savetxt(f, out, fmt="%d", delimiter=",", newline="\n")
 
 
-def load_trace(path) -> PacketTrace:
+def _read_int_csv(path, header: str) -> np.ndarray:
+    """Integer rows of a CSV file whose first line must equal header.
+
+    Shape (rows, columns of the header).  A wrong header, a non-integer
+    value or a row of the wrong width raises PreconditionError.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != _TRACE_HEADER:
-            raise PreconditionError(f"unexpected trace header: {header!r}")
+        got = f.readline().strip()
+        if got != header:
+            raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
         body = f.read()
+    width = header.count(",") + 1
     if not body.strip():
-        return PacketTrace.empty()
-    data = np.loadtxt(body.splitlines(), dtype=np.int64, delimiter=",", ndmin=2)
-    return PacketTrace(data[:, 0], data[:, 1], data[:, 2])
+        return np.empty((0, width), np.int64)
+    try:
+        data = np.loadtxt(body.splitlines(), dtype=np.int64, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise PreconditionError(f"{path}: {exc}") from None
+    if data.shape[1] != width:
+        raise PreconditionError(f"{path}: rows must have {width} columns")
+    return data
+
+
+def load_trace(path) -> PacketTrace:
+    """Read a trace CSV; rows must be sorted by t_ns with labels 0 or 1."""
+    data = _read_int_csv(path, _TRACE_HEADER)
+    if np.any((data[:, 2] != BACKGROUND) & (data[:, 2] != ATTACK)):
+        raise PreconditionError(f"{path}: labels must be {BACKGROUND} or {ATTACK}")
+    trace = PacketTrace(data[:, 0], data[:, 1], data[:, 2])
+    if not trace.is_sorted():
+        raise PreconditionError(f"{path}: rows are not sorted by t_ns")
+    return trace

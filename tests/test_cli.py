@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from icmeas.cli import main
+from icmeas.harness import trial_seeds
 from icmeas.meassim import load_measurements
 from icmeas.trafficgen import load_trace
 
@@ -93,6 +94,30 @@ class TestMeasure:
         trace = _gen(tmp_path)
         assert main(["measure", "--trace", str(trace), "--out", str(tmp_path / "m.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["t_ns,size,label\n100,500,0\n", "t_ns,size_bytes,label\n100,500,-1\n"],
+        ids=["bad-header", "bad-label"],
+    )
+    def test_malformed_trace_is_invalid_input(self, tmp_path, capsys, text):
+        trace = tmp_path / "t.csv"
+        trace.write_text(text, encoding="utf-8")
+        argv = ["measure", "--trace", str(trace), "--system", "hicv1", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input file:") and "Traceback" not in err
+
+    def test_sidecar_echoes_the_coalescence_config(self, tmp_path):
+        m = _measure(tmp_path, _gen(tmp_path), "--system", "hicv2")
+        sidecar = json.loads((tmp_path / "m.csv.json").read_text(encoding="utf-8"))
+        assert sidecar["config"] == {
+            "type": "HicConfig",
+            "packet_timer_ns": 33 * US,
+            "absolute_timer_ns": 120 * US,
+            "allow_inverted_timers": False,
+        }
+        assert load_measurements(m).flags == sidecar["flags"]
+
     def test_missing_trace_is_io_error(self, tmp_path):
         argv = [
             "measure",
@@ -171,6 +196,32 @@ class TestDetect:
         ]
         assert main(argv) == 0
         assert out.exists()
+
+    def _detect_with_config(self, tmp_path, doc, detector="pdmm"):
+        m = tmp_path / "m.csv"
+        m.write_text("m_ns,count\n100,1\n200,1\n", encoding="utf-8")
+        cfg = tmp_path / "det.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["detect", "--detector", detector, "--measurements", str(m), "--config", str(cfg)]
+        return main(argv)
+
+    def test_config_section_with_misspelled_key(self, tmp_path, capsys):
+        assert self._detect_with_config(tmp_path, {"pdmm": {"treshold": 0.01}}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "treshold" in err
+
+    def test_config_section_must_be_an_object(self, tmp_path):
+        assert self._detect_with_config(tmp_path, {"pad": [1, 2]}, detector="pad") == 1
+        assert self._detect_with_config(tmp_path, [1, 2], detector="pad") == 1
+
+    def test_config_section_with_wrong_typed_value(self, tmp_path):
+        assert self._detect_with_config(tmp_path, {"pad": {"window": "8192"}}, "pad") == 1
+
+    def test_malformed_measurement_file_is_invalid_input(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("m_ns,count\n200,1\n100,1\n", encoding="utf-8")
+        assert main(["detect", "--detector", "pdmm", "--measurements", str(m)]) == 4
+        assert capsys.readouterr().err.startswith("invalid input file:")
 
     def test_bad_detector_name(self, tmp_path):
         assert main(["detect", "--detector", "zz", "--measurements", "x"]) == 1
@@ -255,6 +306,45 @@ class TestExperiment:
         assert (
             a["systems"]["hicv1"]["trials"] == b["systems"]["config"]["trials"]
         )
+
+    def _write_config(self, tmp_path, **changes):
+        cfg = {
+            "background": {"mean_gap_ns": 19_000.0, "duration_ns": 0, "seed": 0, "size_bytes": 500},
+            "coalescence": "hicv1",
+            "detectors": [],
+            "detection_window_ns": 1_000_000_000,
+            **changes,
+        }
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    def test_config_file_trials_and_seed_without_flags(self, tmp_path):
+        path = self._write_config(tmp_path, trials=2, seed_base=5)
+        out = tmp_path / "r"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["systems"]["config"]
+        assert doc["config"]["trials"] == 2 and doc["config"]["seed_base"] == 5
+        assert [t["seed"] for t in doc["trials"]] == trial_seeds(5, 2)
+
+    def test_flags_override_config_file_trials_and_seed(self, tmp_path):
+        path = self._write_config(tmp_path, trials=2, seed_base=5)
+        out = tmp_path / "r"
+        argv = ["experiment", "--config", str(path), "--trials", "1", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["systems"]["config"]
+        assert [t["seed"] for t in doc["trials"]] == trial_seeds(0, 1)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"trails": 2}, {"trials": "2"}, {"attack": 400_000}, {"coalescence": {"type": "Nic"}}],
+        ids=["unknown-key", "string-trials", "non-object-section", "unknown-type"],
+    )
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, changes):
+        path = self._write_config(tmp_path, **changes)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_needs_preset_or_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path / "r")]) == 1

@@ -14,6 +14,7 @@ from icmeas.harness import (
     TRAFFIC_PRESETS,
     ExperimentConfig,
     config_from_dict,
+    config_to_dict,
     emit_results,
     load_experiment_config,
     measurement_stats,
@@ -23,7 +24,8 @@ from icmeas.harness import (
     run_experiment,
     trial_seeds,
 )
-from icmeas.meassim import HicConfig, MeasurementSeries
+from icmeas.meassim import HicConfig, MeasurementSeries, PicConfig, TicConfig
+from icmeas.pdmm import PdmmConfig
 from icmeas.trafficgen import PoissonConfig
 
 US = 1000
@@ -246,6 +248,10 @@ class TestSerialization:
             emit_results(self._results(), json_path=tmp_path / "no" / "dir" / "x.json")
 
 
+def _json_round_trip(cfg, cls=ExperimentConfig):
+    return config_from_dict(json.loads(json.dumps(config_to_dict(cfg))), cls)
+
+
 class TestConfigFiles:
     def test_round_trip_through_echo(self):
         cfg = preset_experiment(
@@ -327,3 +333,124 @@ class TestConfigFiles:
         assert cfg.background.mean_gap_ns == preset.background.mean_gap_ns
         assert cfg.attack.period_ns == preset.attack.period_ns
         assert cfg.coalescence == preset.coalescence
+
+    @pytest.mark.parametrize("traffic", sorted(TRAFFIC_PRESETS))
+    @pytest.mark.parametrize("system", sorted(COALESCENCE_PRESETS))
+    @pytest.mark.parametrize("detectors", [("pdmm", "pad"), ("pad",), ()])
+    def test_preset_round_trip(self, traffic, system, detectors):
+        cfg = preset_experiment(traffic, system, trials=3, seed_base=7, detectors=detectors)
+        assert _json_round_trip(cfg) == cfg
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"coalescence": TicConfig(timer_ns=125 * US)},
+            {"coalescence": PicConfig(count=10)},
+            {
+                "background": PoissonConfig(
+                    mean_gap_ns=19_000.0,
+                    duration_ns=SHORT,
+                    seed=0,
+                    size_mix=((500, 0.25), (1500, 0.75)),
+                )
+            },
+            {"pdmm": dataclasses.replace(PDMM_PRESET, window_blocks=4)},
+            {"attack": None},
+        ],
+    )
+    def test_section_round_trip(self, change):
+        cfg = dataclasses.replace(preset_experiment("high-rate", "hicv1"), **change)
+        assert _json_round_trip(cfg) == cfg
+
+    def test_sections_carry_type_and_root_does_not(self):
+        d = config_to_dict(preset_experiment("high-rate", "hicv2"))
+        assert "type" not in d
+        assert d["coalescence"]["type"] == "HicConfig"
+        assert d["background"]["type"] == "PoissonConfig"
+        assert d["detectors"] == ["pdmm", "pad"]
+        assert config_to_dict(PDMM_PRESET)["type"] == "PdmmConfig"
+
+    def test_echo_is_the_codec_output_without_unused_detectors(self):
+        cfg = preset_experiment(
+            "high-rate", "hicv1", detectors=("pad",), detection_window_ns=SHORT
+        )
+        echo = run_experiment(cfg).config
+        assert echo == {**config_to_dict(cfg), "pdmm": None}
+        assert config_from_dict(echo) == cfg
+
+    def test_null_takes_the_default(self):
+        d = config_to_dict(preset_experiment("high-rate", "hicv1"))
+        d["trials"] = None
+        d["pdmm"] = None
+        d["background"]["size_bytes"] = None
+        cfg = config_from_dict(d)
+        assert cfg.trials == 1 and cfg.pdmm == PDMM_PRESET
+        assert cfg.background.size_bytes == 1500
+
+    def test_int_accepted_for_float(self):
+        d = config_to_dict(PDMM_PRESET)
+        d["threshold"] = 0
+        with pytest.raises(ConfigError, match="threshold must be in"):
+            config_from_dict(d, PdmmConfig)
+        d = config_to_dict(preset_experiment("high-rate", "hicv1"))
+        d["background"]["mean_gap_ns"] = 19_000
+        assert config_from_dict(d).background.mean_gap_ns == 19_000.0
+
+    def _bad(self, edit):
+        d = config_to_dict(preset_experiment("high-rate", "hicv1"))
+        edit(d)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        return str(err.value)
+
+    def test_unknown_key(self):
+        msg = self._bad(lambda d: d["pad"].update(peak_factr=9.0))
+        assert "peak_factr" in msg
+
+    def test_unknown_top_level_key(self):
+        assert "seed" in self._bad(lambda d: d.update(seed=3))
+
+    def test_missing_required_key(self):
+        msg = self._bad(lambda d: d["background"].pop("mean_gap_ns"))
+        assert "mean_gap_ns" in msg
+
+    def test_non_object_section(self):
+        assert "background" in self._bad(lambda d: d.update(background=5))
+
+    def test_non_object_root(self):
+        with pytest.raises(ConfigError):
+            config_from_dict([1, 2])
+
+    def test_unknown_type(self):
+        msg = self._bad(lambda d: d["coalescence"].update(type="HicConfigV3"))
+        assert "HicConfigV3" in msg
+        self._bad(lambda d: d["coalescence"].update(type=["HicConfig"]))
+
+    def test_coalescence_needs_a_type(self):
+        self._bad(lambda d: d["coalescence"].pop("type"))
+
+    def test_mismatched_type(self):
+        self._bad(lambda d: d["pdmm"].update(type="PadConfig"))
+
+    def test_string_timer(self):
+        msg = self._bad(lambda d: d["coalescence"].update(packet_timer_ns="30000"))
+        assert "packet_timer_ns" in msg
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("trials", True), ("trials", 2.0), ("detectors", "pdmm"), ("detectors", [1])],
+    )
+    def test_wrong_typed_values(self, key, value):
+        self._bad(lambda d: d.update({key: value}))
+
+    def test_bool_is_not_an_int_but_is_a_bool(self):
+        self._bad(lambda d: d["coalescence"].update(absolute_timer_ns=True))
+        d = config_to_dict(HicConfig(40 * US, 30 * US, allow_inverted_timers=True))
+        assert config_from_dict(d, HicConfig).allow_inverted_timers is True
+        d["allow_inverted_timers"] = 1
+        with pytest.raises(ConfigError):
+            config_from_dict(d, HicConfig)
+
+    @pytest.mark.parametrize("mix", [[[500]], [[500, "a"]], [500], {"500": 1.0}])
+    def test_malformed_size_mix(self, mix):
+        self._bad(lambda d: d["background"].update(size_mix=mix))

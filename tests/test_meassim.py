@@ -218,6 +218,31 @@ def test_measurement_roundtrip_empty(tmp_path):
     assert len(load_measurements(p)) == 0
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "100,0\n",  # count below 1
+        "200,1\n100,1\n",  # decreasing m
+        "100,1\n100,1\n",  # repeated m
+        "100,1.5\n",  # not an integer
+    ],
+    ids=["count-zero", "decreasing", "repeated", "non-integer"],
+)
+def test_load_measurements_rejects_invalid_rows(tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_text("m_ns,count\n" + body, encoding="utf-8")
+    with pytest.raises(PreconditionError):
+        load_measurements(p)
+
+
+def test_load_measurements_rejects_malformed_sidecar(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
+    (tmp_path / "m.csv.json").write_text("{not json", encoding="utf-8")
+    with pytest.raises(PreconditionError):
+        load_measurements(p)
+
+
 def test_series_validate():
     good = MeasurementSeries(np.array([10, 20]), np.array([1, 3]))
     good.validate()

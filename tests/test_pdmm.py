@@ -12,9 +12,8 @@ from icmeas.errors import ConfigError, InsufficientDataError
 from icmeas.meassim import HicConfig, MeasurementSeries, TransferConfig, measure
 from icmeas.pdmm import (
     DetectionReport,
-    InterArrivalHistogram,
     PdmmConfig,
-    accumulate_block,
+    block_counts,
     closed_form_chi_square,
     detect_stream,
     deviation_histogram,
@@ -85,132 +84,91 @@ class TestConfig:
             _cfg(**kw)
 
 
-class TestHistogram:
-    def test_total_tracks_counts(self):
-        h = InterArrivalHistogram(10)
-        assert h.total == 0
-        h.counts[3] += 7
-        assert h.total == 7
-
-    def test_size_validation(self):
-        with pytest.raises(ConfigError):
-            InterArrivalHistogram(0)
-
-    def test_for_config(self):
-        assert InterArrivalHistogram.for_config(_cfg()).counts.shape == (450,)
-
-
 class TestAccumulateBlock:
     def test_hand_counted_orders(self):
         # three timestamps, two orders: gaps 100 and 150 at order one, 250
         # at order two, all inside [50, 500) us
         cfg = _cfg()
-        h = InterArrivalHistogram.for_config(cfg)
         m = np.array([0, 100 * US, 250 * US], np.int64)
-        accumulate_block(h, m, 0, cfg)
-        assert h.total == 3
-        assert h.counts[(100 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
-        assert h.counts[(150 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
-        assert h.counts[(250 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
+        counts = block_counts(m, 0, cfg)
+        assert counts.shape == (450,)
+        assert counts.sum() == 3
+        assert counts[(100 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
+        assert counts[(150 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
+        assert counts[(250 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
 
     def test_upper_boundary_discarded(self):
         cfg = _cfg()
-        h = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h, np.array([0, 500 * US], np.int64), 0, cfg)
-        assert h.total == 0
+        assert block_counts(np.array([0, 500 * US], np.int64), 0, cfg).sum() == 0
 
     def test_lower_boundary_counted(self):
         cfg = _cfg()
-        h = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h, np.array([0, 50 * US], np.int64), 0, cfg)
-        assert h.total == 1
-        assert h.counts[0] == 1
+        counts = block_counts(np.array([0, 50 * US], np.int64), 0, cfg)
+        assert counts.sum() == 1
+        assert counts[0] == 1
 
     def test_below_lower_cutoff_discarded(self):
         cfg = _cfg()
-        h = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h, np.array([0, 49 * US], np.int64), 0, cfg)
-        assert h.total == 0
+        assert block_counts(np.array([0, 49 * US], np.int64), 0, cfg).sum() == 0
 
     def test_history_only_seeds_differences(self):
         # with two history points, only differences ending in the block are
         # counted: 3 timestamps x 2 orders minus nothing = 2*2, but one
         # order-two difference falls out of range
         cfg = _cfg(max_order=3)
-        h = InterArrivalHistogram.for_config(cfg)
         m = np.array([0, 100 * US, 200 * US, 300 * US], np.int64)
-        accumulate_block(h, m, 2, cfg)
         # block entries 200 and 300: order1 {100,100}, order2 {200,200},
         # order3 {300}; all within [50,500)
-        assert h.total == 5
+        assert block_counts(m, 2, cfg).sum() == 5
 
     def test_order_independence_within_block(self):
         cfg = _cfg(max_order=4)
         rng = np.random.default_rng(7)
         m = np.cumsum(rng.integers(40 * US, 200 * US, 50)).astype(np.int64)
-        h1 = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h1, m, 0, cfg)
-        h2 = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h2, m[:20], 0, cfg)
-        h3 = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h3, m[: 20 + cfg.max_order], 20, cfg)
-        # splitting the stream into two blocks with proper history reproduces
-        # the one-shot accumulation... except orders reaching past the split
-        # history window; with full history it must match exactly
-        h4 = InterArrivalHistogram.for_config(cfg)
-        accumulate_block(h4, m, 20, cfg)
-        np.testing.assert_array_equal(h1.counts, h2.counts + h4.counts)
+        # splitting the stream into two blocks, the second with the full
+        # history, reproduces the one-shot accumulation exactly
+        np.testing.assert_array_equal(
+            block_counts(m, 0, cfg), block_counts(m[:20], 0, cfg) + block_counts(m, 20, cfg)
+        )
 
 
 class TestPearsonChiSquare:
     def test_uniform_is_zero(self):
-        h = InterArrivalHistogram(10)
-        h.counts[:] = 50.0
-        chi, p = pearson_chi_square(h, 10)
+        chi, p = pearson_chi_square(np.full(10, 50.0), 10)
         assert chi == 0.0
         assert p == 0.0
 
     def test_two_equal_cells(self):
-        h = InterArrivalHistogram(2)
-        h.counts[:] = [5.0, 5.0]
-        chi, _ = pearson_chi_square(h, 2)
+        chi, _ = pearson_chi_square(np.array([5.0, 5.0]), 2)
         assert chi == 0.0
 
     def test_hand_example_ninety(self):
-        h = InterArrivalHistogram(10)
-        h.counts[:] = 90.0
-        h.counts[0] = 190.0
-        chi, p = pearson_chi_square(h, 10)
+        counts = np.full(10, 90.0)
+        counts[0] = 190.0
+        chi, p = pearson_chi_square(counts, 10)
         assert chi == pytest.approx(90.0, abs=1e-12)
         assert p > 0.9999999
         assert p == pytest.approx(stats.chi2.cdf(90.0, 9), abs=1e-12)
 
     def test_cdf_matches_reference_distribution(self):
-        h = InterArrivalHistogram(20)
         rng = np.random.default_rng(3)
-        h.counts[:] = rng.integers(80, 120, 20).astype(float)
-        chi, p = pearson_chi_square(h, 20)
+        counts = rng.integers(80, 120, 20).astype(float)
+        chi, p = pearson_chi_square(counts, 20)
         assert p == pytest.approx(stats.chi2.cdf(chi, 19), abs=1e-12)
 
     def test_raw_bin_aggregation(self):
-        h = InterArrivalHistogram(6)
-        h.counts[:] = [10, 20, 30, 40, 50, 60]
-        chi, _ = pearson_chi_square(h, 3)
+        chi, _ = pearson_chi_square(np.array([10, 20, 30, 40, 50, 60], float), 3)
         grouped = np.array([30.0, 70.0, 110.0])
         expected = ((grouped - 70.0) ** 2 / 70.0).sum()
         assert chi == pytest.approx(expected, rel=1e-12)
 
     def test_not_ready_below_floor(self):
-        h = InterArrivalHistogram(10)
-        h.counts[:] = 4.9
         with pytest.raises(InsufficientDataError):
-            pearson_chi_square(h, 10)
+            pearson_chi_square(np.full(10, 4.9), 10)
 
     def test_divisibility_required(self):
-        h = InterArrivalHistogram(10)
-        h.counts[:] = 100.0
         with pytest.raises(ConfigError):
-            pearson_chi_square(h, 3)
+            pearson_chi_square(np.full(10, 100.0), 3)
 
 
 class TestClosedForm:
@@ -230,8 +188,9 @@ class TestClosedForm:
         assert abs(chi - ref) / ref < 1e-9
 
     def test_construction_preserves_total(self):
-        h = deviation_histogram(12, 5000.0, 0.03)
-        assert h.total == pytest.approx(5000.0, rel=1e-12)
+        counts = deviation_histogram(12, 5000.0, 0.03)
+        assert counts.shape == (12,)
+        assert counts.sum() == pytest.approx(5000.0, rel=1e-12)
 
     def test_construction_validation(self):
         with pytest.raises(ConfigError):
@@ -331,17 +290,13 @@ class TestDetectStream:
         for b in range(n_blocks):
             lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
             start = max(0, lo - cfg.max_order)
-            h = InterArrivalHistogram.for_config(cfg)
-            accumulate_block(h, m[start:hi], lo - start, cfg)
-            blocks.append(h.counts)
+            blocks.append(block_counts(m[start:hi], lo - start, cfg))
             if len(blocks) > cfg.window_blocks:
                 blocks.popleft()
             if b == 0:
                 continue
-            agg = InterArrivalHistogram.for_config(cfg)
-            agg.counts[:] = np.sum(blocks, axis=0)
             try:
-                ref.append((b,) + pearson_chi_square(agg, cfg.sub_bins))
+                ref.append((b,) + pearson_chi_square(np.sum(blocks, axis=0), cfg.sub_bins))
             except InsufficientDataError:
                 continue
         got = [(b, chi, p) for b, chi, p in rep.trajectory]
@@ -393,16 +348,16 @@ class TestDetectStream:
             atk = gen_periodic(AttackConfig(period_ns=400 * US, duration_ns=8 * 1000 * MS))
             ms = measure(merge(bg, atk), TransferConfig(), HicConfig(30 * US, 300 * US))
             cfg = PdmmConfig(**CAL)
-            hist = InterArrivalHistogram.for_config(cfg)
+            counts = np.zeros(cfg.n_bins)
             m = ms.m_ns
             n_blocks = len(m) // cfg.block_len
             chis = {}
             for b in range(n_blocks):
                 lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
                 start = max(0, lo - cfg.max_order)
-                accumulate_block(hist, m[start:hi], lo - start, cfg)
+                counts += block_counts(m[start:hi], lo - start, cfg)
                 if b + 1 in (n_blocks // 2, n_blocks):
-                    chis[b + 1], _ = pearson_chi_square(hist, cfg.sub_bins)
+                    chis[b + 1], _ = pearson_chi_square(counts, cfg.sub_bins)
             ratios.append(chis[n_blocks] / chis[n_blocks // 2])
         assert 1.4 < float(np.mean(ratios)) < 2.8
 

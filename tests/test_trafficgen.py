@@ -145,3 +145,28 @@ def test_trace_roundtrip_empty(tmp_path):
     save_trace(PacketTrace.empty(), p)
     back = load_trace(p)
     assert len(back) == 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "200,500,0\n100,500,0\n",  # not sorted by t_ns
+        "100,500,-1\n",  # would wrap to 255 through the uint8 label column
+        "100,500,2\n",
+        "100,500,x\n",  # not an integer
+        "100,500\n",  # too few columns
+    ],
+    ids=["unsorted", "label-minus-one", "label-two", "non-integer", "short-row"],
+)
+def test_load_trace_rejects_invalid_rows(tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_text("t_ns,size_bytes,label\n" + body, encoding="utf-8")
+    with pytest.raises(PreconditionError):
+        load_trace(p)
+
+
+def test_load_trace_rejects_wrong_header(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
+    with pytest.raises(PreconditionError):
+        load_trace(p)
