@@ -127,76 +127,58 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     return PacketTrace(t[order], trace.size_bytes[order], trace.label[order])
 
 
-def _coalesce_tic(t: np.ndarray, cfg: TicConfig):
-    arrivals = t.tolist()
-    m_out, c_out = [], []
-    start = arrivals[0]
-    isr = start + cfg.timer_ns
-    count = 1
-    for x in arrivals[1:]:
-        if x < isr:  # half-open: an arrival at the expiry opens the next group
-            count += 1
-        else:
-            m_out.append(isr)
-            c_out.append(count)
-            isr = x + cfg.timer_ns
-            count = 1
-    m_out.append(isr)
-    c_out.append(count)
-    return m_out, c_out, {}
+# measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16
+_WALK_BELOW_RUNS = 16
+
+
+def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = None):
+    """Group arrivals under an absolute timer and an optional packet timer.
+
+    A gap of at least packet_ns always ends a group, so the trace splits into
+    independent runs.  Inside a run a group ends at the first arrival at or
+    past its start plus absolute_ns (half-open: an arrival at the expiry opens
+    the next group).  Runs advance together as a vectorized frontier while
+    many are open; the last few are walked group by group.  Without a packet
+    timer (TIC) the whole trace is one run.
+    """
+    n = len(t)
+    if packet_ns is None:
+        cut = np.empty(0, np.int64)
+    else:
+        cut = np.flatnonzero(np.diff(t) >= packet_ns) + 1
+    cur, end = np.concatenate(([0], cut)), np.concatenate((cut, [n]))
+    is_first = np.zeros(n, bool)
+    while len(cur) >= _WALK_BELOW_RUNS:
+        is_first[cur] = True
+        nxt = np.searchsorted(t, t[cur] + absolute_ns, side="left")
+        open_ = nxt < end
+        cur, end = nxt[open_], end[open_]
+    for s, e in zip(cur.tolist(), end.tolist()):
+        run = t[s:e]
+        hop = memoryview(np.searchsorted(run, run + absolute_ns, side="left"))
+        i, run_len = 0, e - s
+        while i < run_len:
+            is_first[s + i] = True
+            i = hop[i]
+    first = np.flatnonzero(is_first)
+    count = np.diff(first, append=n)
+    m = t[first] + absolute_ns
+    if packet_ns is None:
+        return m, count, {}
+    m_pack = t[first + count - 1] + packet_ns
+    abs_fired = int(np.count_nonzero(m <= m_pack))  # a tie counts as abs
+    flags = {"hic_abs_fired": abs_fired, "hic_pack_fired": len(first) - abs_fired}
+    return np.minimum(m, m_pack), count, flags
 
 
 def _coalesce_pic(t: np.ndarray, cfg: PicConfig):
-    n = len(t)
-    full = n // cfg.count
-    m_out = t[cfg.count - 1 :: cfg.count][:full].tolist()
-    c_out = [cfg.count] * full
-    flags = {}
-    rem = n - full * cfg.count
-    if rem:
-        # trailing packets never reach the threshold: flush at the last arrival
-        m_out.append(int(t[-1]))
-        c_out.append(rem)
-        flags["pic_flushed"] = True
-    return m_out, c_out, flags
-
-
-def _coalesce_hic(t: np.ndarray, cfg: HicConfig):
-    arrivals = t.tolist()
-    pack = cfg.packet_timer_ns
-    hard = cfg.absolute_timer_ns
-    m_out, c_out = [], []
-    abs_fired = 0
-    pack_fired = 0
-    start = arrivals[0]
-    last = start
-    count = 1
-    for x in arrivals[1:]:
-        expiry = start + hard
-        soft = last + pack
-        if soft < expiry:
-            expiry = soft
-        if x < expiry:
-            last = x
-            count += 1
-        else:
-            m_out.append(expiry)
-            c_out.append(count)
-            if expiry == start + hard:
-                abs_fired += 1
-            else:
-                pack_fired += 1
-            start = x
-            last = x
-            count = 1
-    expiry = min(start + hard, last + pack)
-    m_out.append(expiry)
-    c_out.append(count)
-    if expiry == start + hard:
-        abs_fired += 1
-    else:
-        pack_fired += 1
-    return m_out, c_out, {"hic_abs_fired": abs_fired, "hic_pack_fired": pack_fired}
+    full, rem = divmod(len(t), cfg.count)
+    m = t[cfg.count - 1 :: cfg.count].copy()
+    count = np.full(full, cfg.count, np.int64)
+    if not rem:
+        return m, count, {}
+    # trailing packets never reach the threshold: flush at the last arrival
+    return np.append(m, t[-1]), np.append(count, rem), {"pic_flushed": True}
 
 
 def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
@@ -211,14 +193,14 @@ def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
     if len(trace) == 0:
         return MeasurementSeries(np.empty(0, np.int64), np.empty(0, np.int64))
     if isinstance(cfg, TicConfig):
-        m, c, flags = _coalesce_tic(trace.t_ns, cfg)
+        m, c, flags = _coalesce_timers(trace.t_ns, cfg.timer_ns)
     elif isinstance(cfg, PicConfig):
         m, c, flags = _coalesce_pic(trace.t_ns, cfg)
     elif isinstance(cfg, HicConfig):
-        m, c, flags = _coalesce_hic(trace.t_ns, cfg)
+        m, c, flags = _coalesce_timers(trace.t_ns, cfg.absolute_timer_ns, cfg.packet_timer_ns)
     else:
         raise ConfigError(f"unknown coalescence config: {cfg!r}")
-    return MeasurementSeries(np.array(m, np.int64), np.array(c, np.int64), flags)
+    return MeasurementSeries(m, c, flags)
 
 
 def measure(

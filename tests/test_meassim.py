@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from icmeas.errors import ConfigError, PreconditionError
 from icmeas.meassim import (
+    _WALK_BELOW_RUNS,
     HicConfig,
     MeasurementSeries,
     PicConfig,
@@ -123,6 +126,15 @@ def test_tic_arrival_on_expiry_starts_next_group():
     assert series.count.tolist() == [1, 1]
 
 
+def test_hic_tie_between_timers_counts_as_abs():
+    # 0 + 100 == 70 + 30: both timers expire at the same instant
+    cfg = HicConfig(packet_timer_ns=30, absolute_timer_ns=100)
+    series = coalesce(make_trace([0, 25, 50, 70]), cfg)
+    assert series.m_ns.tolist() == [100]
+    assert series.count.tolist() == [4]
+    assert series.flags == {"hic_abs_fired": 1, "hic_pack_fired": 0}
+
+
 def test_hic_single_packet_uses_packet_timer():
     series = coalesce(make_trace([500]), HicConfig(packet_timer_ns=30, absolute_timer_ns=300))
     assert series.m_ns.tolist() == [530]
@@ -148,6 +160,12 @@ def test_measure_pipeline_applies_delay_before_grouping():
 
 
 # --- cross-checks against the independent references ---
+
+
+def _abs_fired_by_oracle(t, m, c, absolute_ns):
+    """Groups whose interrupt sits exactly at first arrival + absolute timer."""
+    first = np.cumsum(c) - np.asarray(c)
+    return int(np.count_nonzero(np.asarray(m) == t[first] + absolute_ns))
 
 
 def _fuzz_trace(rng):
@@ -185,6 +203,114 @@ def test_fuzzed_traces_match_references_and_conserve_packets():
             assert series.count.min() >= 1
             if not isinstance(cfg, PicConfig):
                 assert np.all(np.diff(series.m_ns) > 0)
+            if isinstance(cfg, HicConfig):
+                abs_fired = _abs_fired_by_oracle(trace.t_ns, m, c, hard)
+                assert series.flags == {
+                    "hic_abs_fired": abs_fired,
+                    "hic_pack_fired": len(m) - abs_fired,
+                }
+
+
+def test_mixed_regime_trace_matches_references():
+    # a high-rate Poisson block splits into thousands of short runs (the
+    # vectorized frontier); after a gap, a 10 us constant-spacing block is one
+    # run of hundreds of groups that is left to the per-run walk
+    rng = np.random.default_rng(11)
+    poisson = np.cumsum(rng.exponential(19 * US, size=10_000)).astype(np.int64)
+    dense = poisson[-1] + 5_000 * US + 10 * US * np.arange(10_000, dtype=np.int64)
+    trace = make_trace(np.concatenate([poisson, dense]), size=64)
+    t = trace.t_ns
+    for pack, hard in [(30 * US, 300 * US), (33 * US, 120 * US)]:
+        assert 1 + np.count_nonzero(np.diff(poisson) >= pack) >= _WALK_BELOW_RUNS
+        series = coalesce(trace, HicConfig(pack, hard))
+        m, c = hic_reference(t, pack, hard)
+        assert series.m_ns.tolist() == m
+        assert series.count.tolist() == c
+        abs_fired = _abs_fired_by_oracle(t, m, c, hard)
+        assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+    series = coalesce(trace, TicConfig(125 * US))
+    m, c = tic_reference(t, 125 * US)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+
+
+# --- properties over random traces ---
+
+
+@st.composite
+def timer_cases(draw):
+    """(sorted stamps, packet timer, absolute timer).
+
+    Small integer gaps give duplicate stamps and exact timer-boundary hits.
+    A gap spread below the packet timer makes one long run; a wider spread
+    makes many short runs.  The absolute timer may sit at or below the
+    packet timer (inverted timers).  The gaps come from a drawn numpy seed,
+    because hypothesis keeps drawn lists short and a few hundred arrivals
+    are needed to keep many runs open at once.
+    """
+    pack = draw(st.integers(1, 12))
+    absolute = draw(st.integers(1, 40))
+    spread = draw(st.integers(0, 3 * pack))
+    n = draw(st.integers(1, 2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.integers(0, 1_000))
+    return start + np.cumsum(rng.integers(0, spread, size=n, endpoint=True)), pack, absolute
+
+
+def _runs(case):
+    t, pack, _ = case
+    return 1 + int(np.count_nonzero(np.diff(t) >= pack))
+
+
+def test_timer_cases_reach_both_kernel_branches():
+    quiet = settings(max_examples=2_000, database=None)
+    find(timer_cases(), lambda case: _runs(case) >= 2 * _WALK_BELOW_RUNS, settings=quiet)
+    find(timer_cases(), lambda case: _runs(case) == 1 and len(case[0]) > 100, settings=quiet)
+
+
+def _assert_series_invariants(series, n, strictly_increasing=True):
+    assert series.total_packets() == n
+    assert int(series.count.min()) >= 1
+    if strictly_increasing:
+        assert np.all(np.diff(series.m_ns) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(timer_cases())
+def test_hic_properties(case):
+    t, pack, hard = case
+    series = coalesce(make_trace(t), HicConfig(pack, hard, allow_inverted_timers=True))
+    m, c = hic_reference(t, pack, hard)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    _assert_series_invariants(series, len(t))
+    abs_fired = _abs_fired_by_oracle(t, m, c, hard)
+    assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+    assert all(type(v) is int for v in series.flags.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(timer_cases())
+def test_tic_properties(case):
+    t, _, timer = case
+    series = coalesce(make_trace(t), TicConfig(timer))
+    m, c = tic_reference(t, timer)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    _assert_series_invariants(series, len(t))
+    assert series.flags == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(timer_cases(), st.integers(1, 12))
+def test_pic_properties(case, count):
+    t = case[0]
+    series = coalesce(make_trace(t), PicConfig(count))
+    m, c = pic_reference(t, count)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    _assert_series_invariants(series, len(t), strictly_increasing=False)
+    assert series.flags.get("pic_flushed", False) is (len(t) % count != 0)
 
 
 def test_coalesce_determinism():
