@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .trafficgen import PacketTrace, _read_int_csv
+from .trafficgen import PacketTrace, _read_int_csv, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
 
@@ -213,10 +213,7 @@ def measure(
 def save_measurements(series: MeasurementSeries, path, config: dict | None = None) -> None:
     """Write m/count CSV plus a JSON sidecar with config echo and flags."""
     path = str(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_MEAS_HEADER + "\n")
-        out = np.column_stack([series.m_ns, series.count])
-        np.savetxt(f, out, fmt="%d", delimiter=",", newline="\n")
+    _write_int_csv(path, _MEAS_HEADER, [series.m_ns, series.count])
     sidecar = {"config": config or {}, "flags": dict(series.flags)}
     with open(path + ".json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)

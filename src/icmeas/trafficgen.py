@@ -5,6 +5,7 @@ are kept sorted by timestamp; equal timestamps are allowed.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,38 +170,65 @@ def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
 
 
 def save_trace(trace: PacketTrace, path) -> None:
+    _write_int_csv(path, _TRACE_HEADER, [trace.t_ns, trace.size_bytes, trace.label])
+
+
+# Rows per formatted chunk: few enough that the chunk string stays small,
+# enough that the one %-format per chunk amortizes its call.
+_WRITE_ROWS = 4096
+
+
+def _write_int_csv(path, header: str, cols) -> None:
+    """Write header, then one line of comma-separated %d fields per row.
+
+    cols are equal-length integer columns.  Lines end in LF; fields carry
+    no padding and no line has a trailing comma.
+    """
+    rows = np.column_stack(cols)
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_TRACE_HEADER + "\n")
-        out = np.column_stack([trace.t_ns, trace.size_bytes, trace.label.astype(np.int64)])
-        np.savetxt(f, out, fmt="%d", delimiter=",", newline="\n")
+        f.write(header + "\n")
+        for i in range(0, len(rows), _WRITE_ROWS):
+            chunk = rows[i : i + _WRITE_ROWS]
+            f.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _read_int_csv(path, header: str) -> np.ndarray:
     """Integer rows of a CSV file whose first line must equal header.
 
     Shape (rows, columns of the header).  A wrong header, a non-integer
-    value or a row of the wrong width raises PreconditionError.
+    value or a row of the wrong width raises PreconditionError.  Empty
+    lines, CRLF endings and a body of only whitespace are accepted.
     """
+    width = header.count(",") + 1
     with open(path, "r", encoding="utf-8") as f:
         got = f.readline().strip()
         if got != header:
             raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
-        body = f.read()
-    width = header.count(",") + 1
-    if not body.strip():
+        body_start = f.tell()
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            f.seek(body_start)
+            if f.read().strip():
+                raise PreconditionError(f"{path}: {exc}") from None
+            data = np.empty((0, width), np.int64)  # a body of only whitespace
+    if len(data) == 0:  # np.loadtxt gives shape (0, 1) when no row was read
         return np.empty((0, width), np.int64)
-    try:
-        data = np.loadtxt(body.splitlines(), dtype=np.int64, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise PreconditionError(f"{path}: {exc}") from None
     if data.shape[1] != width:
         raise PreconditionError(f"{path}: rows must have {width} columns")
     return data
 
 
 def load_trace(path) -> PacketTrace:
-    """Read a trace CSV; rows must be sorted by t_ns with labels 0 or 1."""
+    """Read a trace CSV; rows must be sorted by t_ns >= 0, with sizes >= 1 and labels 0 or 1."""
     data = _read_int_csv(path, _TRACE_HEADER)
+    if np.any(data[:, 0] < 0):
+        raise PreconditionError(f"{path}: t_ns must be non-negative")
+    if np.any(data[:, 1] < 1):
+        raise PreconditionError(f"{path}: size_bytes must be >= 1")
     if np.any((data[:, 2] != BACKGROUND) & (data[:, 2] != ATTACK)):
         raise PreconditionError(f"{path}: labels must be {BACKGROUND} or {ATTACK}")
     trace = PacketTrace(data[:, 0], data[:, 1], data[:, 2])

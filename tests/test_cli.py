@@ -96,8 +96,12 @@ class TestMeasure:
 
     @pytest.mark.parametrize(
         "text",
-        ["t_ns,size,label\n100,500,0\n", "t_ns,size_bytes,label\n100,500,-1\n"],
-        ids=["bad-header", "bad-label"],
+        [
+            "t_ns,size,label\n100,500,0\n",
+            "t_ns,size_bytes,label\n100,500,-1\n",
+            "t_ns,size_bytes,label\n-5,500,0\n",
+        ],
+        ids=["bad-header", "bad-label", "negative-time"],
     )
     def test_malformed_trace_is_invalid_input(self, tmp_path, capsys, text):
         trace = tmp_path / "t.csv"

@@ -1,8 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 
 from icmeas.errors import ConfigError, PreconditionError
+from icmeas.meassim import MeasurementSeries, load_measurements, save_measurements
 from icmeas.trafficgen import (
+    _WRITE_ROWS,
     ATTACK,
     BACKGROUND,
     AttackConfig,
@@ -10,6 +14,7 @@ from icmeas.trafficgen import (
     PoissonConfig,
     gen_periodic,
     gen_poisson,
+    _write_int_csv,
     load_trace,
     merge,
     save_trace,
@@ -140,6 +145,36 @@ def test_trace_roundtrip(tmp_path):
     assert back == trace
 
 
+@pytest.mark.parametrize("n", [0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1])
+@pytest.mark.parametrize("width", [2, 3])
+def test_write_int_csv_matches_numpy_text_writer(tmp_path, n, width):
+    rng = np.random.default_rng(n * 10 + width)
+    cols = [rng.integers(-(2**40), 2**40, n) for _ in range(width)]
+    if n:
+        cols[0][-1] = 2**62 + 12345
+        cols[-1][0] = -(2**62) - 678
+    p = tmp_path / "out.csv"
+    _write_int_csv(p, "h", cols)
+    want = io.BytesIO()
+    want.write(b"h\n")
+    np.savetxt(want, np.column_stack(cols), fmt="%d", delimiter=",", newline="\n")
+    assert p.read_bytes() == want.getvalue()
+
+
+def test_save_trace_literal_text(tmp_path):
+    trace = PacketTrace(np.array([0, 7, 1_000_000_123]), np.array([1500, 64, 1]), np.array([0, 1, 0]))
+    p = tmp_path / "trace.csv"
+    save_trace(trace, p)
+    assert p.read_bytes() == b"t_ns,size_bytes,label\n0,1500,0\n7,64,1\n1000000123,1,0\n"
+
+
+def test_save_measurements_literal_text(tmp_path):
+    series = MeasurementSeries(np.array([120_000, 9_000_000_001]), np.array([1, 17]))
+    p = tmp_path / "m.csv"
+    save_measurements(series, p)
+    assert p.read_bytes() == b"m_ns,count\n120000,1\n9000000001,17\n"
+
+
 def test_trace_roundtrip_empty(tmp_path):
     p = tmp_path / "empty.csv"
     save_trace(PacketTrace.empty(), p)
@@ -155,8 +190,20 @@ def test_trace_roundtrip_empty(tmp_path):
         "100,500,2\n",
         "100,500,x\n",  # not an integer
         "100,500\n",  # too few columns
+        "-5,500,0\n",  # timestamps count from the start of the trace
+        "100,0,0\n",  # a packet has at least one byte
+        "100,-1500,0\n",
     ],
-    ids=["unsorted", "label-minus-one", "label-two", "non-integer", "short-row"],
+    ids=[
+        "unsorted",
+        "label-minus-one",
+        "label-two",
+        "non-integer",
+        "short-row",
+        "negative-time",
+        "size-zero",
+        "size-negative",
+    ],
 )
 def test_load_trace_rejects_invalid_rows(tmp_path, body):
     p = tmp_path / "bad.csv"
@@ -170,3 +217,84 @@ def test_load_trace_rejects_wrong_header(tmp_path):
     p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
     with pytest.raises(PreconditionError):
         load_trace(p)
+
+
+# Both file loaders share one reader; each case runs through both of them.
+# A loader is (load function, header, two valid rows, their columns).
+_LOADERS = {
+    "trace": (
+        load_trace,
+        "t_ns,size_bytes,label",
+        ["100,500,0", "200,40,1"],
+        lambda x: np.column_stack([x.t_ns, x.size_bytes, x.label]),
+    ),
+    "measurements": (
+        load_measurements,
+        "m_ns,count",
+        ["100,1", "200,3"],
+        lambda x: np.column_stack([x.m_ns, x.count]),
+    ),
+}
+
+
+def _load_text(tmp_path, kind, text):
+    load, _, _, columns = _LOADERS[kind]
+    p = tmp_path / f"{kind}.csv"
+    p.write_bytes(text.encode("utf-8"))
+    return columns(load(p))
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loaders_accept_crlf_like_lf(tmp_path, kind):
+    _, header, rows, _ = _LOADERS[kind]
+    lf = _load_text(tmp_path, kind, "\n".join([header, *rows]) + "\n")
+    crlf = _load_text(tmp_path, kind, "\r\n".join([header, *rows]) + "\r\n")
+    assert lf.tolist() == [[int(v) for v in row.split(",")] for row in rows]
+    assert crlf.tolist() == lf.tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize(
+    "body",
+    ["", "\n", "\n\n\n", "  \n", "\t\n \n", "\r\n\r\n", "   "],
+    ids=["none", "one-blank", "blanks", "spaces", "tabs-and-spaces", "crlf-blanks", "no-newline"],
+)
+def test_loaders_read_blank_bodies_as_empty(tmp_path, kind, body):
+    _, header, _, _ = _LOADERS[kind]
+    assert len(_load_text(tmp_path, kind, header + "\n" + body)) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loaders_accept_header_only_file_without_newline(tmp_path, kind):
+    _, header, _, _ = _LOADERS[kind]
+    assert len(_load_text(tmp_path, kind, header)) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize(
+    "tail", ["\n\n", "", "\n\n\n"], ids=["trailing-blank", "no-final-newline", "trailing-blanks"]
+)
+def test_loaders_accept_loose_file_endings(tmp_path, kind, tail):
+    _, header, rows, _ = _LOADERS[kind]
+    got = _load_text(tmp_path, kind, "\n".join([header, *rows]) + tail)
+    assert got.tolist() == [[int(v) for v in row.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize("second", ["short", "long"])
+def test_loaders_reject_bad_second_row(tmp_path, kind, second):
+    load, header, rows, _ = _LOADERS[kind]
+    bad = rows[1].rsplit(",", 1)[0] if second == "short" else rows[1] + ",7"
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join([header, rows[0], bad]) + "\n", encoding="utf-8")
+    with pytest.raises(PreconditionError):
+        load(p)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loaders_reject_whitespace_line_between_rows(tmp_path, kind):
+    load, header, rows, _ = _LOADERS[kind]
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join([header, rows[0], "  ", rows[1]]) + "\n", encoding="utf-8")
+    with pytest.raises(PreconditionError):
+        load(p)
