@@ -223,10 +223,13 @@ def save_measurements(series: MeasurementSeries, path, config: dict | None = Non
 def load_measurements(path) -> MeasurementSeries:
     """Read a measurement CSV (and its sidecar flags, when present).
 
-    The series must hold its invariants: counts >= 1, strictly increasing m.
+    The series must hold its invariants: counts >= 1, strictly increasing
+    m >= 0.
     """
     path = str(path)
     data = _read_int_csv(path, _MEAS_HEADER)
+    if np.any(data[:, 0] < 0):
+        raise PreconditionError(f"{path}: m_ns must be non-negative")
     flags = {}
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:

@@ -91,6 +91,50 @@ class DetectionReport:
         }
 
 
+# detect_stream counts this many blocks per kernel call; an early stop pays
+# for at most _CHUNK_BLOCKS - 1 blocks it never tests
+_CHUNK_BLOCKS = 4
+# int64 differences the kernel holds at once (1 MB): orders are processed in
+# groups of rows sized to this, which keeps the buffer in cache
+_BUFFER_ELEMS = 1 << 17
+
+
+def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig):
+    """Raw-bin counts (float64, (n_blocks, n_bins)) of consecutive blocks of m.
+
+    Block k holds m[first + k*block_len : first + (k+1)*block_len]; m[:first]
+    is history.  For each order, the difference ending at every block entry
+    is keyed k * n_bins + raw_bin, so one bincount per group of orders counts
+    all blocks.  low_cutoff_ns is folded into a shifted copy of m, so one
+    unsigned compare of m[i] - (m[j] + low) against the span keeps exactly
+    the differences in [low, high).  Entries whose earlier endpoint would lie
+    before m[0] are set to -1, which that compare rejects.
+    """
+    n_bins = cfg.n_bins
+    span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
+    length = n_blocks * block_len
+    end = first + length
+    counts = np.zeros(n_blocks * n_bins)
+    top = min(cfg.max_order, end - 1)
+    if length < 1 or top < 1:
+        return counts.reshape(n_blocks, n_bins)
+    shifted = m[:end] + cfg.low_cutoff_ns
+    # span = n_bins * bin_width_ns, so block k's keys floor-divide to k * n_bins + raw_bin
+    offset = np.repeat(np.arange(0, n_blocks * span, span, dtype=np.int64), block_len)
+    diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
+    for group in range(1, top + 1, len(diffs)):
+        rows = diffs[: min(len(diffs), top + 1 - group)]
+        for row, order in zip(rows, range(group, group + len(rows))):
+            skip = max(order - first, 0)
+            row[:skip] = -1
+            i = first + skip
+            np.subtract(m[i:end], shifted[i - order : end - order], out=row[skip:])
+        in_range = rows.view(np.uint64) < span
+        rows += offset
+        counts += np.bincount(rows[in_range] // cfg.bin_width_ns, minlength=n_blocks * n_bins)
+    return counts.reshape(n_blocks, n_bins)
+
+
 def block_counts(m_with_history, history_len: int, cfg: PdmmConfig) -> np.ndarray:
     """Raw-bin counts (float64, n_bins) of the in-range differences ending in a block.
 
@@ -100,18 +144,7 @@ def block_counts(m_with_history, history_len: int, cfg: PdmmConfig) -> np.ndarra
     within the available past.
     """
     m = np.asarray(m_with_history, dtype=np.int64)
-    inc = np.zeros(cfg.n_bins, dtype=np.float64)
-    n = len(m)
-    for order in range(1, cfg.max_order + 1):
-        start = max(history_len, order)
-        if start >= n:
-            break
-        d = m[start:] - m[start - order : n - order]
-        d = d[(d >= cfg.low_cutoff_ns) & (d < cfg.high_cutoff_ns)]
-        if len(d):
-            idx = (d - cfg.low_cutoff_ns) // cfg.bin_width_ns
-            inc += np.bincount(idx, minlength=cfg.n_bins)
-    return inc
+    return _count_blocks(m, history_len, max(len(m) - history_len, 0), 1, cfg)[0]
 
 
 def pearson_chi_square(counts, sub_bins: int):
@@ -147,7 +180,9 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     accumulated and then tested, halting at the first block whose CDF value
     exceeds 1 - threshold.  Blocks whose histogram is still below the
     chi-square applicability floor are skipped without a verdict.  Fewer
-    than two full blocks yields an insufficient-data report.
+    than two full blocks yields an insufficient-data report.  Blocks are
+    counted _CHUNK_BLOCKS at a time, each chunk when its first block is
+    reached, so an early stop leaves the later chunks uncounted.
     """
     m = np.asarray(ms.m_ns, dtype=np.int64)
     n_blocks = len(m) // cfg.block_len
@@ -159,8 +194,11 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     for b in range(n_blocks):
         lo = b * cfg.block_len
         hi = lo + cfg.block_len
-        hist_start = max(0, lo - cfg.max_order)
-        inc = block_counts(m[hist_start:hi], lo - hist_start, cfg)
+        if b % _CHUNK_BLOCKS == 0:
+            hist_start = max(0, lo - cfg.max_order)
+            chunk_blocks = min(_CHUNK_BLOCKS, n_blocks - b)
+            chunk = _count_blocks(m[hist_start:], lo - hist_start, cfg.block_len, chunk_blocks, cfg)
+        inc = chunk[b % _CHUNK_BLOCKS]
         counts += inc
         if window is not None:
             window.append(inc)

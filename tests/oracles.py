@@ -4,6 +4,8 @@ These deliberately take different routes than the library: the dual-timer
 reference walks the decomposed join conditions (gap to previous, offset from
 group start) instead of tracking a running expiry, and the fixed-timer
 reference uses binary search over the array instead of a sequential scan.
+The pdmm counting reference loops over pairs of timestamps one at a time
+instead of over orders and blocks in bulk.
 """
 
 import numpy as np
@@ -81,3 +83,20 @@ def erlang_convolution_reference(lambda_ns, order, x_max_ns, n_coarse=2048):
     fine = chain(du / 2, 2 * n_coarse - 1)[::2]
     x = du * np.arange(n_coarse)
     return x, (4.0 * fine - coarse) / 3.0
+
+
+def pdmm_counts_reference(m_ns, lo, hi, max_order, low_ns, high_ns, bin_width_ns):
+    """Raw-bin counts of the differences ending in m[lo:hi], by a plain double loop.
+
+    Every pair (j, i) with lo <= i < hi, max(0, i - max_order) <= j < i and
+    low_ns <= m[i] - m[j] < high_ns adds one to bin
+    (m[i] - m[j] - low_ns) // bin_width_ns.  Python integers, so no wrap.
+    """
+    m = [int(x) for x in m_ns]
+    counts = [0] * ((high_ns - low_ns) // bin_width_ns)
+    for i in range(lo, hi):
+        for j in range(max(0, i - max_order), i):
+            d = m[i] - m[j]
+            if low_ns <= d < high_ns:
+                counts[(d - low_ns) // bin_width_ns] += 1
+    return counts

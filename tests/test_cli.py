@@ -227,6 +227,19 @@ class TestDetect:
         assert main(["detect", "--detector", "pdmm", "--measurements", str(m)]) == 4
         assert capsys.readouterr().err.startswith("invalid input file:")
 
+    @pytest.mark.parametrize(
+        "command",
+        [["detect", "--detector", "pad"], ["detect", "--detector", "pdmm"], ["stats"]],
+        ids=["pad", "pdmm", "stats"],
+    )
+    def test_negative_measurement_time_is_invalid_input(self, tmp_path, capsys, command):
+        # pad's rasterizer used to die on this file with a bincount traceback
+        m = tmp_path / "m.csv"
+        m.write_text("m_ns,count\n-500,1\n200,1\n", encoding="utf-8")
+        assert main(command + ["--measurements", str(m)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input file:") and "Traceback" not in err
+
     def test_bad_detector_name(self, tmp_path):
         assert main(["detect", "--detector", "zz", "--measurements", "x"]) == 1
 

@@ -351,8 +351,9 @@ def test_measurement_roundtrip_empty(tmp_path):
         "200,1\n100,1\n",  # decreasing m
         "100,1\n100,1\n",  # repeated m
         "100,1.5\n",  # not an integer
+        "-500,1\n200,1\n",  # negative m
     ],
-    ids=["count-zero", "decreasing", "repeated", "non-integer"],
+    ids=["count-zero", "decreasing", "repeated", "non-integer", "negative-time"],
 )
 def test_load_measurements_rejects_invalid_rows(tmp_path, body):
     p = tmp_path / "bad.csv"

@@ -6,11 +6,14 @@ object; hand-counted histograms pin the accumulation rules.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from icmeas.errors import ConfigError, InsufficientDataError
 from icmeas.meassim import HicConfig, MeasurementSeries, TransferConfig, measure
 from icmeas.pdmm import (
+    _CHUNK_BLOCKS,
     DetectionReport,
     PdmmConfig,
     block_counts,
@@ -21,6 +24,8 @@ from icmeas.pdmm import (
     pearson_chi_square,
 )
 from icmeas.trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
+
+from oracles import pdmm_counts_reference
 
 US = 1000
 MS = 1000 * US
@@ -286,6 +291,7 @@ class TestDetectStream:
 
         blocks = deque()
         ref = []
+        ref_time = None
         n_blocks = len(m) // cfg.block_len
         for b in range(n_blocks):
             lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
@@ -299,11 +305,15 @@ class TestDetectStream:
                 ref.append((b,) + pearson_chi_square(np.sum(blocks, axis=0), cfg.sub_bins))
             except InsufficientDataError:
                 continue
-        got = [(b, chi, p) for b, chi, p in rep.trajectory]
-        assert len(got) == len(ref)
-        for (b1, c1, p1), (b2, c2, p2) in zip(got, ref):
-            assert b1 == b2
-            assert c1 == pytest.approx(c2, rel=1e-12)
+            if ref[-1][2] > 1.0 - cfg.threshold:
+                ref_time = int(m[hi - 1])
+                break
+        # counts are integer-valued float64, so the running and the fresh
+        # window sums are equal and so are the statistics
+        assert list(rep.trajectory) == ref
+        assert len(ref) > 3
+        assert rep.detected == (ref_time is not None)
+        assert rep.detection_time_ns == ref_time
 
     def test_background_no_detection(self):
         trace = gen_poisson(
@@ -368,3 +378,157 @@ class TestDetectStream:
         ms = measure(bg, TransferConfig(), HicConfig(30 * US, 300 * US))
         cfg = PdmmConfig(**CAL)
         assert detect_stream(ms, cfg) == detect_stream(ms, cfg)
+
+
+# --- chunked counting against the pair-loop oracle ---
+
+CHUNK = _CHUNK_BLOCKS
+
+
+def _oracle_report(m, cfg):
+    """detect_stream's report rebuilt from oracle counts and pearson_chi_square.
+
+    Each tested histogram is summed afresh from the kept blocks' oracle
+    counts; the counts are integers, so any summation order gives the same
+    floats.
+    """
+    n_blocks = len(m) // cfg.block_len
+    if n_blocks < 2:
+        return DetectionReport(False, None, n_blocks)
+    blocks, trajectory = [], []
+    for b in range(n_blocks):
+        lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
+        blocks.append(
+            pdmm_counts_reference(
+                m, lo, hi, cfg.max_order, cfg.low_cutoff_ns, cfg.high_cutoff_ns, cfg.bin_width_ns
+            )
+        )
+        kept = blocks if cfg.window_blocks is None else blocks[-cfg.window_blocks :]
+        if b == 0:
+            continue
+        try:
+            chi, p = pearson_chi_square(np.sum(kept, axis=0, dtype=np.float64), cfg.sub_bins)
+        except InsufficientDataError:
+            continue
+        trajectory.append((b, chi, p))
+        if p > 1.0 - cfg.threshold:
+            return DetectionReport(True, int(m[hi - 1]), b + 1, tuple(trajectory))
+    return DetectionReport(False, None, n_blocks, tuple(trajectory))
+
+
+def _fuzz_cfg(**kw):
+    # 90 raw bins of 4 ns in 9 sub-bins; gaps average 30 ns, so orders
+    # 2 to ~13 land in range and the histogram stays near uniform
+    base = dict(
+        low_cutoff_ns=40,
+        high_cutoff_ns=400,
+        max_order=16,
+        block_len=25,
+        sub_bins=9,
+        threshold=1e-3,
+        bin_width_ns=4,
+    )
+    base.update(kw)
+    return PdmmConfig(**base)
+
+
+def _fuzz_stream(seed, n, spread=60):
+    rng = np.random.default_rng(seed)
+    return 1_000 + np.cumsum(rng.integers(0, spread, n, endpoint=True))
+
+
+def _assert_matches_oracle(m, cfg):
+    rep = detect_stream(_series(m), cfg)
+    assert rep == _oracle_report(m, cfg)
+    return rep
+
+
+@pytest.mark.parametrize(
+    "n_blocks", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK - 1]
+)
+@pytest.mark.parametrize("tail", [0, 7])
+def test_chunked_counts_match_oracle_at_any_block_count(n_blocks, tail):
+    cfg = _fuzz_cfg(threshold=1e-9)
+    for seed in range(3):
+        m = _fuzz_stream(seed, n_blocks * cfg.block_len + tail)
+        rep = _assert_matches_oracle(m, cfg)
+        assert rep.blocks_processed == n_blocks
+
+
+@pytest.mark.parametrize("block", [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK])
+def test_chunked_detection_stops_at_the_detecting_block(block):
+    # near-uniform gaps up to the switch block, then a 1 ns period: every
+    # difference it adds falls in the first sub-bin, so that block detects
+    cfg = _fuzz_cfg(low_cutoff_ns=0, high_cutoff_ns=360, threshold=1e-6)
+    n = (2 * CHUNK + 3) * cfg.block_len
+    switch = block * cfg.block_len
+    m = _fuzz_stream(block, n)
+    m[switch:] = m[switch - 1] + np.arange(1, n - switch + 1)
+    rep = _assert_matches_oracle(m, cfg)
+    assert rep.detected
+    assert rep.blocks_processed == block + 1
+    assert rep.detection_time_ns == int(m[switch + cfg.block_len - 1])
+
+
+@pytest.mark.parametrize("max_order", [26, 60, 140])
+def test_chunked_history_spanning_several_blocks_matches_oracle(max_order):
+    cfg = _fuzz_cfg(max_order=max_order, block_len=8, high_cutoff_ns=1120, threshold=1e-9)
+    assert cfg.max_order > cfg.block_len
+    for seed in range(3):
+        _assert_matches_oracle(_fuzz_stream(seed, (2 * CHUNK + 2) * cfg.block_len + 3), cfg)
+
+
+@pytest.mark.parametrize("window_blocks", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_chunked_window_matches_oracle(window_blocks):
+    cfg = _fuzz_cfg(window_blocks=window_blocks, threshold=1e-9)
+    for seed in range(3):
+        _assert_matches_oracle(_fuzz_stream(seed, (3 * CHUNK + 1) * cfg.block_len), cfg)
+
+
+def test_chunked_zero_low_cutoff_counts_repeated_stamps():
+    # with low_cutoff_ns = 0 a repeated stamp is a zero difference, bin 0
+    cfg = _fuzz_cfg(low_cutoff_ns=0, high_cutoff_ns=360, threshold=1e-9)
+    for seed in range(3):
+        m = _fuzz_stream(seed, (2 * CHUNK + 1) * cfg.block_len, spread=4)
+        assert np.any(np.diff(m) == 0)
+        _assert_matches_oracle(m, cfg)
+
+
+@st.composite
+def pdmm_cases(draw):
+    """(timestamps, config) for the chunked counter.
+
+    Timestamps come from a drawn numpy seed: non-decreasing by default, with
+    repeated stamps when the gap spread allows zero gaps, or shuffled so
+    that negative differences occur.  The config may put max_order above
+    block_len, window_blocks on either side of the chunk size, and
+    low_cutoff_ns at 0.
+    """
+    sub_bins = draw(st.integers(2, 6))
+    bin_width = draw(st.integers(1, 4))
+    low = draw(st.sampled_from([0, 1, 7, 40]))
+    cfg = PdmmConfig(
+        low_cutoff_ns=low,
+        high_cutoff_ns=low + sub_bins * bin_width * draw(st.integers(1, 6)),
+        max_order=draw(st.integers(1, 45)),
+        block_len=draw(st.integers(2, 24)),
+        sub_bins=sub_bins,
+        threshold=draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.5])),
+        bin_width_ns=bin_width,
+        window_blocks=draw(st.none() | st.integers(1, 2 * CHUNK + 2)),
+    )
+    n = draw(st.integers(0, (3 * CHUNK + 2) * cfg.block_len))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([0, 2**40])) + np.cumsum(
+        rng.integers(0, draw(st.integers(0, 100)), n, endpoint=True)
+    )
+    if draw(st.booleans()) and draw(st.booleans()):
+        m = rng.permutation(m)
+    return m, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(pdmm_cases())
+def test_chunked_report_equals_oracle_report(case):
+    m, cfg = case
+    _assert_matches_oracle(m, cfg)
