@@ -12,6 +12,7 @@ failure, 4 invalid input file.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import ConfigError, InsufficientDataError, PreconditionError
@@ -25,6 +26,7 @@ from .harness import (
     config_from_dict,
     config_to_dict,
     emit_results,
+    load_config_json,
     load_experiment_config,
     measurement_stats,
     preset_experiment,
@@ -110,8 +112,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _ns(value: float, unit: int, flag: str) -> int:
+    """A time flag given in units of `unit` ns, as integer nanoseconds."""
+    ns = value * unit
+    if not math.isfinite(ns) or abs(ns) >= 2**63:
+        raise ConfigError(f"{flag} must be finite and fit int64 nanoseconds, not {value!r}")
+    return int(round(ns))
+
+
 def _cmd_gen(args) -> int:
-    duration_ns = int(round(args.duration_s * SECOND))
+    duration_ns = _ns(args.duration_s, SECOND, "--duration-s")
     if args.preset is not None:
         background, attack = preset_traffic(args.preset, duration_ns, seed=args.seed)
     elif args.mean_gap_us is not None:
@@ -123,7 +133,7 @@ def _cmd_gen(args) -> int:
         )
         attack = (
             AttackConfig(
-                period_ns=int(round(args.attack_period_us * US)),
+                period_ns=_ns(args.attack_period_us, US, "--attack-period-us"),
                 duration_ns=duration_ns,
                 size_bytes=args.attack_size_bytes,
             )
@@ -146,11 +156,11 @@ def _coalescence_from_args(args):
         return COALESCENCE_PRESETS[args.system]
     if args.pack_us is not None and args.abs_us is not None:
         return HicConfig(
-            packet_timer_ns=int(round(args.pack_us * US)),
-            absolute_timer_ns=int(round(args.abs_us * US)),
+            packet_timer_ns=_ns(args.pack_us, US, "--pack-us"),
+            absolute_timer_ns=_ns(args.abs_us, US, "--abs-us"),
         )
     if args.tic_us is not None:
-        return TicConfig(timer_ns=int(round(args.tic_us * US)))
+        return TicConfig(timer_ns=_ns(args.tic_us, US, "--tic-us"))
     if args.pic_count is not None:
         return PicConfig(count=args.pic_count)
     raise ConfigError("measure needs --system, --pack-us/--abs-us, --tic-us, or --pic-count")
@@ -170,8 +180,7 @@ def _detector_config(args):
     pdmm = args.detector == "pdmm"
     d = config_to_dict(PDMM_PRESET if pdmm else PAD_PRESET)
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = load_config_json(args.config)
         section = doc.get(args.detector, {}) if isinstance(doc, dict) else None
         if not isinstance(section, dict):
             raise ConfigError(f"{args.config}: the {args.detector} section must be an object")
@@ -200,7 +209,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_experiment(args) -> int:
     detectors = tuple(d for d in args.detectors.split(",") if d)
-    window_ns = int(round(args.window_s * SECOND))
+    window_ns = _ns(args.window_s, SECOND, "--window-s")
     results = {}
     # --trials and --seed override a config file only when given
     runs = {k: v for k, v in (("trials", args.trials), ("seed_base", args.seed)) if v is not None}
@@ -252,7 +261,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except InsufficientDataError as exc:

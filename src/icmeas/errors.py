@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check."""
+
+import math
 
 
 class IcmeasError(Exception):
@@ -15,3 +17,13 @@ class PreconditionError(IcmeasError, ValueError):
 
 class InsufficientDataError(IcmeasError, RuntimeError):
     """Not enough data to compute the requested quantity."""
+
+
+def require_finite(**values) -> None:
+    """Raise ConfigError for the first of the named float values that is NaN or infinite.
+
+    NaN slips through every ordered comparison, so range checks alone let it in.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, not {value!r}")

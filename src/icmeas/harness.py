@@ -396,6 +396,14 @@ def _decode_section(classes, value, where):
     return cls(**kwargs)
 
 
+def load_config_json(path):
+    """The JSON document of a config file; text that is not UTF-8 JSON raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return config_from_dict(json.load(f))
+    return config_from_dict(load_config_json(path))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, require_finite
 from .trafficgen import PacketTrace, _read_int_csv, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
@@ -60,6 +60,7 @@ class TransferConfig:
     bit_rate_bps: float = 1_000_000_000.0
 
     def __post_init__(self):
+        require_finite(bit_rate_bps=self.bit_rate_bps)
         if self.bit_rate_bps <= 0:
             raise ConfigError("bit_rate_bps must be positive")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .pdmm import DetectionReport
 
 
@@ -34,6 +34,9 @@ class PadConfig:
     max_freq_hz: float = 3000.0
 
     def __post_init__(self):
+        require_finite(
+            peak_factor=self.peak_factor, min_freq_hz=self.min_freq_hz, max_freq_hz=self.max_freq_hz
+        )
         if self.sample_interval_ns <= 0:
             raise ConfigError("sample_interval_ns must be positive")
         if self.window < 64 or self.window & (self.window - 1) != 0:

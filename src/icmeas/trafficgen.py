@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, require_finite
 
 BACKGROUND = 0
 ATTACK = 1
@@ -70,12 +70,14 @@ class PoissonConfig:
     size_mix: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
+        require_finite(mean_gap_ns=self.mean_gap_ns)
         if self.mean_gap_ns <= 0:
             raise ConfigError("mean_gap_ns must be positive")
         if self.duration_ns < 0:
             raise ConfigError("duration_ns must be non-negative")
         if self.size_mix:
             weights = [w for _, w in self.size_mix]
+            require_finite(**{f"size_mix[{i}] weight": w for i, w in enumerate(weights)})
             if any(s < 1 for s, _ in self.size_mix) or any(w < 0 for w in weights):
                 raise ConfigError("size_mix entries must be (size>=1, weight>=0)")
             if abs(sum(weights) - 1.0) > 1e-9:
@@ -96,6 +98,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(jitter_stddev_ns=self.jitter_stddev_ns)
         if self.period_ns <= 0:
             raise ConfigError("period_ns must be positive")
         if self.duration_ns < 0:
@@ -173,48 +176,75 @@ def save_trace(trace: PacketTrace, path) -> None:
     _write_int_csv(path, _TRACE_HEADER, [trace.t_ns, trace.size_bytes, trace.label])
 
 
-# Rows per formatted chunk: few enough that the chunk string stays small,
-# enough that the one %-format per chunk amortizes its call.
-_WRITE_ROWS = 4096
+# Rows per formatted block: enough that the numpy calls per block amortize,
+# few enough that the block's byte matrix stays well under a megabyte.
+_BLOCK_ROWS = 16384
 
 
 def _write_int_csv(path, header: str, cols) -> None:
     """Write header, then one line of comma-separated %d fields per row.
 
     cols are equal-length integer columns.  Lines end in LF; fields carry
-    no padding and no line has a trailing comma.
+    no padding and no line has a trailing comma.  Each block of rows is
+    laid out as one byte matrix, a column of text per row, with NUL where
+    a sign or a leading digit is absent; the NULs are then deleted.
     """
-    rows = np.column_stack(cols)
-    line = ",".join(["%d"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for i in range(0, len(rows), _WRITE_ROWS):
-            chunk = rows[i : i + _WRITE_ROWS]
-            f.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    ends = [b","] * (len(cols) - 1) + [b"\n"]
+    with open(path, "wb") as f:
+        f.write(header.encode("utf-8") + b"\n")
+        for i in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = [np.asarray(c[i : i + _BLOCK_ROWS], np.int64) for c in cols]
+            text = np.concatenate([_field_bytes(v, end) for v, end in zip(block, ends)])
+            f.write(text.T.tobytes().translate(None, b"\0"))
+
+
+def _field_bytes(values: np.ndarray, end: bytes) -> np.ndarray:
+    """(sign, digits..., end) byte rows of the %d text of non-empty int64 values."""
+    q = np.abs(values).view(np.uint64)  # abs(-2**63) wraps, but reads as 2**63 unsigned
+    top = int(q.max())
+    digits = len(str(top))
+    out = np.empty((digits + 2, len(values)), np.uint8)
+    np.multiply(values < 0, ord("-"), out=out[0], casting="unsafe")
+    for row in range(digits, 0, -1):
+        if top < 2**32 and q.dtype == np.uint64:
+            q = q.astype(np.uint32)  # narrower division from here on
+        quot = q // 10
+        np.add(q - quot * 10, ord("0"), out=out[row], casting="unsafe")
+        if row < digits:
+            out[row][q == 0] = 0  # a leading zero; the units digit always stays
+        q, top = quot, top // 10
+    out[-1] = ord(end)
+    return out
 
 
 def _read_int_csv(path, header: str) -> np.ndarray:
     """Integer rows of a CSV file whose first line must equal header.
 
-    Shape (rows, columns of the header).  A wrong header, a non-integer
-    value or a row of the wrong width raises PreconditionError.  Empty
-    lines, CRLF endings and a body of only whitespace are accepted.
+    Shape (rows, columns of the header).  A file that is not UTF-8, a wrong
+    header, a non-integer value or a row of the wrong width raises
+    PreconditionError.  Empty lines, CRLF endings and a body of only
+    whitespace are accepted.
     """
     width = header.count(",") + 1
-    with open(path, "r", encoding="utf-8") as f:
-        got = f.readline().strip()
-        if got != header:
-            raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
-        body_start = f.tell()
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            f.seek(body_start)
-            if f.read().strip():
-                raise PreconditionError(f"{path}: {exc}") from None
-            data = np.empty((0, width), np.int64)  # a body of only whitespace
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            got = f.readline().strip()
+            if got != header:
+                raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
+            body_start = f.tell()
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning
+                    )
+                    data = np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                f.seek(body_start)
+                if f.read().strip():
+                    raise PreconditionError(f"{path}: {exc}") from None
+                data = np.empty((0, width), np.int64)  # a body of only whitespace
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if len(data) == 0:  # np.loadtxt gives shape (0, 1) when no row was read
         return np.empty((0, width), np.int64)
     if data.shape[1] != width:

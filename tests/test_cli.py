@@ -97,19 +97,27 @@ class TestMeasure:
     @pytest.mark.parametrize(
         "text",
         [
-            "t_ns,size,label\n100,500,0\n",
-            "t_ns,size_bytes,label\n100,500,-1\n",
-            "t_ns,size_bytes,label\n-5,500,0\n",
+            b"t_ns,size,label\n100,500,0\n",
+            b"t_ns,size_bytes,label\n100,500,-1\n",
+            b"t_ns,size_bytes,label\n-5,500,0\n",
+            b"\x7fELF\x02\x01\x01\x00\xff\xfe\n\x00\x00",
         ],
-        ids=["bad-header", "bad-label", "negative-time"],
+        ids=["bad-header", "bad-label", "negative-time", "not-utf8"],
     )
     def test_malformed_trace_is_invalid_input(self, tmp_path, capsys, text):
         trace = tmp_path / "t.csv"
-        trace.write_text(text, encoding="utf-8")
+        trace.write_bytes(text)
         argv = ["measure", "--trace", str(trace), "--system", "hicv1", "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("invalid input file:") and "Traceback" not in err
+
+    def test_nan_rate_is_config_error(self, tmp_path, capsys):
+        # a NaN rate used to exit 0 and write m_ns near -9.22e18
+        argv = ["measure", "--trace", str(_gen(tmp_path)), "--system", "hicv1"]
+        assert main(argv + ["--rate-gbps", "nan", "--out", str(tmp_path / "m.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_sidecar_echoes_the_coalescence_config(self, tmp_path):
         m = _measure(tmp_path, _gen(tmp_path), "--system", "hicv2")
@@ -240,6 +248,26 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("invalid input file:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command", [["detect", "--detector", "pdmm"], ["stats"]], ids=["detect", "stats"]
+    )
+    def test_non_utf8_measurement_file_is_invalid_input(self, tmp_path, capsys, command):
+        m = tmp_path / "m.csv"
+        m.write_bytes(b"m_ns,count\n100,1\n\xc3\x28,1\n")
+        assert main(command + ["--measurements", str(m)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input file:") and "Traceback" not in err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        m = _measure(tmp_path, _gen(tmp_path), "--system", "hicv1")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"pdmm": {"threshold": 0.01}, "note": "\xff"}')
+        capsys.readouterr()
+        argv = ["detect", "--detector", "pdmm", "--measurements", str(m), "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_bad_detector_name(self, tmp_path):
         assert main(["detect", "--detector", "zz", "--measurements", "x"]) == 1
 
@@ -363,6 +391,13 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_needs_preset_or_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path / "r")]) == 1
 
@@ -395,6 +430,31 @@ class TestStats:
         p = tmp_path / "m.csv"
         p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
         assert main(["stats", "--measurements", str(p)]) == 2
+
+
+class TestTimeFlags:
+    """Flags given in seconds or microseconds become int64 nanoseconds or a config error."""
+
+    COMMANDS = {
+        "--duration-s": ["gen", "--preset", "high-rate"],
+        "--attack-period-us": ["gen", "--mean-gap-us", "20"],
+        "--window-s": ["experiment", "--preset", "high-rate"],
+        "--pack-us": ["measure", "--abs-us", "300"],
+        "--abs-us": ["measure", "--pack-us", "30"],
+        "--tic-us": ["measure"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("flag", sorted(COMMANDS))
+    def test_non_finite_time_is_config_error(self, tmp_path, capsys, flag, value):
+        command = self.COMMANDS[flag]
+        argv = command + [flag, value, "--out", str(tmp_path / "out")]
+        if command[0] == "measure":
+            argv += ["--trace", str(_gen(tmp_path))]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err and "Traceback" not in err
 
 
 class TestUsageErrors:

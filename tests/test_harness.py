@@ -454,3 +454,34 @@ class TestConfigFiles:
     @pytest.mark.parametrize("mix", [[[500]], [[500, "a"]], [500], {"500": 1.0}])
     def test_malformed_size_mix(self, mix):
         self._bad(lambda d: d["background"].update(size_mix=mix))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("transfer", "bit_rate_bps"),
+        ("background", "mean_gap_ns"),
+        ("background", "size_mix"),
+        ("attack", "jitter_stddev_ns"),
+        ("pad", "peak_factor"),
+        ("pad", "min_freq_hz"),
+        ("pad", "max_freq_hz"),
+    ],
+)
+def test_non_finite_float_fields_are_config_errors(tmp_path, section, key, value):
+    # range checks alone let NaN through; the config file spells it NaN or Infinity
+    d = config_to_dict(preset_experiment("high-rate", "hicv1"))
+    d[section][key] = [[500, value], [1500, 0.75]] if key == "size_mix" else value
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{\x00}\x00", b'{"trials": 1, "seed_base": "\xe9"}'])
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, text):
+    path = tmp_path / "exp.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError):
+        load_experiment_config(path)

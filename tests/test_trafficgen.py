@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmeas.errors import ConfigError, PreconditionError
 from icmeas.meassim import MeasurementSeries, load_measurements, save_measurements
 from icmeas.trafficgen import (
-    _WRITE_ROWS,
+    _BLOCK_ROWS,
     ATTACK,
     BACKGROUND,
     AttackConfig,
@@ -145,7 +147,9 @@ def test_trace_roundtrip(tmp_path):
     assert back == trace
 
 
-@pytest.mark.parametrize("n", [0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1])
+@pytest.mark.parametrize(
+    "n", [0, 1, 4095, 4096, 4097, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+)
 @pytest.mark.parametrize("width", [2, 3])
 def test_write_int_csv_matches_numpy_text_writer(tmp_path, n, width):
     rng = np.random.default_rng(n * 10 + width)
@@ -154,6 +158,52 @@ def test_write_int_csv_matches_numpy_text_writer(tmp_path, n, width):
         cols[0][-1] = 2**62 + 12345
         cols[-1][0] = -(2**62) - 678
     p = tmp_path / "out.csv"
+    _write_int_csv(p, "h", cols)
+    want = io.BytesIO()
+    want.write(b"h\n")
+    np.savetxt(want, np.column_stack(cols), fmt="%d", delimiter=",", newline="\n")
+    assert p.read_bytes() == want.getvalue()
+
+
+_INT64_EDGES = [0, -1, 9, -10, -(2**63), 2**63 - 1, -(2**63) + 1]
+
+
+@st.composite
+def int_columns(draw):
+    """2 or 3 equal-length int64 columns, with lengths at and across block boundaries.
+
+    Values come from a seeded generator, because hypothesis keeps drawn
+    lists short.  A column mixes digit counts and signs, holds one digit
+    count throughout (so no pad byte is needed), or stays near zero; int64
+    extremes are planted at drawn rows.
+    """
+    lengths = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    n = draw(st.sampled_from(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.sampled_from([2, 3]))):
+        kind = draw(st.sampled_from(["mixed", "one-width", "small"]))
+        if kind == "mixed":
+            scale = 10.0 ** rng.integers(0, 19, n)
+            col = (rng.random(n) * scale).astype(np.int64) * rng.choice([-1, 1], n)
+        elif kind == "one-width":
+            d = draw(st.integers(1, 19))
+            col = rng.integers(10 ** (d - 1), min(10**d - 1, 2**63 - 1), n, endpoint=True)
+            col *= draw(st.sampled_from([-1, 1]))
+        else:
+            col = rng.integers(-3, 4, n)
+        if n:
+            edges = st.tuples(st.integers(0, n - 1), st.sampled_from(_INT64_EDGES))
+            for row, value in draw(st.lists(edges, max_size=4)):
+                col[row] = value
+        cols.append(col)
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_columns())
+def test_write_int_csv_matches_numpy_text_writer_on_drawn_columns(tmp_path_factory, cols):
+    p = tmp_path_factory.mktemp("w") / "out.csv"
     _write_int_csv(p, "h", cols)
     want = io.BytesIO()
     want.write(b"h\n")
@@ -297,4 +347,16 @@ def test_loaders_reject_whitespace_line_between_rows(tmp_path, kind):
     p = tmp_path / "bad.csv"
     p.write_text("\n".join([header, rows[0], "  ", rows[1]]) + "\n", encoding="utf-8")
     with pytest.raises(PreconditionError):
+        load(p)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_loaders_reject_non_utf8_text(tmp_path, kind, where):
+    load, header, rows, _ = _LOADERS[kind]
+    good = (header + "\n" + rows[0] + "\n").encode("utf-8")
+    text = b"\x89PNG\r\n\x1a\n\xff\xfe" if where == "header" else good + b"1\xff0,2\n"
+    p = tmp_path / "bad.csv"
+    p.write_bytes(text)
+    with pytest.raises(PreconditionError, match="UTF-8"):
         load(p)
