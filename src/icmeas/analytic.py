@@ -19,10 +19,6 @@ from .errors import ConfigError, InsufficientDataError
 METHOD_SINGLE_PAIR = "single_pair_shift_corrected"
 METHOD_ERLANG_RATIO = "erlang_ratio"
 
-# direct factorial evaluation is exact and cheap up to here; beyond it the
-# density is evaluated in log space to avoid overflow
-_LOG_SPACE_ORDER = 20
-
 
 @dataclass(frozen=True)
 class GapDistParams:
@@ -96,30 +92,21 @@ def pdf_shifted_erlang(y_ns, order: int, p: GapDistParams):
     """Density of the gap closed by a measurement holding `order` packets.
 
     Erlang of the given order in the exponential scale, shifted by bound_ns.
-    Order 1 reduces to pdf_shifted_exp.
+    Order 1 is pdf_shifted_exp; higher orders are evaluated in log space, so
+    no power or factorial overflows.
     """
     if order < 1:
         raise ConfigError("order must be >= 1")
+    if order == 1:
+        return pdf_shifted_exp(y_ns, p)
     y = np.asarray(y_ns, dtype=float)
     x = y - p.bound_ns
     lam = p.lambda_ns
-    if order == 1:
-        out = np.where(x >= 0, np.exp(-np.maximum(x, 0.0) / lam) / lam, 0.0)
-    elif order <= _LOG_SPACE_ORDER:
-        xp = np.maximum(x, 0.0)
-        out = np.where(
-            x >= 0,
-            xp ** (order - 1) * np.exp(-xp / lam) / (lam**order * math.factorial(order - 1)),
-            0.0,
-        )
-    else:
-        # x == 0 contributes zero for order >= 2, so log(x) is safe on x > 0
-        out = np.zeros_like(y)
-        pos = x > 0
-        lx = np.log(x[pos])
-        out[pos] = np.exp(
-            (order - 1) * lx - x[pos] / lam - order * math.log(lam) - gammaln(order)
-        )
+    # x == 0 contributes zero for order >= 2, so log(x) is safe on x > 0
+    out = np.zeros_like(y)
+    pos = x > 0
+    lx = np.log(x[pos])
+    out[pos] = np.exp((order - 1) * lx - x[pos] / lam - order * math.log(lam) - gammaln(order))
     return out if out.ndim else float(out)
 
 

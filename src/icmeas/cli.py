@@ -18,11 +18,12 @@ import sys
 from .errors import ConfigError, InsufficientDataError, PreconditionError
 from .harness import (
     COALESCENCE_PRESETS,
-    PAD_PRESET,
-    PDMM_PRESET,
+    DETECTOR_NAMES,
     SECOND,
     TRAFFIC_PRESETS,
     US,
+    ExperimentConfig,
+    build_trace,
     config_from_dict,
     config_to_dict,
     emit_results,
@@ -31,6 +32,7 @@ from .harness import (
     measurement_stats,
     preset_experiment,
     preset_traffic,
+    run_detector,
     run_experiment,
 )
 from .meassim import (
@@ -42,17 +44,7 @@ from .meassim import (
     measure,
     save_measurements,
 )
-from .pad import PadConfig, detect_psd, rasterize
-from .pdmm import PdmmConfig, detect_stream
-from .trafficgen import (
-    AttackConfig,
-    PoissonConfig,
-    gen_periodic,
-    gen_poisson,
-    load_trace,
-    merge,
-    save_trace,
-)
+from .trafficgen import AttackConfig, PoissonConfig, load_trace, save_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +81,7 @@ def _build_parser() -> _Parser:
     meas.add_argument("--out", required=True)
 
     det = sub.add_parser("detect", help="run one detector on measurements")
-    det.add_argument("--detector", choices=["pdmm", "pad"], required=True)
+    det.add_argument("--detector", choices=DETECTOR_NAMES, required=True)
     det.add_argument("--measurements", required=True)
     det.add_argument("--config", help="JSON file with a pdmm or pad section")
     det.add_argument("--threshold", type=float, help="histogram detector threshold")
@@ -137,15 +129,16 @@ def _cmd_gen(args) -> int:
                 duration_ns=duration_ns,
                 size_bytes=args.attack_size_bytes,
             )
-            if args.attack_period_us
+            if args.attack_period_us is not None
             else None
         )
     else:
         raise ConfigError("gen needs --preset or --mean-gap-us")
-    trace = gen_poisson(background)
     if attack is not None and not args.no_attack:
         attack = dataclasses.replace(attack, jitter_stddev_ns=args.attack_jitter_us * US)
-        trace = merge(trace, gen_periodic(attack))
+    else:
+        attack = None  # the jitter is not checked against an attack that is not sent
+    trace = build_trace(background, attack)
     save_trace(trace, args.out)
     print(f"wrote {len(trace)} packets to {args.out}")
     return 0
@@ -177,27 +170,23 @@ def _cmd_measure(args) -> int:
 
 def _detector_config(args):
     """The detector's preset, overlaid with its --config section and flag."""
-    pdmm = args.detector == "pdmm"
-    d = config_to_dict(PDMM_PRESET if pdmm else PAD_PRESET)
+    preset = getattr(ExperimentConfig, args.detector)
+    d = config_to_dict(preset)
     if args.config is not None:
         doc = load_config_json(args.config)
         section = doc.get(args.detector, {}) if isinstance(doc, dict) else None
         if not isinstance(section, dict):
             raise ConfigError(f"{args.config}: the {args.detector} section must be an object")
         d.update(section)
-    flag = args.threshold if pdmm else args.peak_factor
-    if flag is not None:
-        d["threshold" if pdmm else "peak_factor"] = flag
-    return config_from_dict(d, PdmmConfig if pdmm else PadConfig)
+    key = "threshold" if args.detector == "pdmm" else "peak_factor"  # flag and config key
+    if getattr(args, key) is not None:
+        d[key] = getattr(args, key)
+    return config_from_dict(d, type(preset))
 
 
 def _cmd_detect(args) -> int:
     series = load_measurements(args.measurements)
-    cfg = _detector_config(args)
-    if args.detector == "pdmm":
-        report = detect_stream(series, cfg)
-    else:
-        report = detect_psd(rasterize(series, cfg.sample_interval_ns), cfg)
+    report = run_detector(args.detector, series, _detector_config(args))
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
@@ -217,7 +206,10 @@ def _cmd_experiment(args) -> int:
         cfg = dataclasses.replace(load_experiment_config(args.config), **runs)
         results["config"] = run_experiment(cfg)
     elif args.preset is not None:
-        for system in [s for s in args.systems.split(",") if s]:
+        systems = [s for s in args.systems.split(",") if s]
+        if not systems:
+            raise ConfigError("--systems names no system")
+        for system in systems:
             cfg = preset_experiment(
                 traffic=args.preset,
                 system=system,

@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("detection_window_ns must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError("seed_base must be non-negative")
         bad = [d for d in self.detectors if d not in DETECTOR_NAMES]
         if bad:
             raise ConfigError(f"unknown detectors: {bad}")
@@ -205,27 +207,34 @@ def trial_seeds(seed_base: int, trials: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed_base).generate_state(trials)]
 
 
-def _run_trial(cfg: ExperimentConfig, seed: int):
-    background = dataclasses.replace(
-        cfg.background, duration_ns=cfg.detection_window_ns, seed=seed
-    )
+def build_trace(background: PoissonConfig, attack: AttackConfig | None = None):
+    """The Poisson background trace, merged with the periodic attack when given."""
     trace = gen_poisson(background)
-    if cfg.attack is not None:
-        attack = dataclasses.replace(cfg.attack, duration_ns=cfg.detection_window_ns)
-        trace = merge(trace, gen_periodic(attack))
-    ms = measure(trace, cfg.transfer, cfg.coalescence)
+    return trace if attack is None else merge(trace, gen_periodic(attack))
+
+
+def run_detector(name: str, ms, cfg, window_ns: int | None = None):
+    """Run the detector `name` (one of DETECTOR_NAMES) with `cfg` over `ms`.
+
+    pad rasterizes the series up to window_ns, dropping later measurements,
+    or the whole series when no window is given; pdmm reads the stream as is.
+    """
+    if name == "pdmm":
+        return detect_stream(ms, cfg)
+    n_samples = None if window_ns is None else window_ns // cfg.sample_interval_ns
+    return detect_psd(rasterize(ms, cfg.sample_interval_ns, n_samples), cfg)
+
+
+def _run_trial(cfg: ExperimentConfig, seed: int):
+    window_ns = cfg.detection_window_ns
+    background = dataclasses.replace(cfg.background, duration_ns=window_ns, seed=seed)
+    attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, duration_ns=window_ns)
+    ms = measure(build_trace(background, attack), cfg.transfer, cfg.coalescence)
     detections = {}
     for name in cfg.detectors:
-        if name == "pdmm":
-            report = detect_stream(ms, cfg.pdmm)
-        else:
-            n_samples = cfg.detection_window_ns // cfg.pad.sample_interval_ns
-            series = rasterize(ms, cfg.pad.sample_interval_ns, int(n_samples))
-            report = detect_psd(series, cfg.pad)
-        ttd = report.detection_time_ns
-        if ttd is not None and ttd > cfg.detection_window_ns:
-            ttd = None  # past the window: counts as a timeout
-        detections[name] = ttd
+        ttd = run_detector(name, ms, getattr(cfg, name), window_ns).detection_time_ns
+        # a detection past the window counts as a timeout
+        detections[name] = None if ttd is None or ttd > window_ns else ttd
     return TrialResult(seed=seed, stats=measurement_stats(ms), detections=detections)
 
 

@@ -75,6 +75,8 @@ class PoissonConfig:
             raise ConfigError("mean_gap_ns must be positive")
         if self.duration_ns < 0:
             raise ConfigError("duration_ns must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.size_mix:
             weights = [w for _, w in self.size_mix]
             require_finite(**{f"size_mix[{i}] weight": w for i, w in enumerate(weights)})
@@ -105,6 +107,8 @@ class AttackConfig:
             raise ConfigError("duration_ns must be non-negative")
         if self.start_offset_ns < 0:
             raise ConfigError("start_offset_ns must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.size_bytes < 1:
             raise ConfigError("size_bytes must be >= 1")
         if self.jitter_stddev_ns < 0:

@@ -47,6 +47,10 @@ class TestGen:
     def test_no_attack_flag(self, tmp_path):
         trace = load_trace(_gen(tmp_path, "--no-attack"))
         assert set(np.unique(trace.label)) == {0}
+        # the jitter would be too large for the preset's 400 us period, but
+        # no attack is sent, so it is not checked
+        jittered = _gen(tmp_path, "--no-attack", "--attack-jitter-us", "1000", name="j.csv")
+        assert load_trace(jittered) == trace
 
     def test_explicit_parameters(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -70,6 +74,22 @@ class TestGen:
 
     def test_requires_preset_or_mean_gap(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--preset", "high-rate", "--seed", "-1"],
+            ["--mean-gap-us", "50", "--seed", "-1"],
+            ["--mean-gap-us", "50", "--attack-period-us", "0"],
+        ],
+        ids=["preset-negative-seed", "negative-seed", "zero-attack-period"],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, extra):
+        out = tmp_path / "t.csv"
+        assert main(["gen", "--duration-s", "0.1", "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestMeasure:
@@ -382,8 +402,20 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"trails": 2}, {"trials": "2"}, {"attack": 400_000}, {"coalescence": {"type": "Nic"}}],
-        ids=["unknown-key", "string-trials", "non-object-section", "unknown-type"],
+        [
+            {"trails": 2},
+            {"trials": "2"},
+            {"attack": 400_000},
+            {"coalescence": {"type": "Nic"}},
+            {"seed_base": -1},
+        ],
+        ids=[
+            "unknown-key",
+            "string-trials",
+            "non-object-section",
+            "unknown-type",
+            "negative-seed-base",
+        ],
     )
     def test_bad_config_file_is_config_error(self, tmp_path, capsys, changes):
         path = self._write_config(tmp_path, **changes)
@@ -397,6 +429,18 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra", [["--seed", "-1"], ["--systems", ""], ["--systems", ","]],
+        ids=["negative-seed", "no-systems", "comma-only-systems"],
+    )
+    def test_bad_preset_run_is_config_error_and_writes_nothing(self, tmp_path, capsys, extra):
+        out = tmp_path / "r"
+        argv = ["experiment", "--preset", "high-rate", "--window-s", "2", "--out", str(out), *extra]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_needs_preset_or_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path / "r")]) == 1

@@ -13,20 +13,31 @@ from icmeas.harness import (
     PDMM_PRESET,
     TRAFFIC_PRESETS,
     ExperimentConfig,
+    build_trace,
     config_from_dict,
     config_to_dict,
     emit_results,
     load_experiment_config,
     measurement_stats,
     preset_experiment,
+    preset_traffic,
     results_csv,
     results_json,
+    run_detector,
     run_experiment,
     trial_seeds,
 )
-from icmeas.meassim import HicConfig, MeasurementSeries, PicConfig, TicConfig
-from icmeas.pdmm import PdmmConfig
-from icmeas.trafficgen import PoissonConfig
+from icmeas.meassim import (
+    HicConfig,
+    MeasurementSeries,
+    PicConfig,
+    TicConfig,
+    TransferConfig,
+    measure,
+)
+from icmeas.pad import detect_psd, rasterize
+from icmeas.pdmm import PdmmConfig, detect_stream
+from icmeas.trafficgen import PoissonConfig, gen_periodic, gen_poisson, merge
 
 US = 1000
 SECOND = 1_000_000_000
@@ -112,6 +123,10 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError):
             self._base(detectors=("pdmm", "fft"))
 
+    def test_rejects_negative_seed_base(self):
+        with pytest.raises(ConfigError, match="seed_base"):
+            self._base(seed_base=-1)
+
 
 class TestTrialSeeds:
     def test_deterministic(self):
@@ -154,6 +169,42 @@ class TestMeasurementStats:
     def test_single_measurement_is_insufficient(self):
         with pytest.raises(InsufficientDataError):
             measurement_stats(_series([5], [1]))
+
+
+class TestBuildTrace:
+    def test_background_alone_and_merged_with_attack(self):
+        background, attack = preset_traffic("high-rate", SHORT, seed=3)
+        assert build_trace(background) == gen_poisson(background)
+        assert build_trace(background, attack) == merge(
+            gen_poisson(background), gen_periodic(attack)
+        )
+
+
+class TestRunDetector:
+    # no attack: both detectors scan the whole 2 s series, which holds pad's
+    # 3 windows; a 1 s window rasterizes 10,000 samples, room for one
+    MS = measure(
+        gen_poisson(preset_traffic("high-rate", SHORT, seed=3, attack=False)[0]),
+        TransferConfig(),
+        COALESCENCE_PRESETS["hicv1"],
+    )
+
+    def test_pad_window_cut(self):
+        window_ns, si = SECOND, PAD_PRESET.sample_interval_ns
+        cut = run_detector("pad", self.MS, PAD_PRESET, window_ns)
+        assert cut == detect_psd(rasterize(self.MS, si, window_ns // si), PAD_PRESET)
+        inside = self.MS.m_ns < window_ns
+        head = MeasurementSeries(self.MS.m_ns[inside], self.MS.count[inside])
+        assert run_detector("pad", head, PAD_PRESET, window_ns) == cut
+        whole = run_detector("pad", self.MS, PAD_PRESET)
+        assert whole == detect_psd(rasterize(self.MS, si), PAD_PRESET)
+        assert (cut.blocks_processed, whole.blocks_processed) == (1, 3)
+
+    def test_pdmm_reads_past_the_window(self):
+        report = run_detector("pdmm", self.MS, PDMM_PRESET, SECOND)
+        assert report == detect_stream(self.MS, PDMM_PRESET)
+        inside = int(np.count_nonzero(self.MS.m_ns < SECOND))
+        assert report.blocks_processed * PDMM_PRESET.block_len > inside
 
 
 class TestRunExperiment:

@@ -38,6 +38,14 @@ def test_poisson_config_rejects_bad_values():
         PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=1, size_mix=((100, 0.5), (200, 0.4)))
 
 
+def test_configs_reject_negative_seed():
+    # numpy's generators raise a bare ValueError on these
+    with pytest.raises(ConfigError, match="seed"):
+        PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        AttackConfig(period_ns=100, duration_ns=1000, seed=-1)
+
+
 def test_poisson_empty_duration():
     trace = gen_poisson(PoissonConfig(mean_gap_ns=100.0, duration_ns=0, seed=3))
     assert len(trace) == 0
