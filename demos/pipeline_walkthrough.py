@@ -8,14 +8,13 @@ Run:  python3 demos/pipeline_walkthrough.py [seed]
 """
 
 import sys
+from dataclasses import replace
 
 from icmeas import (
     COALESCENCE_PRESETS,
     PAD_PRESET,
     PDMM_PRESET,
     TRAFFIC_PRESETS,
-    AttackConfig,
-    PoissonConfig,
     TransferConfig,
     detect_psd,
     detect_stream,
@@ -32,23 +31,10 @@ SECOND = 1_000_000_000
 
 def main(seed: int = 7) -> None:
     duration_ns = 20 * SECOND
-    preset = TRAFFIC_PRESETS["high-rate"]
+    background_cfg, attack_cfg = TRAFFIC_PRESETS["high-rate"]
 
-    background = gen_poisson(
-        PoissonConfig(
-            mean_gap_ns=preset["mean_gap_ns"],
-            duration_ns=duration_ns,
-            seed=seed,
-            size_bytes=preset["background_size_bytes"],
-        )
-    )
-    injection = gen_periodic(
-        AttackConfig(
-            period_ns=preset["attack_period_ns"],
-            duration_ns=duration_ns,
-            size_bytes=preset["attack_size_bytes"],
-        )
-    )
+    background = gen_poisson(replace(background_cfg, duration_ns=duration_ns, seed=seed))
+    injection = gen_periodic(replace(attack_cfg, duration_ns=duration_ns))
     trace = merge(background, injection)
     print(f"trace: {len(background)} background + {len(injection)} injected "
           f"packets over {duration_ns / SECOND:.0f}s")

@@ -47,6 +47,15 @@ from .meassim import (
 from .trafficgen import AttackConfig, PoissonConfig, load_trace, save_trace
 
 
+# defaults of the experiment flags that only a preset run takes
+_PRESET_RUN = {
+    "systems": "hicv1,hicv2",
+    "detectors": "pdmm,pad",
+    "no_attack": False,
+    "window_s": 20.0,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as config errors."""
 
@@ -91,10 +100,11 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run the seeded end-to-end pipeline")
     exp.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
     exp.add_argument("--config", help="JSON experiment config file")
-    exp.add_argument("--systems", default="hicv1,hicv2")
-    exp.add_argument("--detectors", default="pdmm,pad")
-    exp.add_argument("--no-attack", action="store_true")
-    exp.add_argument("--window-s", type=float, default=20.0)
+    # the _PRESET_RUN flags (defaults there): a config file sets these itself
+    exp.add_argument("--systems")
+    exp.add_argument("--detectors")
+    exp.add_argument("--no-attack", action="store_true", default=None)
+    exp.add_argument("--window-s", type=float)
     exp.add_argument("--trials", type=int, help="default 1, or the config file's")
     exp.add_argument("--seed", type=int, help="default 0, or the config file's seed_base")
     exp.add_argument("--out", required=True, help="base path for .json and .csv")
@@ -197,23 +207,28 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    detectors = tuple(d for d in args.detectors.split(",") if d)
-    window_ns = _ns(args.window_s, SECOND, "--window-s")
     results = {}
     # --trials and --seed override a config file only when given
     runs = {k: v for k, v in (("trials", args.trials), ("seed_base", args.seed)) if v is not None}
+    given = {k: getattr(args, k) for k in _PRESET_RUN if getattr(args, k) is not None}
     if args.config is not None:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ConfigError(f"{flags} cannot be combined with --config")
         cfg = dataclasses.replace(load_experiment_config(args.config), **runs)
         results["config"] = run_experiment(cfg)
     elif args.preset is not None:
-        systems = [s for s in args.systems.split(",") if s]
+        opts = {**_PRESET_RUN, **given}
+        systems = [s for s in opts["systems"].split(",") if s]
         if not systems:
             raise ConfigError("--systems names no system")
+        detectors = tuple(d for d in opts["detectors"].split(",") if d)
+        window_ns = _ns(opts["window_s"], SECOND, "--window-s")
         for system in systems:
             cfg = preset_experiment(
                 traffic=args.preset,
                 system=system,
-                attack=not args.no_attack,
+                attack=not opts["no_attack"],
                 detectors=detectors,
                 detection_window_ns=window_ns,
                 **runs,

@@ -34,27 +34,22 @@ COALESCENCE_PRESETS = {
 
 # traffic presets pair a Poisson background with a periodic component; rates
 # are calibrated so both coalescence presets produce ~11,000 measurements/s
-# and the documented variance contrast between them
+# and the documented variance contrast between them.  Duration and seed are
+# 0 here: preset_traffic sets them per run.
 TRAFFIC_PRESETS = {
-    "high-rate": {
-        "mean_gap_ns": 19_000.0,
-        "background_size_bytes": 500,
-        "attack_period_ns": 400 * US,
-        "attack_size_bytes": 1500,
-    },
-    "low-rate": {
-        "mean_gap_ns": 27_000.0,
-        "background_size_bytes": 500,
-        "attack_period_ns": 800 * US,
-        "attack_size_bytes": 1500,
-    },
+    "high-rate": (
+        PoissonConfig(mean_gap_ns=19_000.0, duration_ns=0, seed=0, size_bytes=500),
+        AttackConfig(period_ns=400 * US, duration_ns=0, size_bytes=1500),
+    ),
+    "low-rate": (
+        PoissonConfig(mean_gap_ns=27_000.0, duration_ns=0, seed=0, size_bytes=500),
+        AttackConfig(period_ns=800 * US, duration_ns=0, size_bytes=1500),
+    ),
     # period below the histogram cutoffs; detectable through its multiples
-    "harmonic": {
-        "mean_gap_ns": 19_000.0,
-        "background_size_bytes": 500,
-        "attack_period_ns": 150 * US,
-        "attack_size_bytes": 1500,
-    },
+    "harmonic": (
+        PoissonConfig(mean_gap_ns=19_000.0, duration_ns=0, seed=0, size_bytes=500),
+        AttackConfig(period_ns=150 * US, duration_ns=0, size_bytes=1500),
+    ),
 }
 
 # detector parameters calibrated on the presets above (false-positive rate
@@ -142,23 +137,9 @@ def preset_traffic(traffic: str, duration_ns: int, seed: int = 0, attack: bool =
     """(background, attack or None) configs of a named traffic preset."""
     if traffic not in TRAFFIC_PRESETS:
         raise ConfigError(f"unknown traffic preset: {traffic!r}")
-    t = TRAFFIC_PRESETS[traffic]
-    background = PoissonConfig(
-        mean_gap_ns=t["mean_gap_ns"],
-        duration_ns=duration_ns,
-        seed=seed,
-        size_bytes=t["background_size_bytes"],
-    )
-    attack_cfg = (
-        AttackConfig(
-            period_ns=t["attack_period_ns"],
-            duration_ns=duration_ns,
-            size_bytes=t["attack_size_bytes"],
-        )
-        if attack
-        else None
-    )
-    return background, attack_cfg
+    background, attack_cfg = TRAFFIC_PRESETS[traffic]
+    background = dataclasses.replace(background, duration_ns=duration_ns, seed=seed)
+    return background, dataclasses.replace(attack_cfg, duration_ns=duration_ns) if attack else None
 
 
 def preset_experiment(

@@ -116,8 +116,6 @@ CoalescenceConfig = TicConfig | PicConfig | HicConfig
 
 def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     """Shift each arrival by its serialization delay, re-sorting if needed."""
-    if not trace.is_sorted():
-        raise PreconditionError("trace is not sorted by timestamp")
     if len(trace) == 0:
         return trace
     delay = np.rint(trace.size_bytes * (8e9 / cfg.bit_rate_bps)).astype(np.int64)
@@ -183,14 +181,12 @@ def _coalesce_pic(t: np.ndarray, cfg: PicConfig):
 
 
 def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
-    """Group a sorted trace into measurements under the given strategy.
+    """Group a trace into measurements under the given strategy.
 
     Timers are idle until the next arrival; the last group is closed by its
     own timers (or flushed, for count-based coalescing).  Packet counts are
     conserved: sum(count) == len(trace).
     """
-    if not trace.is_sorted():
-        raise PreconditionError("trace is not sorted by timestamp")
     if len(trace) == 0:
         return MeasurementSeries(np.empty(0, np.int64), np.empty(0, np.int64))
     if isinstance(cfg, TicConfig):
@@ -212,7 +208,12 @@ def measure(
 
 
 def save_measurements(series: MeasurementSeries, path, config: dict | None = None) -> None:
-    """Write m/count CSV plus a JSON sidecar with config echo and flags."""
+    """Write m/count CSV plus a JSON sidecar with config echo and flags.
+
+    A series that breaks the invariants load_measurements checks raises
+    PreconditionError before any file is opened.
+    """
+    series.validate()
     path = str(path)
     _write_int_csv(path, _MEAS_HEADER, [series.m_ns, series.count])
     sidecar = {"config": config or {}, "flags": dict(series.flags)}

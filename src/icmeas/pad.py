@@ -79,19 +79,20 @@ def rasterize(ms, sample_interval_ns: int, n_samples: int | None = None) -> np.n
 
 
 def periodogram(series) -> np.ndarray:
-    """Mean-removed power per non-negative frequency bin.
+    """Mean-removed power per non-negative frequency bin, along the last axis.
 
     Normalized so the bins sum to the series' total squared deviation from
-    its mean (interior bins carry both spectral halves).
+    its mean (interior bins carry both spectral halves).  A 2-D input gives
+    one periodogram per row.
     """
     x = np.asarray(series, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if n < 2:
         raise ConfigError("series must hold at least 2 samples")
-    spec = np.abs(np.fft.rfft(x - x.mean())) ** 2 / n
-    spec[1:] *= 2.0
+    spec = np.abs(np.fft.rfft(x - x.mean(axis=-1, keepdims=True))) ** 2 / n
+    spec[..., 1:] *= 2.0
     if n % 2 == 0:
-        spec[-1] /= 2.0
+        spec[..., -1] /= 2.0
     return spec
 
 
@@ -117,10 +118,7 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     windows = 0
     for start in range(0, len(x) - cfg.window + 1, cfg.window // 2):
         windows += 1
-        psd = np.zeros(seg // 2 + 1)
-        for s in range(cfg.segments):
-            psd += periodogram(x[start + s * seg : start + (s + 1) * seg])
-        psd /= cfg.segments
+        psd = periodogram(x[start : start + cfg.window].reshape(cfg.segments, seg)).mean(axis=0)
         in_band = psd[band]
         floor = float(np.median(in_band))
         if floor > 0.0:

@@ -1,7 +1,8 @@
 """Synthetic packet-arrival traces: Poisson background, periodic attack, merging.
 
-All timestamps are integer nanoseconds from the start of the trace.  Traces
-are kept sorted by timestamp; equal timestamps are allowed.
+All timestamps are integer nanoseconds from the start of the trace.  A
+PacketTrace is sorted by timestamp by construction; equal timestamps are
+allowed.
 """
 
 import math
@@ -20,7 +21,7 @@ _TRACE_HEADER = "t_ns,size_bytes,label"
 
 @dataclass(frozen=True, eq=False)
 class PacketTrace:
-    """Column-oriented packet sequence (sorted by t_ns)."""
+    """Column-oriented packet sequence; unsorted t_ns raises PreconditionError."""
 
     t_ns: np.ndarray
     size_bytes: np.ndarray
@@ -32,6 +33,8 @@ class PacketTrace:
         object.__setattr__(self, "label", np.asarray(self.label, dtype=np.uint8))
         if not (len(self.t_ns) == len(self.size_bytes) == len(self.label)):
             raise ConfigError("trace columns must have equal length")
+        if np.any(self.t_ns[1:] < self.t_ns[:-1]):
+            raise PreconditionError("trace is not sorted by t_ns")
 
     def __len__(self):
         return len(self.t_ns)
@@ -44,9 +47,6 @@ class PacketTrace:
             and np.array_equal(self.size_bytes, other.size_bytes)
             and np.array_equal(self.label, other.label)
         )
-
-    def is_sorted(self) -> bool:
-        return len(self) < 2 or bool(np.all(np.diff(self.t_ns) >= 0))
 
     @classmethod
     def empty(cls) -> "PacketTrace":
@@ -165,10 +165,7 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
 
 
 def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
-    """Merge two sorted traces; ties are ordered background before attack."""
-    for name, trace in (("first", a), ("second", b)):
-        if not trace.is_sorted():
-            raise PreconditionError(f"{name} trace is not sorted by timestamp")
+    """Merge two traces; ties are ordered background before attack."""
     t = np.concatenate([a.t_ns, b.t_ns])
     size = np.concatenate([a.size_bytes, b.size_bytes])
     label = np.concatenate([a.label, b.label])
@@ -265,7 +262,7 @@ def load_trace(path) -> PacketTrace:
         raise PreconditionError(f"{path}: size_bytes must be >= 1")
     if np.any((data[:, 2] != BACKGROUND) & (data[:, 2] != ATTACK)):
         raise PreconditionError(f"{path}: labels must be {BACKGROUND} or {ATTACK}")
-    trace = PacketTrace(data[:, 0], data[:, 1], data[:, 2])
-    if not trace.is_sorted():
-        raise PreconditionError(f"{path}: rows are not sorted by t_ns")
-    return trace
+    try:
+        return PacketTrace(data[:, 0], data[:, 1], data[:, 2])
+    except PreconditionError as exc:  # unsorted rows
+        raise PreconditionError(f"{path}: {exc}") from None

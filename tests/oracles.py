@@ -5,7 +5,8 @@ reference walks the decomposed join conditions (gap to previous, offset from
 group start) instead of tracking a running expiry, and the fixed-timer
 reference uses binary search over the array instead of a sequential scan.
 The pdmm counting reference loops over pairs of timestamps one at a time
-instead of over orders and blocks in bulk.
+instead of over orders and blocks in bulk, and the pad reference transforms
+and sums a window's segments one at a time instead of as one batch.
 """
 
 import numpy as np
@@ -100,3 +101,40 @@ def pdmm_counts_reference(m_ns, lo, hi, max_order, low_ns, high_ns, bin_width_ns
             if low_ns <= d < high_ns:
                 counts[(d - low_ns) // bin_width_ns] += 1
     return counts
+
+
+def pad_scan_reference(series, cfg):
+    """The pad window scan with one 1-D periodogram per segment, summed in a loop.
+
+    Returns (detected, detection_time_ns, windows, trajectory) with the same
+    hop, band, floor and peak rules as pad.detect_psd.
+    """
+    x = np.asarray(series, dtype=float)
+    if len(x) < cfg.window:
+        return False, None, 0, ()
+    seg = cfg.segment_len
+    freqs = np.fft.rfftfreq(seg, d=cfg.sample_interval_ns / 1e9)
+    band = (freqs >= cfg.min_freq_hz) & (freqs <= cfg.max_freq_hz)
+    trajectory = []
+    for w, start in enumerate(range(0, len(x) - cfg.window + 1, cfg.window // 2)):
+        psd = np.zeros(seg // 2 + 1)
+        for s in range(cfg.segments):
+            part = x[start + s * seg : start + (s + 1) * seg]
+            spec = np.abs(np.fft.rfft(part - part.mean())) ** 2 / seg
+            spec[1:] *= 2.0
+            if seg % 2 == 0:
+                spec[-1] /= 2.0
+            psd += spec
+        psd /= cfg.segments
+        in_band = psd[band]
+        floor = float(np.median(in_band))
+        if floor > 0.0:
+            k = int(np.argmax(in_band))
+            ratio, peak = float(in_band[k]) / floor, float(freqs[band][k])
+        else:
+            ratio, peak = 0.0, 0.0
+        trajectory.append((w, ratio, peak))
+        if ratio > cfg.peak_factor:
+            end_ns = int((start + cfg.window) * cfg.sample_interval_ns)
+            return True, end_ns, w + 1, tuple(trajectory)
+    return False, None, len(trajectory), tuple(trajectory)

@@ -132,6 +132,21 @@ class TestMeasure:
         err = capsys.readouterr().err
         assert err.startswith("invalid input file:") and "Traceback" not in err
 
+    def test_pic_round_trip_with_tied_arrivals(self, tmp_path, capsys):
+        # two packets at 100 ns: one interrupt per packet would repeat m_ns
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_ns,size_bytes,label\n100,500,0\n100,500,0\n200,500,0\n")
+        out = tmp_path / "m.csv"
+        argv = ["measure", "--trace", str(trace), "--pic-count", "1", "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input file:") and "strictly increasing" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+        # a count that groups the tie writes a file that stats reads back
+        _measure(tmp_path, trace, "--pic-count", "2")
+        assert main(["stats", "--measurements", str(out)]) == 0
+        assert load_measurements(out).count.tolist() == [2, 1]
+
     def test_nan_rate_is_config_error(self, tmp_path, capsys):
         # a NaN rate used to exit 0 and write m_ns near -9.22e18
         argv = ["measure", "--trace", str(_gen(tmp_path)), "--system", "hicv1"]
@@ -441,6 +456,18 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag", [["--systems", "hicv2"], ["--detectors", "pad"], ["--no-attack"], ["--window-s", "2"]],
+        ids=["systems", "detectors", "no-attack", "window-s"],
+    )
+    def test_preset_run_flags_with_config_are_config_errors(self, tmp_path, capsys, flag):
+        path = self._write_config(tmp_path)
+        argv = ["experiment", "--config", str(path), "--out", str(tmp_path / "r"), *flag]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag[0] in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     def test_needs_preset_or_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path / "r")]) == 1

@@ -37,7 +37,7 @@ from icmeas.meassim import (
 )
 from icmeas.pad import detect_psd, rasterize
 from icmeas.pdmm import PdmmConfig, detect_stream
-from icmeas.trafficgen import PoissonConfig, gen_periodic, gen_poisson, merge
+from icmeas.trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
 
 US = 1000
 SECOND = 1_000_000_000
@@ -62,13 +62,25 @@ class TestPresets:
         assert set(TRAFFIC_PRESETS) == {"high-rate", "low-rate", "harmonic"}
 
     def test_traffic_preset_attack_periods(self):
-        assert TRAFFIC_PRESETS["high-rate"]["attack_period_ns"] == 400 * US
-        assert TRAFFIC_PRESETS["low-rate"]["attack_period_ns"] == 800 * US
-        assert TRAFFIC_PRESETS["harmonic"]["attack_period_ns"] == 150 * US
+        periods = {name: attack.period_ns for name, (_, attack) in TRAFFIC_PRESETS.items()}
+        assert periods == {"high-rate": 400 * US, "low-rate": 800 * US, "harmonic": 150 * US}
 
     def test_harmonic_period_is_below_histogram_range(self):
-        period = TRAFFIC_PRESETS["harmonic"]["attack_period_ns"]
+        period = TRAFFIC_PRESETS["harmonic"][1].period_ns
         assert period < PDMM_PRESET.low_cutoff_ns
+
+    def test_traffic_presets_are_configs_that_preset_traffic_places(self):
+        gaps = {"high-rate": 19_000.0, "low-rate": 27_000.0, "harmonic": 19_000.0}
+        for name, (background, attack) in TRAFFIC_PRESETS.items():
+            assert background == PoissonConfig(
+                mean_gap_ns=gaps[name], duration_ns=0, seed=0, size_bytes=500
+            )
+            assert attack == AttackConfig(period_ns=attack.period_ns, duration_ns=0, size_bytes=1500)
+            assert preset_traffic(name, SHORT, seed=3) == (
+                dataclasses.replace(background, duration_ns=SHORT, seed=3),
+                dataclasses.replace(attack, duration_ns=SHORT),
+            )
+            assert preset_traffic(name, SHORT, attack=False)[1] is None
 
     def test_detector_presets(self):
         assert PDMM_PRESET.low_cutoff_ns == 1000 * US

@@ -1,13 +1,18 @@
 """Spectral detector: rasterization, transform correctness, peak test."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from icmeas.errors import ConfigError
-from icmeas.meassim import MeasurementSeries
+from icmeas.harness import COALESCENCE_PRESETS, PAD_PRESET, build_trace, preset_traffic
+from icmeas.meassim import MeasurementSeries, TransferConfig, measure
 from icmeas.pad import PadConfig, detect_psd, periodogram, rasterize
+from oracles import pad_scan_reference
 
 US = 1000
+SECOND = 1_000_000_000
 
 
 def _series(m_us, counts):
@@ -154,3 +159,38 @@ class TestDetectPsd:
         rng = np.random.default_rng(21)
         series = rng.poisson(20.0, 3 * 4096).astype(float)
         assert detect_psd(series, self.CFG) == detect_psd(series, self.CFG)
+
+
+def _report_tuple(rep):
+    return rep.detected, rep.detection_time_ns, rep.blocks_processed, rep.trajectory
+
+
+class TestScanMatchesLoopOracle:
+    """detect_psd's batched segment periodograms equal the per-segment loop exactly."""
+
+    # a peak factor no window reaches: the scan runs to the end of the series
+    NO_STOP = dataclasses.replace(PAD_PRESET, peak_factor=1e300)
+
+    @pytest.mark.parametrize("system", sorted(COALESCENCE_PRESETS))
+    @pytest.mark.parametrize("attack", [True, False], ids=["attack", "no-attack"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_preset_trials(self, seed, attack, system):
+        window_ns = 20 * SECOND
+        trace = build_trace(*preset_traffic("high-rate", window_ns, seed=seed, attack=attack))
+        ms = measure(trace, TransferConfig(), COALESCENCE_PRESETS[system])
+        si = PAD_PRESET.sample_interval_ns
+        series = rasterize(ms, si, window_ns // si)
+        for cfg in (PAD_PRESET, self.NO_STOP):
+            assert _report_tuple(detect_psd(series, cfg)) == pad_scan_reference(series, cfg)
+        assert len(pad_scan_reference(series, self.NO_STOP)[3]) == 47
+
+    @pytest.mark.parametrize("window,segments", [(64, 1), (64, 4), (256, 8), (1024, 2)])
+    def test_random_series(self, window, segments):
+        cfg = PadConfig(window=window, segments=segments, peak_factor=4.0, max_freq_hz=5000.0)
+        rng = np.random.default_rng(window + segments)
+        for _ in range(20):
+            n = int(rng.integers(window - 1, 4 * window))
+            series = rng.poisson(rng.uniform(0.5, 50.0), n).astype(float)
+            k = int(rng.integers(0, n))
+            series[k:] += rng.uniform(0, 20) * np.sin(np.arange(n - k) * rng.uniform(0.1, 3.0))
+            assert _report_tuple(detect_psd(series, cfg)) == pad_scan_reference(series, cfg)
