@@ -173,6 +173,14 @@ def _cmd_measure(args) -> int:
     cfg = _coalescence_from_args(args)
     trace = load_trace(args.trace)
     series = measure(trace, TransferConfig(bit_rate_bps=args.rate_gbps * 1e9), cfg)
+    tied = series.m_ns[1:] == series.m_ns[:-1]  # only count coalescing can tie
+    if tied.any():
+        per = "packet" if cfg.count == 1 else f"{cfg.count} packets"
+        raise PreconditionError(
+            f"{args.trace}: measurement timestamps must be strictly increasing, but arrivals "
+            f"tie at t_ns={series.m_ns[tied.argmax()]} after the transfer delay: a "
+            f"--pic-count of {cfg.count} cannot give one interrupt per {per} there"
+        )
     save_measurements(series, args.out, config=config_to_dict(cfg))
     print(f"wrote {len(series)} measurements to {args.out}")
     return 0

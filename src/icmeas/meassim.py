@@ -118,9 +118,11 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     """Shift each arrival by its serialization delay, re-sorting if needed."""
     if len(trace) == 0:
         return trace
-    delay = np.rint(trace.size_bytes * (8e9 / cfg.bit_rate_bps)).astype(np.int64)
-    t = trace.t_ns + delay
-    if np.all(np.diff(t) >= 0):
+    delay = trace.size_bytes * (8e9 / cfg.bit_rate_bps)
+    np.rint(delay, out=delay)
+    t = delay.astype(np.int64)
+    t += trace.t_ns
+    if not np.any(t[1:] < t[:-1]):
         return PacketTrace(t, trace.size_bytes, trace.label)
     order = np.argsort(t, kind="stable")
     return PacketTrace(t[order], trace.size_bytes[order], trace.label[order])
@@ -128,6 +130,8 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
 
 # measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16
 _WALK_BELOW_RUNS = 16
+# keys the walk searches at once; 2,048-8,192 timed alike on that 2M-packet trace
+_WALK_BLOCK = 4096
 
 
 def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = None):
@@ -137,8 +141,9 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     independent runs.  Inside a run a group ends at the first arrival at or
     past its start plus absolute_ns (half-open: an arrival at the expiry opens
     the next group).  Runs advance together as a vectorized frontier while
-    many are open; the last few are walked group by group.  Without a packet
-    timer (TIC) the whole trace is one run.
+    many are open; the last few are walked group by group, each searching its
+    next starts a block of keys at a time.  Without a packet timer (TIC) the
+    whole trace is one run.
     """
     n = len(t)
     if packet_ns is None:
@@ -152,13 +157,17 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
         nxt = np.searchsorted(t, t[cur] + absolute_ns, side="left")
         open_ = nxt < end
         cur, end = nxt[open_], end[open_]
-    for s, e in zip(cur.tolist(), end.tolist()):
-        run = t[s:e]
-        hop = memoryview(np.searchsorted(run, run + absolute_ns, side="left"))
-        i, run_len = 0, e - s
-        while i < run_len:
-            is_first[s + i] = True
-            i = hop[i]
+    for i, e in zip(cur.tolist(), end.tolist()):
+        while i < e:
+            # keys are sorted, so every key's next start lies in t[i:ub], ub being the last key's
+            stop = min(i + _WALK_BLOCK, e)
+            ub = i + int(np.searchsorted(t[i:e], t[stop - 1] + absolute_ns, side="left"))
+            hop = memoryview(np.searchsorted(t[i:ub], t[i:stop] + absolute_ns, side="left"))
+            j, block_len = 0, stop - i
+            while j < block_len:
+                is_first[i + j] = True
+                j = hop[j]
+            i += j
     first = np.flatnonzero(is_first)
     count = np.diff(first, append=n)
     m = t[first] + absolute_ns

@@ -223,8 +223,8 @@ def _read_int_csv(path, header: str) -> np.ndarray:
 
     Shape (rows, columns of the header).  A file that is not UTF-8, a wrong
     header, a non-integer value or a row of the wrong width raises
-    PreconditionError.  Empty lines, CRLF endings and a body of only
-    whitespace are accepted.
+    PreconditionError; so does a `#`, which marks no comment.  Empty lines,
+    CRLF endings and a body of only whitespace are accepted.
     """
     width = header.count(",") + 1
     try:
@@ -238,7 +238,7 @@ def _read_int_csv(path, header: str) -> np.ndarray:
                     warnings.filterwarnings(
                         "ignore", "loadtxt: input contained no data", UserWarning
                     )
-                    data = np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2)
+                    data = np.loadtxt(f, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
                 f.seek(body_start)
                 if f.read().strip():

@@ -121,8 +121,17 @@ class TestMeasure:
             b"t_ns,size_bytes,label\n100,500,-1\n",
             b"t_ns,size_bytes,label\n-5,500,0\n",
             b"\x7fELF\x02\x01\x01\x00\xff\xfe\n\x00\x00",
+            b"t_ns,size_bytes,label\n# note\n100,500,0\n",
+            b"t_ns,size_bytes,label\n100,500,0 # note\n",
         ],
-        ids=["bad-header", "bad-label", "negative-time", "not-utf8"],
+        ids=[
+            "bad-header",
+            "bad-label",
+            "negative-time",
+            "not-utf8",
+            "comment-line",
+            "trailing-comment",
+        ],
     )
     def test_malformed_trace_is_invalid_input(self, tmp_path, capsys, text):
         trace = tmp_path / "t.csv"
@@ -141,6 +150,8 @@ class TestMeasure:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("invalid input file:") and "strictly increasing" in err
+        # the error names the file, the tie (4 us of transfer delay later) and the count
+        assert str(trace) in err and "t_ns=4100" in err and "--pic-count of 1" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
         # a count that groups the tie writes a file that stats reads back
         _measure(tmp_path, trace, "--pic-count", "2")
@@ -282,6 +293,19 @@ class TestDetect:
         assert main(command + ["--measurements", str(m)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("invalid input file:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "body", ["# note\n100,1\n", "100,1 # note\n"], ids=["comment-line", "trailing-comment"]
+    )
+    @pytest.mark.parametrize(
+        "command", [["detect", "--detector", "pdmm"], ["stats"]], ids=["detect", "stats"]
+    )
+    def test_hash_in_measurement_file_is_invalid_input(self, tmp_path, capsys, command, body):
+        m = tmp_path / "m.csv"
+        m.write_text("m_ns,count\n" + body, encoding="utf-8")
+        assert main(command + ["--measurements", str(m)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input file:") and str(m) in err
 
     @pytest.mark.parametrize(
         "command", [["detect", "--detector", "pdmm"], ["stats"]], ids=["detect", "stats"]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from icmeas.errors import ConfigError, PreconditionError
 from icmeas.meassim import (
     _WALK_BELOW_RUNS,
+    _WALK_BLOCK,
     HicConfig,
     MeasurementSeries,
     PicConfig,
@@ -57,6 +58,13 @@ def test_transfer_delay_values():
     out = apply_transfer(make_trace([0], size=64), TransferConfig(bit_rate_bps=1e9))
     assert out.t_ns.tolist() == [512]
 
+    # at 16 Gbps a byte takes 0.5 ns: odd sizes land on .5 and round half to even
+    delays = [
+        apply_transfer(make_trace([0], size=s), TransferConfig(bit_rate_bps=16e9)).t_ns[0]
+        for s in (1, 3, 5, 7, 9)
+    ]
+    assert delays == [0, 2, 2, 4, 4]
+
 
 def test_transfer_reorder_is_stable():
     # big packet then a small one right behind: the small one lands first
@@ -68,6 +76,31 @@ def test_transfer_reorder_is_stable():
     assert out.size_bytes.tolist() == [64, 1500]
     assert out.label.tolist() == [1, 0]
     assert np.all(out.t_ns[1:] >= out.t_ns[:-1])
+
+
+def _transfer_reference(trace, rate_bps):
+    """The delay as one rint of size * 8e9 / rate, then a stable re-sort when needed."""
+    t = trace.t_ns + np.rint(trace.size_bytes * (8e9 / rate_bps)).astype(np.int64)
+    if np.all(np.diff(t) >= 0):
+        return t, trace.size_bytes, trace.label
+    order = np.argsort(t, kind="stable")
+    return t[order], trace.size_bytes[order], trace.label[order]
+
+
+@pytest.mark.parametrize("rate_bps", [1e9, 0.3e9, 2.5e9, 16e9, 100e9])
+@pytest.mark.parametrize("ties", [False, True])
+def test_transfer_matches_one_rint_formula(rate_bps, ties):
+    rng = np.random.default_rng(int(rate_bps) % 1000 + ties)
+    n = 5_000
+    gaps = rng.integers(0, 4, n) if ties else rng.integers(1, 20_000, n)
+    sizes = rng.choice([1, 3, 5, 40, 64, 576, 1500, 9001], n)
+    trace = PacketTrace(np.cumsum(gaps), sizes, rng.integers(0, 2, n).astype(np.uint8))
+    out = apply_transfer(trace, TransferConfig(bit_rate_bps=rate_bps))
+    t, size, label = _transfer_reference(trace, rate_bps)
+    assert out.t_ns.dtype == np.int64
+    assert out.t_ns.tolist() == t.tolist()
+    assert out.size_bytes.tolist() == size.tolist()
+    assert out.label.tolist() == label.tolist()
 
 
 def test_transfer_empty():
@@ -233,6 +266,68 @@ def test_mixed_regime_trace_matches_references():
     m, c = tic_reference(t, 125 * US)
     assert series.m_ns.tolist() == m
     assert series.count.tolist() == c
+
+
+# --- the walk's search blocks ---
+#
+# One run (every gap below the packet timer) is walked a block of
+# _WALK_BLOCK keys at a time; these traces put group starts, long groups and
+# tied stamps on and across the block edges.
+
+_B = _WALK_BLOCK
+_EDGE_LENGTHS = [_B - 1, _B, _B + 1, 3 * _B + 7]
+
+
+def _assert_walk_matches_references(t, pack, hard):
+    t = np.asarray(t, np.int64)
+    assert int(np.diff(t).max(initial=0)) < pack  # one run, so the walk does it all
+    trace = make_trace(t)
+    series = coalesce(trace, HicConfig(pack, hard, allow_inverted_timers=True))
+    m, c = hic_reference(t, pack, hard)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    abs_fired = _abs_fired_by_oracle(t, m, c, hard)
+    assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+    series = coalesce(trace, TicConfig(hard))
+    m, c = tic_reference(t, hard)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+
+
+@pytest.mark.parametrize("n", _EDGE_LENGTHS)
+@pytest.mark.parametrize("hard", [1, 3, _B - 1, _B + 1])
+def test_walk_block_edges_on_unit_spacing(n, hard):
+    # 1 ns spacing: a group starts every `hard` keys, so under 1 and B - 1
+    # the last key of every block opens a group; B + 1 skips a whole block
+    _assert_walk_matches_references(np.arange(n), hard + 1, hard)
+
+
+@pytest.mark.parametrize("n", _EDGE_LENGTHS)
+@pytest.mark.parametrize("pack, hard", [(4, 1), (4, 7), (4, 40), (9, 5)])
+def test_walk_block_edges_on_tied_small_gaps(n, pack, hard):
+    # gaps of 0-3 ns tie stamps and hit expiries exactly; (4, 1) and (9, 5)
+    # are inverted timers
+    rng = np.random.default_rng(n * 100 + hard)
+    t = 100 + np.cumsum(rng.integers(0, 3, size=n, endpoint=True))
+    _assert_walk_matches_references(t, pack, hard)
+
+
+def test_walk_group_longer_than_a_block():
+    # 1 ns spacing under a 10 us absolute timer: 10,000 keys per group
+    assert 10 * US > 2 * _B
+    t = np.arange(3 * 10 * US + 7)
+    _assert_walk_matches_references(t, 5, 10 * US)
+    _assert_walk_matches_references(t, 10 * US + 1, 10 * US)  # inverted
+
+
+@pytest.mark.parametrize("hard", [1, 2, 5, _B - 1])
+def test_walk_tied_stamps_straddle_a_block_edge(hard):
+    gaps = np.ones(3 * _B + 7, np.int64)
+    for edge in (_B, 2 * _B - 1, 3 * _B):
+        gaps[edge - 2 : edge + 3] = 0  # six equal stamps across the edge
+    t = np.cumsum(gaps)
+    _assert_walk_matches_references(t, hard + 1, hard)
+    _assert_walk_matches_references(t, 2, hard)
 
 
 # --- properties over random traces ---

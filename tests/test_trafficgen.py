@@ -351,13 +351,19 @@ def test_loaders_accept_loose_file_endings(tmp_path, kind, tail):
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
-@pytest.mark.parametrize("second", ["short", "long"])
+@pytest.mark.parametrize("second", ["short", "long", "comment-line", "trailing-comment"])
 def test_loaders_reject_bad_second_row(tmp_path, kind, second):
+    # the writer never emits a '#', so the reader takes it for no comment marker
     load, header, rows, _ = _LOADERS[kind]
-    bad = rows[1].rsplit(",", 1)[0] if second == "short" else rows[1] + ",7"
+    bad = {
+        "short": rows[1].rsplit(",", 1)[0],
+        "long": rows[1] + ",7",
+        "comment-line": "# note",
+        "trailing-comment": rows[1] + " # note",
+    }[second]
     p = tmp_path / "bad.csv"
     p.write_text("\n".join([header, rows[0], bad]) + "\n", encoding="utf-8")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="bad.csv"):
         load(p)
 
 
