@@ -172,7 +172,10 @@ def _coalescence_from_args(args):
 def _cmd_measure(args) -> int:
     cfg = _coalescence_from_args(args)
     trace = load_trace(args.trace)
-    series = measure(trace, TransferConfig(bit_rate_bps=args.rate_gbps * 1e9), cfg)
+    try:
+        series = measure(trace, TransferConfig(bit_rate_bps=args.rate_gbps * 1e9), cfg)
+    except PreconditionError as exc:  # a time past the int64 range
+        raise PreconditionError(f"{args.trace}: {exc}") from None
     tied = series.m_ns[1:] == series.m_ns[:-1]  # only count coalescing can tie
     if tied.any():
         per = "packet" if cfg.count == 1 else f"{cfg.count} packets"
@@ -230,6 +233,8 @@ def _cmd_experiment(args) -> int:
         systems = [s for s in opts["systems"].split(",") if s]
         if not systems:
             raise ConfigError("--systems names no system")
+        if len(set(systems)) < len(systems):
+            raise ConfigError(f"--systems must not repeat a system: {opts['systems']}")
         detectors = tuple(d for d in opts["detectors"].split(",") if d)
         window_ns = _ns(opts["window_s"], SECOND, "--window-s")
         for system in systems:

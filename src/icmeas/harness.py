@@ -16,7 +16,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .meassim import CoalescenceConfig, HicConfig, TransferConfig, measure
+from .meassim import CoalescenceConfig, HicConfig, TransferConfig, apply_transfer, coalesce
 from .pad import PadConfig, detect_psd, rasterize
 from .pdmm import PdmmConfig, detect_stream
 from .trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
@@ -108,6 +108,8 @@ class ExperimentConfig:
         bad = [d for d in self.detectors if d not in DETECTOR_NAMES]
         if bad:
             raise ConfigError(f"unknown detectors: {bad}")
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ConfigError(f"detectors must not repeat: {list(self.detectors)}")
 
 
 @dataclass(frozen=True)
@@ -188,10 +190,25 @@ def trial_seeds(seed_base: int, trials: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed_base).generate_state(trials)]
 
 
-def build_trace(background: PoissonConfig, attack: AttackConfig | None = None):
-    """The Poisson background trace, merged with the periodic attack when given."""
-    trace = gen_poisson(background)
-    return trace if attack is None else merge(trace, gen_periodic(attack))
+def build_trace(
+    background: PoissonConfig,
+    attack: AttackConfig | None = None,
+    transfer: TransferConfig | None = None,
+):
+    """The Poisson background trace, merged with the periodic attack when given.
+
+    With a transfer config each component is delayed before the merge, so
+    the result is the transferred trace in arrival order; packets that
+    arrive at the same instant are ordered background before attack.  A
+    component of one packet size keeps its order under the delay, so the
+    merge is the only sort.
+    """
+    parts = [gen_poisson(background)]
+    if attack is not None:
+        parts.append(gen_periodic(attack))
+    if transfer is not None:
+        parts = [apply_transfer(p, transfer) for p in parts]
+    return parts[0] if attack is None else merge(*parts)
 
 
 def run_detector(name: str, ms, cfg, window_ns: int | None = None):
@@ -210,7 +227,7 @@ def _run_trial(cfg: ExperimentConfig, seed: int):
     window_ns = cfg.detection_window_ns
     background = dataclasses.replace(cfg.background, duration_ns=window_ns, seed=seed)
     attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, duration_ns=window_ns)
-    ms = measure(build_trace(background, attack), cfg.transfer, cfg.coalescence)
+    ms = coalesce(build_trace(background, attack, cfg.transfer), cfg.coalescence)
     detections = {}
     for name in cfg.detectors:
         ttd = run_detector(name, ms, getattr(cfg, name), window_ns).detection_time_ns

@@ -8,6 +8,7 @@ timer expiry (or, for count-based coalescing, the triggering arrival).
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,8 @@ class TransferConfig:
         require_finite(bit_rate_bps=self.bit_rate_bps)
         if self.bit_rate_bps <= 0:
             raise ConfigError("bit_rate_bps must be positive")
+        if math.isinf(8e9 / self.bit_rate_bps):
+            raise ConfigError(f"bit_rate_bps {self.bit_rate_bps!r} is too small: a byte's delay overflows")
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,14 @@ class HicConfig:
 
 CoalescenceConfig = TicConfig | PicConfig | HicConfig
 
+_INT64_MAX = 2**63 - 1
+
+
+def _require_int64(value: int, what: str) -> None:
+    """Raise PreconditionError when the time value (ns) is past the int64 range."""
+    if value > _INT64_MAX:
+        raise PreconditionError(f"{what} reaches {value} ns, past the int64 range")
+
 
 def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     """Shift each arrival by its serialization delay, re-sorting if needed."""
@@ -120,6 +131,8 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
         return trace
     delay = trace.size_bytes * (8e9 / cfg.bit_rate_bps)
     np.rint(delay, out=delay)
+    # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
+    _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
     t = delay.astype(np.int64)
     t += trace.t_ns
     if not np.any(t[1:] < t[:-1]):
@@ -146,6 +159,7 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     whole trace is one run.
     """
     n = len(t)
+    _require_int64(int(t[-1]) + max(absolute_ns, packet_ns or 0), "the last arrival plus a timer")
     if packet_ns is None:
         cut = np.empty(0, np.int64)
     else:
@@ -241,14 +255,19 @@ def load_measurements(path) -> MeasurementSeries:
     data = _read_int_csv(path, _MEAS_HEADER)
     if np.any(data[:, 0] < 0):
         raise PreconditionError(f"{path}: m_ns must be non-negative")
-    flags = {}
+    sidecar = {}
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:
-            flags = json.load(f).get("flags", {})
+            sidecar = json.load(f)
     except OSError:
         pass  # sidecar is optional on load
     except ValueError as exc:
         raise PreconditionError(f"{path}.json: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise PreconditionError(f"{path}.json: the sidecar must be a JSON object")
+    flags = sidecar.get("flags", {})
+    if not isinstance(flags, dict):
+        raise PreconditionError(f"{path}.json: flags must be a JSON object")
     series = MeasurementSeries(data[:, 0], data[:, 1], flags)
     series.validate()
     return series

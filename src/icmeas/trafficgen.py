@@ -139,9 +139,11 @@ def gen_poisson(cfg: PoissonConfig) -> PacketTrace:
         gaps = rng.exponential(cfg.mean_gap_ns, n)
         chunks.append(gaps)
         acc += float(gaps.sum())
-    t = np.cumsum(np.concatenate(chunks))
-    t_ns = np.rint(t[t < cfg.duration_ns]).astype(np.int64)
-    t_ns = t_ns[t_ns < cfg.duration_ns]  # rounding may touch the boundary
+    t = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    np.cumsum(t, out=t)  # gaps are >= 0, so t is nondecreasing and each cut is a prefix
+    t = t[: np.searchsorted(t, cfg.duration_ns)]
+    t_ns = np.rint(t, out=t).astype(np.int64)
+    t_ns = t_ns[: np.searchsorted(t_ns, cfg.duration_ns)]  # rounding may touch the boundary
     sizes = _draw_sizes(rng, len(t_ns), cfg)
     return PacketTrace(t_ns, sizes, np.zeros(len(t_ns), np.uint8))
 

@@ -6,10 +6,16 @@ group start) instead of tracking a running expiry, and the fixed-timer
 reference uses binary search over the array instead of a sequential scan.
 The pdmm counting reference loops over pairs of timestamps one at a time
 instead of over orders and blocks in bulk, and the pad reference transforms
-and sums a window's segments one at a time instead of as one batch.
+and sums a window's segments one at a time instead of as one batch.  The
+Poisson generator reference cuts the trace at the duration with boolean
+masks instead of prefix searches.
 """
 
+import math
+
 import numpy as np
+
+from icmeas.trafficgen import PacketTrace, _draw_sizes
 
 
 def hic_reference(t_ns, packet_timer_ns, absolute_timer_ns):
@@ -138,3 +144,28 @@ def pad_scan_reference(series, cfg):
             end_ns = int((start + cfg.window) * cfg.sample_interval_ns)
             return True, end_ns, w + 1, tuple(trajectory)
     return False, None, len(trajectory), tuple(trajectory)
+
+
+def gen_poisson_reference(cfg):
+    """Poisson background trace from the same draws as gen_poisson, cut by masks.
+
+    Draws the gap chunks in the same order, cumsums their concatenation,
+    then keeps the times below duration_ns before and after rounding with
+    boolean masks over the whole array.
+    """
+    if cfg.duration_ns == 0:
+        return PacketTrace.empty()
+    rng = np.random.default_rng(cfg.seed)
+    chunks = []
+    acc = 0.0
+    while acc < cfg.duration_ns:
+        expect = (cfg.duration_ns - acc) / cfg.mean_gap_ns
+        n = int(expect * 1.05) + int(4.0 * math.sqrt(expect)) + 16
+        gaps = rng.exponential(cfg.mean_gap_ns, n)
+        chunks.append(gaps)
+        acc += float(gaps.sum())
+    t = np.cumsum(np.concatenate(chunks))
+    t_ns = np.rint(t[t < cfg.duration_ns]).astype(np.int64)
+    t_ns = t_ns[t_ns < cfg.duration_ns]
+    sizes = _draw_sizes(rng, len(t_ns), cfg)
+    return PacketTrace(t_ns, sizes, np.zeros(len(t_ns), np.uint8))

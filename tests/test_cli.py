@@ -141,6 +141,20 @@ class TestMeasure:
         err = capsys.readouterr().err
         assert err.startswith("invalid input file:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "row",
+        ["100,9000000000000000000,0", "9223372036854775000,1500,0"],
+        ids=["delay-past-int64", "time-plus-delay-past-int64"],
+    )
+    def test_int64_overflow_is_invalid_input_and_writes_nothing(self, tmp_path, capsys, row):
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"t_ns,size_bytes,label\n{row}\n")
+        argv = ["measure", "--trace", str(trace), "--system", "hicv1", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input file: {trace}:") and "int64" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
     def test_pic_round_trip_with_tied_arrivals(self, tmp_path, capsys):
         # two packets at 100 ns: one interrupt per packet would repeat m_ns
         trace = tmp_path / "t.csv"
@@ -162,6 +176,10 @@ class TestMeasure:
         # a NaN rate used to exit 0 and write m_ns near -9.22e18
         argv = ["measure", "--trace", str(_gen(tmp_path)), "--system", "hicv1"]
         assert main(argv + ["--rate-gbps", "nan", "--out", str(tmp_path / "m.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "m.csv").exists()
+        # so small a rate that a byte's delay is infinite
+        assert main(argv + ["--rate-gbps", "1e-310", "--out", str(tmp_path / "m.csv")]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "m.csv").exists()
 
@@ -470,8 +488,15 @@ class TestExperiment:
         assert err.startswith("config error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "extra", [["--seed", "-1"], ["--systems", ""], ["--systems", ","]],
-        ids=["negative-seed", "no-systems", "comma-only-systems"],
+        "extra",
+        [
+            ["--seed", "-1"],
+            ["--systems", ""],
+            ["--systems", ","],
+            ["--systems", "hicv1,hicv1"],
+            ["--detectors", "pdmm,pdmm"],
+        ],
+        ids=["negative-seed", "no-systems", "comma-only-systems", "repeated-system", "repeated-detector"],
     )
     def test_bad_preset_run_is_config_error_and_writes_nothing(self, tmp_path, capsys, extra):
         out = tmp_path / "r"
@@ -525,6 +550,14 @@ class TestStats:
         p = tmp_path / "m.csv"
         p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
         assert main(["stats", "--measurements", str(p)]) == 2
+
+    def test_sidecar_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("m_ns,count\n100,1\n200,1\n", encoding="utf-8")
+        (tmp_path / "m.csv.json").write_text("[]", encoding="utf-8")
+        assert main(["stats", "--measurements", str(p)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input file: {p}.json:") and "Traceback" not in err
 
 
 class TestTimeFlags:

@@ -33,6 +33,8 @@ from icmeas.meassim import (
     PicConfig,
     TicConfig,
     TransferConfig,
+    apply_transfer,
+    coalesce,
     measure,
 )
 from icmeas.pad import detect_psd, rasterize
@@ -40,6 +42,7 @@ from icmeas.pdmm import PdmmConfig, detect_stream
 from icmeas.trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
 
 US = 1000
+MS = 1_000_000
 SECOND = 1_000_000_000
 
 # short window keeps run_experiment tests fast; detectors still get several
@@ -135,6 +138,10 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError):
             self._base(detectors=("pdmm", "fft"))
 
+    def test_rejects_repeated_detector(self):
+        with pytest.raises(ConfigError, match="repeat"):
+            self._base(detectors=("pdmm", "pad", "pdmm"))
+
     def test_rejects_negative_seed_base(self):
         with pytest.raises(ConfigError, match="seed_base"):
             self._base(seed_base=-1)
@@ -190,6 +197,57 @@ class TestBuildTrace:
         assert build_trace(background, attack) == merge(
             gen_poisson(background), gen_periodic(attack)
         )
+
+    @staticmethod
+    def _assert_same_arrivals(new, old):
+        """Equal t_ns, equal packets as a multiset, equal series under every scheme.
+
+        Only the order of packets that arrive at the same instant may differ,
+        so the (t, size, label) rows are compared sorted.
+        """
+        assert np.array_equal(new.t_ns, old.t_ns)
+        rows_new = np.lexsort((new.label, new.size_bytes, new.t_ns))
+        rows_old = np.lexsort((old.label, old.size_bytes, old.t_ns))
+        assert np.array_equal(new.size_bytes[rows_new], old.size_bytes[rows_old])
+        assert np.array_equal(new.label[rows_new], old.label[rows_old])
+        schemes = [*COALESCENCE_PRESETS.values(), TicConfig(timer_ns=125 * US), PicConfig(count=10)]
+        for cfg in schemes:
+            ms_new, ms_old = coalesce(new, cfg), coalesce(old, cfg)
+            assert ms_new == ms_old and ms_new.flags == ms_old.flags
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("attack", [True, False])
+    @pytest.mark.parametrize("traffic", sorted(TRAFFIC_PRESETS))
+    def test_transfer_before_merge_equals_transfer_after(self, traffic, attack, seed):
+        background, atk = preset_traffic(traffic, SHORT, seed=seed, attack=attack)
+        transfer = TransferConfig()
+        new = build_trace(background, atk, transfer)
+        self._assert_same_arrivals(new, apply_transfer(build_trace(background, atk), transfer))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_transfer_before_merge_with_size_mix_and_jitter(self, seed):
+        background = PoissonConfig(
+            mean_gap_ns=3_000.0, duration_ns=SHORT // 4, seed=seed, size_mix=((64, 0.5), (1500, 0.5))
+        )
+        attack = AttackConfig(
+            period_ns=50 * US, duration_ns=SHORT // 4, size_bytes=1000, jitter_stddev_ns=5_000.0, seed=seed
+        )
+        transfer = TransferConfig(bit_rate_bps=100e6)
+        # at 80 ns per byte a 64 B packet overtakes a 1500 B one sent up to 114 us before it,
+        # so the background component itself re-sorts under the delay
+        bg = gen_poisson(background)
+        assert np.any(np.diff(bg.t_ns + 80 * bg.size_bytes) < 0)
+        new = build_trace(background, attack, transfer)
+        self._assert_same_arrivals(new, apply_transfer(build_trace(background, attack), transfer))
+
+    def test_arrival_ties_put_background_before_attack(self):
+        # one background packet every ~2 ns, so many attack arrivals tie with one
+        background = PoissonConfig(mean_gap_ns=2.0, duration_ns=MS, seed=4, size_bytes=500)
+        attack = AttackConfig(period_ns=10 * US, duration_ns=MS, size_bytes=1500, start_offset_ns=7)
+        trace = build_trace(background, attack, TransferConfig())
+        tied = np.flatnonzero(trace.t_ns[1:] == trace.t_ns[:-1])
+        assert np.any(trace.label[tied] != trace.label[tied + 1])
+        assert np.all(trace.label[tied] <= trace.label[tied + 1])
 
 
 class TestRunDetector:

@@ -45,6 +45,8 @@ def test_config_validation():
     HicConfig(packet_timer_ns=300, absolute_timer_ns=100, allow_inverted_timers=True)
     with pytest.raises(ConfigError):
         TransferConfig(bit_rate_bps=0)
+    with pytest.raises(ConfigError, match="too small"):
+        TransferConfig(bit_rate_bps=1e-301)  # 8e9 / rate is inf
 
 
 # --- transfer stage ---
@@ -101,6 +103,36 @@ def test_transfer_matches_one_rint_formula(rate_bps, ties):
     assert out.t_ns.tolist() == t.tolist()
     assert out.size_bytes.tolist() == size.tolist()
     assert out.label.tolist() == label.tolist()
+
+
+@pytest.mark.parametrize(
+    "t_ns, sizes",
+    [([0, 100], [9_000_000_000_000_000_000, 64]), ([2**63 - 12_000, 2**63 - 11_999], [1500, 64])],
+    ids=["delay", "time-plus-delay"],
+)
+def test_transfer_past_int64_is_rejected(t_ns, sizes):
+    # the largest delay is not the last packet's, so checking the last packet alone misses it
+    trace = PacketTrace(np.array(t_ns), np.array(sizes), np.zeros(2, np.uint8))
+    with pytest.raises(PreconditionError, match="int64"):
+        apply_transfer(trace, TransferConfig(bit_rate_bps=1e9))
+
+
+def test_transfer_up_to_int64_max_is_kept():
+    out = apply_transfer(make_trace([0, 2**63 - 1 - 12_000]), TransferConfig(bit_rate_bps=1e9))
+    assert out.t_ns.tolist() == [12_000, 2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TicConfig(timer_ns=300 * US), HicConfig(packet_timer_ns=30 * US, absolute_timer_ns=300 * US)],
+    ids=["tic", "hic"],
+)
+def test_timer_past_int64_is_rejected(cfg):
+    last = 2**63 - 300 * US  # the absolute timer of the last group would reach 2**63
+    with pytest.raises(PreconditionError, match="int64"):
+        coalesce(make_trace([0, last]), cfg)
+    ms = coalesce(make_trace([0, last - 1]), cfg)
+    assert ms.m_ns.tolist()[-1] == (2**63 - 1 if isinstance(cfg, TicConfig) else last - 1 + 30 * US)
 
 
 def test_transfer_empty():
@@ -461,9 +493,11 @@ def test_load_measurements_rejects_invalid_rows(tmp_path, body):
 def test_load_measurements_rejects_malformed_sidecar(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
-    (tmp_path / "m.csv.json").write_text("{not json", encoding="utf-8")
-    with pytest.raises(PreconditionError):
-        load_measurements(p)
+    # not JSON, not an object, flags not an object, flags null
+    for sidecar in ["{not json", "[]", '{"flags": [1, 2]}', '{"flags": null}']:
+        (tmp_path / "m.csv.json").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(PreconditionError, match=f"^{p}.json: "):
+            load_measurements(p)
 
 
 def test_series_validate():

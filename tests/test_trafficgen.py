@@ -22,6 +22,8 @@ from icmeas.trafficgen import (
     save_trace,
 )
 
+from oracles import gen_poisson_reference
+
 US = 1000
 MS = 1000_000
 S = 1000_000_000
@@ -78,6 +80,24 @@ def test_poisson_determinism():
     assert a == b
     c = gen_poisson(PoissonConfig(mean_gap_ns=5_000.0, duration_ns=100 * MS, seed=124))
     assert not (a == c)
+
+
+@pytest.mark.parametrize(
+    "duration_ns, mean_gap_ns, size_mix",
+    [
+        (0, 19_000.0, ()),
+        (1, 19_000.0, ()),
+        (1, 0.7, ()),
+        (1, 0.01, ()),  # about half the draws round up onto the boundary
+        (MS, 19_000.0, ()),
+        (MS, 3.0, ((64, 0.25), (1500, 0.75))),
+        (20 * S, 19_000.0, ()),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_poisson_matches_mask_cut_reference(duration_ns, mean_gap_ns, size_mix, seed):
+    cfg = PoissonConfig(mean_gap_ns=mean_gap_ns, duration_ns=duration_ns, seed=seed, size_mix=size_mix)
+    assert gen_poisson(cfg) == gen_poisson_reference(cfg)
 
 
 def test_poisson_size_mix():
