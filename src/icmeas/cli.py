@@ -33,7 +33,7 @@ from .harness import (
     preset_experiment,
     preset_traffic,
     run_detector,
-    run_experiment,
+    run_systems,
 )
 from .meassim import (
     HicConfig,
@@ -218,7 +218,6 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    results = {}
     # --trials and --seed override a config file only when given
     runs = {k: v for k, v in (("trials", args.trials), ("seed_base", args.seed)) if v is not None}
     given = {k: getattr(args, k) for k in _PRESET_RUN if getattr(args, k) is not None}
@@ -227,28 +226,29 @@ def _cmd_experiment(args) -> int:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ConfigError(f"{flags} cannot be combined with --config")
         cfg = dataclasses.replace(load_experiment_config(args.config), **runs)
-        results["config"] = run_experiment(cfg)
+        systems = {"config": cfg.coalescence}
     elif args.preset is not None:
         opts = {**_PRESET_RUN, **given}
-        systems = [s for s in opts["systems"].split(",") if s]
-        if not systems:
+        names = [s for s in opts["systems"].split(",") if s]
+        if not names:
             raise ConfigError("--systems names no system")
-        if len(set(systems)) < len(systems):
+        if len(set(names)) < len(names):
             raise ConfigError(f"--systems must not repeat a system: {opts['systems']}")
-        detectors = tuple(d for d in opts["detectors"].split(",") if d)
-        window_ns = _ns(opts["window_s"], SECOND, "--window-s")
-        for system in systems:
-            cfg = preset_experiment(
-                traffic=args.preset,
-                system=system,
-                attack=not opts["no_attack"],
-                detectors=detectors,
-                detection_window_ns=window_ns,
-                **runs,
-            )
-            results[system] = run_experiment(cfg)
+        cfg = preset_experiment(
+            traffic=args.preset,
+            system=names[0],
+            attack=not opts["no_attack"],
+            detectors=tuple(d for d in opts["detectors"].split(",") if d),
+            detection_window_ns=_ns(opts["window_s"], SECOND, "--window-s"),
+            **runs,
+        )
+        unknown = [s for s in names if s not in COALESCENCE_PRESETS]
+        if unknown:  # fail before any trial runs
+            raise ConfigError(f"unknown coalescence preset: {unknown[0]!r}")
+        systems = {s: COALESCENCE_PRESETS[s] for s in names}
     else:
         raise ConfigError("experiment needs --preset or --config")
+    results = run_systems(cfg, systems)
     emit_results(results, json_path=args.out + ".json", csv_path=args.out + ".csv")
     for name in sorted(results):
         for det, agg in results[name].aggregate.items():

@@ -223,27 +223,25 @@ def run_detector(name: str, ms, cfg, window_ns: int | None = None):
     return detect_psd(rasterize(ms, cfg.sample_interval_ns, n_samples), cfg)
 
 
-def _run_trial(cfg: ExperimentConfig, seed: int):
+def _run_trial(cfg: ExperimentConfig, seed: int, systems: dict) -> dict:
     window_ns = cfg.detection_window_ns
     background = dataclasses.replace(cfg.background, duration_ns=window_ns, seed=seed)
     attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, duration_ns=window_ns)
-    ms = coalesce(build_trace(background, attack, cfg.transfer), cfg.coalescence)
-    detections = {}
-    for name in cfg.detectors:
-        ttd = run_detector(name, ms, getattr(cfg, name), window_ns).detection_time_ns
-        # a detection past the window counts as a timeout
-        detections[name] = None if ttd is None or ttd > window_ns else ttd
-    return TrialResult(seed=seed, stats=measurement_stats(ms), detections=detections)
+    trace = build_trace(background, attack, cfg.transfer)
+    series = {system: coalesce(trace, c) for system, c in systems.items()}
+    del trace  # released before the detectors run
+    trials = {}
+    for system, ms in series.items():
+        detections = {}
+        for name in cfg.detectors:
+            ttd = run_detector(name, ms, getattr(cfg, name), window_ns).detection_time_ns
+            # a detection past the window counts as a timeout
+            detections[name] = None if ttd is None or ttd > window_ns else ttd
+        trials[system] = TrialResult(seed=seed, stats=measurement_stats(ms), detections=detections)
+    return trials
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all trials and aggregate detection times per detector.
-
-    Deterministic for a fixed config: trial seeds derive from seed_base.
-    Aggregate medians treat timeouts as later than any detection; a detector
-    that times out in at least half the trials gets a None median.
-    """
-    trials = tuple(_run_trial(cfg, s) for s in trial_seeds(cfg.seed_base, cfg.trials))
+def _aggregate(cfg: ExperimentConfig, trials: tuple) -> ExperimentResult:
     aggregate = {}
     for name in cfg.detectors:
         ttds = [t.detections[name] for t in trials]
@@ -265,6 +263,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if name not in cfg.detectors:
             echo[name] = None  # unused detector settings stay out of the echo
     return ExperimentResult(config=echo, trials=trials, aggregate=aggregate)
+
+
+def run_systems(cfg: ExperimentConfig, systems: dict) -> dict:
+    """Run cfg's trials under each {name: coalescence config}; {name: ExperimentResult}.
+
+    Each trial seed's trace is built once, measured under every system and
+    released before the detectors run.  Trial seeds derive from seed_base.
+    Medians rank timeouts last: timing out in half the trials gives None.
+    """
+    if not systems:
+        raise ConfigError("run_systems needs at least one system")
+    per_seed = [_run_trial(cfg, seed, systems) for seed in trial_seeds(cfg.seed_base, cfg.trials)]
+    return {
+        name: _aggregate(dataclasses.replace(cfg, coalescence=c), tuple(t[name] for t in per_seed))
+        for name, c in systems.items()
+    }
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """run_systems under cfg's own coalescence config alone."""
+    return run_systems(cfg, {"": cfg.coalescence})[""]
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -379,6 +398,8 @@ def _decode(tp, value, where):
     ok = isinstance(value, (int, float) if tp is float else tp)
     if not ok or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{where} must be {tp.__name__}, not {value!r}")
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{where} must fit int64, not {value!r}")
     return value
 
 

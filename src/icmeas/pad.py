@@ -50,6 +50,9 @@ class PadConfig:
         nyquist = 0.5e9 / self.sample_interval_ns
         if self.max_freq_hz > nyquist:
             raise ConfigError(f"max_freq_hz exceeds the Nyquist frequency {nyquist:.1f}")
+        freqs = np.fft.rfftfreq(self.segment_len, d=self.sample_interval_ns / 1e9)
+        if not ((freqs >= self.min_freq_hz) & (freqs <= self.max_freq_hz)).any():
+            raise ConfigError("search band contains no frequency bins")
 
     @property
     def segment_len(self) -> int:
@@ -111,8 +114,6 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     seg = cfg.segment_len
     freqs = np.fft.rfftfreq(seg, d=cfg.sample_interval_ns / 1e9)
     band = (freqs >= cfg.min_freq_hz) & (freqs <= cfg.max_freq_hz)
-    if not band.any():
-        raise ConfigError("search band contains no frequency bins")
     band_freqs = freqs[band]
     trajectory = []
     windows = 0

@@ -23,7 +23,7 @@ from icmeas.analytic import (
     pdf_trunc_exp,
 )
 from icmeas.cli import main
-from icmeas.harness import preset_experiment, run_experiment
+from icmeas.harness import COALESCENCE_PRESETS, preset_experiment, run_experiment, run_systems
 from icmeas.meassim import (
     HicConfig,
     MeasurementSeries,
@@ -48,6 +48,8 @@ from oracles import (
 
 US = 1000
 SECOND = 1_000_000_000
+# the two dual-timer systems the paired ensembles compare
+HIC_PRESETS = {s: COALESCENCE_PRESETS[s] for s in ("hicv1", "hicv2")}
 
 
 def _trace(t_ns, size=500):
@@ -218,10 +220,8 @@ def test_cross_system_detection_contrast():
     trials = 15
     agg = {}
     for preset, base in (("high-rate", 600), ("low-rate", 700)):
-        for system in ("hicv1", "hicv2"):
-            res = run_experiment(
-                preset_experiment(preset, system, trials=trials, seed_base=base)
-            )
+        cfg = preset_experiment(preset, "hicv1", trials=trials, seed_base=base)
+        for system, res in run_systems(cfg, HIC_PRESETS).items():
             agg[preset, system] = res.aggregate
 
     def med(preset, system, det):
@@ -244,12 +244,8 @@ def test_stream_statistics_match_documented_contrast():
     target_ratio = {"high-rate": 2.0, "low-rate": 1.16}
     for preset in ("high-rate", "low-rate"):
         var = {}
-        for system in ("hicv1", "hicv2"):
-            res = run_experiment(
-                preset_experiment(
-                    preset, system, trials=5, seed_base=800, detectors=()
-                )
-            )
+        cfg = preset_experiment(preset, "hicv1", trials=5, seed_base=800, detectors=())
+        for system, res in run_systems(cfg, HIC_PRESETS).items():
             var[system] = float(np.median([t.stats.var_gap_us2 for t in res.trials]))
             rate = float(np.median([t.stats.rate_per_s for t in res.trials]))
             assert abs(rate - 11_000.0) / 11_000.0 <= 0.20, (preset, system)

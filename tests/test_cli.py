@@ -1,10 +1,12 @@
 """End-to-end tests of the command line front end and its exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from icmeas import harness
 from icmeas.cli import main
 from icmeas.harness import trial_seeds
 from icmeas.meassim import load_measurements
@@ -293,6 +295,22 @@ class TestDetect:
     def test_config_section_with_wrong_typed_value(self, tmp_path):
         assert self._detect_with_config(tmp_path, {"pad": {"window": "8192"}}, "pad") == 1
 
+    @pytest.mark.parametrize("duration_s", ["0.5", "2"])
+    def test_pad_band_without_a_bin_is_config_error(self, tmp_path, capsys, duration_s):
+        # 0.5 s is shorter than one 8192-sample window, so the detector never
+        # scans; the band is rejected with the config either way
+        trace = _gen(tmp_path, "--duration-s", duration_s)
+        m = _measure(tmp_path, trace, "--system", "hicv2")
+        cfg = tmp_path / "det.json"
+        cfg.write_text(json.dumps({"pad": {"min_freq_hz": 200.0, "max_freq_hz": 205.0}}))
+        argv = ["detect", "--detector", "pad", "--measurements", str(m), "--config", str(cfg)]
+        argv += ["--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "no frequency bins" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_malformed_measurement_file_is_invalid_input(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("m_ns,count\n200,1\n100,1\n", encoding="utf-8")
@@ -480,6 +498,25 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            (
+                {"attack": {"period_ns": 1180591620717411303424, "duration_ns": 0}},
+                "config.attack.period_ns",
+            ),
+            ({"coalescence": {"type": "TicConfig", "timer_ns": 2**63}}, "config.coalescence.timer_ns"),
+            ({"seed_base": 2**63}, "config.seed_base"),
+        ],
+        ids=["attack-period", "tic-timer", "seed-base"],
+    )
+    def test_int_outside_int64_is_config_error_and_writes_nothing(self, tmp_path, capsys, changes, key):
+        path = self._write_config(tmp_path, **changes)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -506,6 +543,18 @@ class TestExperiment:
         assert err.startswith("config error:") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unknown_system_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trace(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "build_trace", no_trace)
+        out = tmp_path / "r"
+        argv = ["experiment", "--preset", "high-rate", "--systems", "hicv1,bogus", "--trials", "5"]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: unknown coalescence preset: 'bogus'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag", [["--systems", "hicv2"], ["--detectors", "pad"], ["--no-attack"], ["--window-s", "2"]],
         ids=["systems", "detectors", "no-attack", "window-s"],
@@ -517,6 +566,47 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and flag[0] in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+    # SHA-256 of the .json and .csv result files; changing how trials are
+    # scheduled across systems must not move them
+    PINNED = {
+        "preset": (
+            "7e64c110e2d58a8afd3c5d98f770025761eda628a5846451403ae4c1b8e39ae7",
+            "c249bdec6f04490f9dbda9493d2a6e2cf467bfe68ea851afdf2f3c7727c6d2e5",
+        ),
+        "tic-config": (
+            "9f9b21bc0a60db536348f59573e56f2dac03039dbdb916f280981fe809757ddf",
+            "ad08ce739a1876656e5366852592741ed920f98963cc7ba80d265f6a868e6579",
+        ),
+    }
+
+    @pytest.mark.parametrize("run", sorted(PINNED))
+    def test_result_files_match_pinned_digests(self, tmp_path, run):
+        out = tmp_path / "r"
+        if run == "preset":
+            argv = ["--preset", "high-rate", "--window-s", "4", "--trials", "2", "--seed", "123"]
+        else:
+            cfg = {
+                "background": {"mean_gap_ns": 19_000.0, "duration_ns": 0, "seed": 0, "size_bytes": 500},
+                "attack": {
+                    "period_ns": 400_000,
+                    "duration_ns": 0,
+                    "size_bytes": 1500,
+                    "jitter_stddev_ns": 20_000.0,
+                    "seed": 3,
+                },
+                "coalescence": {"type": "TicConfig", "timer_ns": 100_000},
+                "detection_window_ns": 5_000_000_000,
+                "trials": 2,
+                "seed_base": 11,
+            }
+            (tmp_path / "exp.json").write_text(json.dumps(cfg), encoding="utf-8")
+            argv = ["--config", str(tmp_path / "exp.json")]
+        assert main(["experiment", *argv, "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256(out.with_suffix(ext).read_bytes()).hexdigest() for ext in (".json", ".csv")
+        )
+        assert digests == self.PINNED[run]
 
     def test_needs_preset_or_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path / "r")]) == 1

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from icmeas import harness
 from icmeas.errors import ConfigError, InsufficientDataError
 from icmeas.harness import (
     COALESCENCE_PRESETS,
@@ -25,6 +27,7 @@ from icmeas.harness import (
     results_json,
     run_detector,
     run_experiment,
+    run_systems,
     trial_seeds,
 )
 from icmeas.meassim import (
@@ -328,6 +331,73 @@ class TestRunExperiment:
         assert res.trials[0].stats.rate_per_s > 0
 
 
+# one system of each scheme the coalescer knows
+SYSTEMS = {
+    "hicv1": COALESCENCE_PRESETS["hicv1"],
+    "hicv2": COALESCENCE_PRESETS["hicv2"],
+    "tic": TicConfig(timer_ns=100 * US),
+    "pic": PicConfig(count=5),
+}
+
+
+class TestRunSystems:
+    @pytest.mark.parametrize("detectors", [(), ("pdmm",), ("pdmm", "pad")])
+    @pytest.mark.parametrize("attack", [True, False])
+    @pytest.mark.parametrize("traffic", sorted(TRAFFIC_PRESETS))
+    def test_each_system_equals_its_own_run(self, traffic, attack, detectors):
+        cfg = preset_experiment(
+            traffic,
+            "hicv1",
+            trials=2,
+            seed_base=21,
+            attack=attack,
+            detectors=detectors,
+            detection_window_ns=SHORT,
+        )
+        results = run_systems(cfg, SYSTEMS)
+        assert list(results) == list(SYSTEMS)
+        for name, system in SYSTEMS.items():
+            assert results[name] == run_experiment(dataclasses.replace(cfg, coalescence=system))
+
+    def test_builds_one_trace_per_seed(self, monkeypatch):
+        built = []
+
+        def counting_build_trace(*args):
+            built.append(args[0].seed)
+            return build_trace(*args)
+
+        monkeypatch.setattr(harness, "build_trace", counting_build_trace)
+        cfg = preset_experiment(
+            "high-rate", "hicv1", trials=3, seed_base=5, detectors=(), detection_window_ns=SHORT
+        )
+        run_systems(cfg, SYSTEMS)
+        assert built == trial_seeds(5, 3)
+
+    def test_trace_is_released_before_the_detectors_run(self, monkeypatch):
+        traces = []
+
+        def tracked_build_trace(*args):
+            trace = build_trace(*args)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        def checked_run_detector(*args):
+            assert traces and all(ref() is None for ref in traces)
+            return run_detector(*args)
+
+        monkeypatch.setattr(harness, "build_trace", tracked_build_trace)
+        monkeypatch.setattr(harness, "run_detector", checked_run_detector)
+        cfg = preset_experiment(
+            "high-rate", "hicv1", trials=2, detectors=("pdmm",), detection_window_ns=SHORT
+        )
+        run_systems(cfg, SYSTEMS)
+
+    def test_needs_a_system(self):
+        cfg = preset_experiment("high-rate", "hicv1", detection_window_ns=SHORT)
+        with pytest.raises(ConfigError, match="at least one system"):
+            run_systems(cfg, {})
+
+
 class TestSerialization:
     def _results(self):
         cfg = preset_experiment(
@@ -571,6 +641,23 @@ class TestConfigFiles:
         d["allow_inverted_timers"] = 1
         with pytest.raises(ConfigError):
             config_from_dict(d, HicConfig)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("coalescence", "packet_timer_ns", 2**63),
+            ("background", "mean_gap_ns", 10**400),  # an int beyond float range too
+            (None, "trials", -(2**63) - 1),
+        ],
+    )
+    def test_int_outside_int64(self, section, key, value):
+        msg = self._bad(lambda d: (d if section is None else d[section]).update({key: value}))
+        assert key in msg and "int64" in msg
+
+    def test_int64_bounds_accepted(self):
+        d = config_to_dict(preset_experiment("high-rate", "hicv1"))
+        d["seed_base"] = 2**63 - 1
+        assert config_from_dict(d).seed_base == 2**63 - 1
 
     @pytest.mark.parametrize("mix", [[[500]], [[500, "a"]], [500], {"500": 1.0}])
     def test_malformed_size_mix(self, mix):

@@ -38,6 +38,8 @@ class TestConfig:
             {"min_freq_hz": -1.0},
             {"min_freq_hz": 300.0, "max_freq_hz": 200.0},
             {"max_freq_hz": 9000.0},  # beyond Nyquist at 100 us sampling
+            # between the 195.3 and 205.1 Hz bins of a 1024-sample segment
+            {"min_freq_hz": 200.0, "max_freq_hz": 205.0},
         ],
     )
     def test_invalid(self, kw):
