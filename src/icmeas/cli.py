@@ -63,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int64(text: str) -> int:
+    """argparse type of the integer flags: an int that fits int64, like a config file's."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"must fit int64, not {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="icmeas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,13 +81,13 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a packet trace", parents=[])
     gen.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
     gen.add_argument("--mean-gap-us", type=float, help="background exponential mean")
-    gen.add_argument("--size-bytes", type=int, default=500)
+    gen.add_argument("--size-bytes", type=_int64, default=500)
     gen.add_argument("--attack-period-us", type=float)
-    gen.add_argument("--attack-size-bytes", type=int, default=1500)
+    gen.add_argument("--attack-size-bytes", type=_int64, default=1500)
     gen.add_argument("--attack-jitter-us", type=float, default=0.0)
     gen.add_argument("--no-attack", action="store_true")
     gen.add_argument("--duration-s", type=float, default=20.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_int64, default=0)
     gen.add_argument("--out", required=True)
 
     meas = sub.add_parser("measure", help="simulate measurement of a trace")
@@ -85,7 +96,7 @@ def _build_parser() -> _Parser:
     meas.add_argument("--pack-us", type=float, help="dual-timer per-packet timer")
     meas.add_argument("--abs-us", type=float, help="dual-timer absolute timer")
     meas.add_argument("--tic-us", type=float, help="fixed-timer coalescing")
-    meas.add_argument("--pic-count", type=int, help="count-based coalescing")
+    meas.add_argument("--pic-count", type=_int64, help="count-based coalescing")
     meas.add_argument("--rate-gbps", type=float, default=1.0)
     meas.add_argument("--out", required=True)
 
@@ -105,8 +116,8 @@ def _build_parser() -> _Parser:
     exp.add_argument("--detectors")
     exp.add_argument("--no-attack", action="store_true", default=None)
     exp.add_argument("--window-s", type=float)
-    exp.add_argument("--trials", type=int, help="default 1, or the config file's")
-    exp.add_argument("--seed", type=int, help="default 0, or the config file's seed_base")
+    exp.add_argument("--trials", type=_int64, help="default 1, or the config file's")
+    exp.add_argument("--seed", type=_int64, help="default 0, or the config file's seed_base")
     exp.add_argument("--out", required=True, help="base path for .json and .csv")
 
     st = sub.add_parser("stats", help="summarize a measurement file")

@@ -200,8 +200,8 @@ def build_trace(
     With a transfer config each component is delayed before the merge, so
     the result is the transferred trace in arrival order; packets that
     arrive at the same instant are ordered background before attack.  A
-    component of one packet size keeps its order under the delay, so the
-    merge is the only sort.
+    component of one packet size moves by one shift and the merge inserts
+    one component into the other, so neither sorts.
     """
     parts = [gen_poisson(background)]
     if attack is not None:

@@ -129,16 +129,20 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     """Shift each arrival by its serialization delay, re-sorting if needed."""
     if len(trace) == 0:
         return trace
-    delay = trace.size_bytes * (8e9 / cfg.bit_rate_bps)
+    size = trace.size_bytes
+    one_size = size.min() == size.max()  # then one shift moves every packet, keeping the order
+    delay = (size[:1] if one_size else size) * (8e9 / cfg.bit_rate_bps)
     np.rint(delay, out=delay)
     # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
     _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
+    if one_size:
+        return PacketTrace(trace.t_ns + delay.astype(np.int64), size, trace.label)
     t = delay.astype(np.int64)
     t += trace.t_ns
     if not np.any(t[1:] < t[:-1]):
-        return PacketTrace(t, trace.size_bytes, trace.label)
+        return PacketTrace(t, size, trace.label)
     order = np.argsort(t, kind="stable")
-    return PacketTrace(t[order], trace.size_bytes[order], trace.label[order])
+    return PacketTrace(t[order], size[order], trace.label[order])
 
 
 # measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16

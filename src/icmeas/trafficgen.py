@@ -166,13 +166,44 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
     return PacketTrace(t_ns, sizes, np.ones(len(t_ns), np.uint8))
 
 
+def _one_label(trace: PacketTrace) -> bool:
+    return len(trace) == 0 or trace.label.min() == trace.label.max()
+
+
 def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
-    """Merge two traces; ties are ordered background before attack."""
-    t = np.concatenate([a.t_ns, b.t_ns])
-    size = np.concatenate([a.size_bytes, b.size_bytes])
-    label = np.concatenate([a.label, b.label])
-    order = np.lexsort((label, t))  # stable: equal (t, label) keep input order
-    return PacketTrace(t[order], size[order], label[order])
+    """Merge two traces; ties are ordered background before attack.
+
+    Rows equal in (t_ns, label) keep input order, a's before b's.  When each
+    input carries one label, the smaller is inserted into the larger by
+    position and each output column is written once; otherwise the
+    concatenation is sorted.
+    """
+    if not (_one_label(a) and _one_label(b)):
+        t = np.concatenate([a.t_ns, b.t_ns])
+        size = np.concatenate([a.size_bytes, b.size_bytes])
+        label = np.concatenate([a.label, b.label])
+        order = np.lexsort((label, t))  # stable: equal (t, label) keep input order
+        return PacketTrace(t[order], size[order], label[order])
+    small_is_a = len(a) < len(b)
+    small, big = (a, b) if small_is_a else (b, a)
+    side = "right"
+    if len(small):
+        s, g = small.label[0], big.label[0]
+        if s < g or (s == g and small_is_a):
+            side = "left"  # the small trace's packets go first on a tie
+    pos = np.searchsorted(big.t_ns, small.t_ns, side=side)
+    pos += np.arange(len(small))
+    keep = np.ones(len(a) + len(b), bool)
+    keep[pos] = False
+    cols = []
+    for s_col, g_col in zip(
+        (small.t_ns, small.size_bytes, small.label), (big.t_ns, big.size_bytes, big.label)
+    ):
+        out = np.empty(len(keep), g_col.dtype)
+        out[pos] = s_col
+        out[keep] = g_col
+        cols.append(out)
+    return PacketTrace(*cols)
 
 
 def save_trace(trace: PacketTrace, path) -> None:

@@ -8,7 +8,10 @@ The pdmm counting reference loops over pairs of timestamps one at a time
 instead of over orders and blocks in bulk, and the pad reference transforms
 and sums a window's segments one at a time instead of as one batch.  The
 Poisson generator reference cuts the trace at the duration with boolean
-masks instead of prefix searches.
+masks instead of prefix searches.  The merge reference sorts the
+concatenation of both traces instead of inserting one into the other, and
+the transfer reference delays every packet by its own size, whatever the
+sizes in the trace.
 """
 
 import math
@@ -169,3 +172,21 @@ def gen_poisson_reference(cfg):
     t_ns = t_ns[t_ns < cfg.duration_ns]
     sizes = _draw_sizes(rng, len(t_ns), cfg)
     return PacketTrace(t_ns, sizes, np.zeros(len(t_ns), np.uint8))
+
+
+def merge_reference(a, b):
+    """Merge two traces by a stable lexsort of their concatenation, by (t_ns, label)."""
+    t = np.concatenate([a.t_ns, b.t_ns])
+    size = np.concatenate([a.size_bytes, b.size_bytes])
+    label = np.concatenate([a.label, b.label])
+    order = np.lexsort((label, t))  # stable: equal (t, label) keep input order
+    return PacketTrace(t[order], size[order], label[order])
+
+
+def transfer_reference(trace, rate_bps):
+    """The delay as one rint of size * 8e9 / rate per packet, then a stable re-sort when needed."""
+    t = trace.t_ns + np.rint(trace.size_bytes * (8e9 / rate_bps)).astype(np.int64)
+    if np.all(np.diff(t) >= 0):
+        return PacketTrace(t, trace.size_bytes, trace.label)
+    order = np.argsort(t, kind="stable")
+    return PacketTrace(t[order], trace.size_bytes[order], trace.label[order])

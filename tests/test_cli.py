@@ -675,6 +675,38 @@ class TestTimeFlags:
         assert err.startswith("config error:") and flag in err and "Traceback" not in err
 
 
+class TestIntFlags:
+    """Integer flags must fit int64, as a config file's integers must."""
+
+    COMMANDS = {
+        ("gen", "--size-bytes"): ["gen", "--mean-gap-us", "50"],
+        ("gen", "--attack-size-bytes"): ["gen", "--mean-gap-us", "50", "--attack-period-us", "400"],
+        ("gen", "--seed"): ["gen", "--preset", "high-rate"],
+        ("measure", "--pic-count"): ["measure"],
+        ("experiment", "--trials"): ["experiment", "--preset", "high-rate"],
+        ("experiment", "--seed"): ["experiment", "--preset", "high-rate"],
+    }
+
+    @pytest.mark.parametrize("value", [str(2**63), "100000000000000000000000", str(-(2**63) - 1)])
+    @pytest.mark.parametrize("command, flag", sorted(COMMANDS))
+    def test_int_outside_int64_is_config_error_and_writes_nothing(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        argv = self.COMMANDS[command, flag] + [flag, value, "--out", str(tmp_path / "out")]
+        if command == "measure":
+            argv += ["--trace", str(_gen(tmp_path))]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: argument {flag}: must fit int64, not {value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_non_integer_is_config_error(self, capsys):
+        assert main(["gen", "--preset", "high-rate", "--seed", "1.5", "--out", "x"]) == 1
+        assert capsys.readouterr().err == "config error: argument --seed: invalid int value: '1.5'\n"
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self):
         assert main([]) == 1

@@ -44,6 +44,8 @@ from icmeas.pad import detect_psd, rasterize
 from icmeas.pdmm import PdmmConfig, detect_stream
 from icmeas.trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
 
+from oracles import merge_reference, transfer_reference
+
 US = 1000
 MS = 1_000_000
 SECOND = 1_000_000_000
@@ -200,6 +202,34 @@ class TestBuildTrace:
         assert build_trace(background, attack) == merge(
             gen_poisson(background), gen_periodic(attack)
         )
+
+    @staticmethod
+    def _reference(background, attack, transfer):
+        """gen_poisson and gen_periodic, each delayed per packet, merged by lexsort."""
+        parts = [gen_poisson(background)]
+        if attack is not None:
+            parts.append(gen_periodic(attack))
+        if transfer is not None:
+            parts = [transfer_reference(p, transfer.bit_rate_bps) for p in parts]
+        return parts[0] if attack is None else merge_reference(*parts)
+
+    @pytest.mark.parametrize("transfer", [None, TransferConfig()], ids=["sent", "transferred"])
+    @pytest.mark.parametrize("attack", [True, False])
+    @pytest.mark.parametrize("traffic", sorted(TRAFFIC_PRESETS))
+    def test_equals_reference_build(self, traffic, attack, transfer):
+        background, atk = preset_traffic(traffic, SHORT, seed=4, attack=attack)
+        assert build_trace(background, atk, transfer) == self._reference(background, atk, transfer)
+
+    @pytest.mark.parametrize("rate_bps", [100e6, 16e9])
+    def test_equals_reference_build_with_size_mix_and_jitter(self, rate_bps):
+        background = PoissonConfig(
+            mean_gap_ns=3_000.0, duration_ns=SHORT // 4, seed=6, size_mix=((64, 0.5), (1500, 0.5))
+        )
+        attack = AttackConfig(
+            period_ns=50 * US, duration_ns=SHORT // 4, size_bytes=999, jitter_stddev_ns=5_000.0, seed=6
+        )
+        transfer = TransferConfig(bit_rate_bps=rate_bps)
+        assert build_trace(background, attack, transfer) == self._reference(background, attack, transfer)
 
     @staticmethod
     def _assert_same_arrivals(new, old):

@@ -18,9 +18,9 @@ from icmeas.meassim import (
     measure,
     save_measurements,
 )
-from icmeas.trafficgen import PacketTrace
+from icmeas.trafficgen import PacketTrace, PoissonConfig, gen_poisson
 
-from oracles import hic_reference, pic_reference, tic_reference
+from oracles import hic_reference, pic_reference, tic_reference, transfer_reference
 
 US = 1000
 
@@ -80,15 +80,6 @@ def test_transfer_reorder_is_stable():
     assert np.all(out.t_ns[1:] >= out.t_ns[:-1])
 
 
-def _transfer_reference(trace, rate_bps):
-    """The delay as one rint of size * 8e9 / rate, then a stable re-sort when needed."""
-    t = trace.t_ns + np.rint(trace.size_bytes * (8e9 / rate_bps)).astype(np.int64)
-    if np.all(np.diff(t) >= 0):
-        return t, trace.size_bytes, trace.label
-    order = np.argsort(t, kind="stable")
-    return t[order], trace.size_bytes[order], trace.label[order]
-
-
 @pytest.mark.parametrize("rate_bps", [1e9, 0.3e9, 2.5e9, 16e9, 100e9])
 @pytest.mark.parametrize("ties", [False, True])
 def test_transfer_matches_one_rint_formula(rate_bps, ties):
@@ -98,11 +89,44 @@ def test_transfer_matches_one_rint_formula(rate_bps, ties):
     sizes = rng.choice([1, 3, 5, 40, 64, 576, 1500, 9001], n)
     trace = PacketTrace(np.cumsum(gaps), sizes, rng.integers(0, 2, n).astype(np.uint8))
     out = apply_transfer(trace, TransferConfig(bit_rate_bps=rate_bps))
-    t, size, label = _transfer_reference(trace, rate_bps)
     assert out.t_ns.dtype == np.int64
-    assert out.t_ns.tolist() == t.tolist()
-    assert out.size_bytes.tolist() == size.tolist()
-    assert out.label.tolist() == label.tolist()
+    assert out == transfer_reference(trace, rate_bps)
+
+
+@pytest.mark.parametrize("rate_bps", [1e9, 0.3e9, 2.5e9, 16e9, 100e9])
+@pytest.mark.parametrize("size", [1, 3, 1500, 9001])
+@pytest.mark.parametrize("n", [1, 1_000])
+def test_transfer_of_one_size_matches_per_packet_formula(rate_bps, size, n):
+    # at 16 Gbps odd sizes land on .5 ns, so the one shift must round as each packet's delay does
+    rng = np.random.default_rng(n + size)
+    t = np.cumsum(rng.integers(0, 3, n))  # ties included
+    trace = PacketTrace(t, np.full(n, size), rng.integers(0, 2, n).astype(np.uint8))
+    out = apply_transfer(trace, TransferConfig(bit_rate_bps=rate_bps))
+    assert out.t_ns.dtype == np.int64
+    assert out == transfer_reference(trace, rate_bps)
+
+
+def test_transfer_of_size_mix_resorts_as_per_packet_formula():
+    # at 100 Mbps a 64 B packet overtakes a 1500 B one sent up to 114 us before it
+    cfg = PoissonConfig(
+        mean_gap_ns=3_000.0, duration_ns=50_000 * US, seed=4, size_mix=((64, 0.5), (1500, 0.5))
+    )
+    trace = gen_poisson(cfg)
+    out = apply_transfer(trace, TransferConfig(bit_rate_bps=100e6))
+    assert np.any(np.diff(trace.t_ns + 80 * trace.size_bytes) < 0)  # the sort path is taken
+    assert out == transfer_reference(trace, 100e6)
+
+
+@pytest.mark.parametrize("sizes", [[1500, 1500], [64, 1500]], ids=["one-size", "two-sizes"])
+def test_transfer_int64_boundary_is_the_same_on_both_paths(sizes):
+    last = 2**63 - 1 - 12_000  # plus the 1500 B delay of 12 us at 1 Gbps: exactly int64 max
+    out = apply_transfer(PacketTrace([0, last], sizes, [0, 0]), TransferConfig(bit_rate_bps=1e9))
+    assert out.t_ns.tolist()[-1] == 2**63 - 1
+    with pytest.raises(PreconditionError) as info:
+        apply_transfer(PacketTrace([0, last + 1], sizes, [0, 0]), TransferConfig(bit_rate_bps=1e9))
+    assert str(info.value) == (
+        f"the last t_ns plus the largest delay reaches {2**63} ns, past the int64 range"
+    )
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from icmeas.trafficgen import (
     save_trace,
 )
 
-from oracles import gen_poisson_reference
+from oracles import gen_poisson_reference, merge_reference
 
 US = 1000
 MS = 1000_000
@@ -151,6 +151,70 @@ def test_merge_interleaves_and_breaks_ties_background_first():
     assert out.t_ns.tolist() == [0, 100, 100, 200, 250]
     assert out.label.tolist() == [0, 0, 1, 0, 1]
     assert out.size_bytes.tolist() == [500, 500, 1500, 500, 1500]
+
+
+@st.composite
+def merge_traces(draw):
+    """A sorted trace of 0-12 packets on a few timestamps, so ties are common.
+
+    Its labels are all BACKGROUND, all ATTACK, or mixed; each row's size is
+    distinct, so a reordering of tied rows shows in the size column.
+    """
+    n = draw(st.integers(0, 12))
+    t = sorted(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["background", "attack", "mixed"]))
+    if kind == "mixed":
+        label = draw(st.lists(st.sampled_from([BACKGROUND, ATTACK]), min_size=n, max_size=n))
+    else:
+        label = [BACKGROUND if kind == "background" else ATTACK] * n
+    base = draw(st.integers(1, 1000))
+    return PacketTrace(np.array(t, np.int64), base + np.arange(n), np.array(label, np.uint8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(merge_traces(), merge_traces())
+def test_merge_matches_lexsort_reference(a, b):
+    # both argument orders, and a trace merged with itself (equal labels on both sides)
+    for x, y in ((a, b), (b, a), (a, a)):
+        out = merge(x, y)
+        assert out == merge_reference(x, y)
+        assert out.t_ns.dtype == np.int64 and out.size_bytes.dtype == np.int64
+        assert out.label.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # the attack first: on a tie its packets still go after the background's
+        ([(5, 1), (5, 1)], [(5, 0), (5, 0), (5, 0)]),
+        ([(5, 1)], [(0, 0), (5, 0), (5, 0)]),
+        # equal labels on both sides: a's tied rows before b's, whichever is smaller
+        ([(5, 0)], [(5, 0), (5, 0), (7, 0)]),
+        ([(5, 0), (5, 0), (7, 0)], [(5, 0)]),
+        # an empty trace beside a mixed one still sorts the mixed one's ties by label
+        ([], [(5, 1), (5, 0), (6, 1), (6, 0)]),
+        ([(5, 1), (5, 0)], []),
+        ([], []),
+    ],
+    ids=[
+        "attack-first",
+        "attack-first-smaller",
+        "same-label-a-smaller",
+        "same-label-b-smaller",
+        "empty-then-mixed",
+        "mixed-then-empty",
+        "both-empty",
+    ],
+)
+def test_merge_ties_and_empty_inputs(a, b):
+    def trace(rows, first_size):
+        t = np.array([r[0] for r in rows], np.int64)
+        label = np.array([r[1] for r in rows], np.uint8)
+        return PacketTrace(t, first_size + np.arange(len(rows)), label)
+
+    x, y = trace(a, 100), trace(b, 200)
+    assert merge(x, y) == merge_reference(x, y)
+    assert merge(y, x) == merge_reference(y, x)
 
 
 def test_merge_rejects_unsorted():
