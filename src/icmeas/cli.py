@@ -54,6 +54,15 @@ _PRESET_RUN = {
     "no_attack": False,
     "window_s": 20.0,
 }
+# defaults of the gen flags that only a trace without --preset takes
+_CUSTOM_TRACE = {
+    "mean_gap_us": None,
+    "size_bytes": 500,
+    "attack_period_us": None,
+    "attack_size_bytes": 1500,
+}
+# each detector's threshold flag, named as its config key
+_DETECTOR_FLAG = {"pdmm": "threshold", "pad": "peak_factor"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,9 +90,10 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a packet trace", parents=[])
     gen.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
     gen.add_argument("--mean-gap-us", type=float, help="background exponential mean")
-    gen.add_argument("--size-bytes", type=_int64, default=500)
+    # the _CUSTOM_TRACE flags (defaults there): a preset sets these itself
+    gen.add_argument("--size-bytes", type=_int64)
     gen.add_argument("--attack-period-us", type=float)
-    gen.add_argument("--attack-size-bytes", type=_int64, default=1500)
+    gen.add_argument("--attack-size-bytes", type=_int64)
     gen.add_argument("--attack-jitter-us", type=float, default=0.0)
     gen.add_argument("--no-attack", action="store_true")
     gen.add_argument("--duration-s", type=float, default=20.0)
@@ -125,6 +135,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flags(keys) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in keys)
+
+
 def _ns(value: float, unit: int, flag: str) -> int:
     """A time flag given in units of `unit` ns, as integer nanoseconds."""
     ns = value * unit
@@ -135,22 +149,26 @@ def _ns(value: float, unit: int, flag: str) -> int:
 
 def _cmd_gen(args) -> int:
     duration_ns = _ns(args.duration_s, SECOND, "--duration-s")
+    given = {k: getattr(args, k) for k in _CUSTOM_TRACE if getattr(args, k) is not None}
     if args.preset is not None:
+        if given:
+            raise ConfigError(f"{_flags(given)} cannot be combined with --preset")
         background, attack = preset_traffic(args.preset, duration_ns, seed=args.seed)
     elif args.mean_gap_us is not None:
+        opts = {**_CUSTOM_TRACE, **given}
         background = PoissonConfig(
-            mean_gap_ns=args.mean_gap_us * US,
+            mean_gap_ns=opts["mean_gap_us"] * US,
             duration_ns=duration_ns,
             seed=args.seed,
-            size_bytes=args.size_bytes,
+            size_bytes=opts["size_bytes"],
         )
         attack = (
             AttackConfig(
-                period_ns=_ns(args.attack_period_us, US, "--attack-period-us"),
+                period_ns=_ns(opts["attack_period_us"], US, "--attack-period-us"),
                 duration_ns=duration_ns,
-                size_bytes=args.attack_size_bytes,
+                size_bytes=opts["attack_size_bytes"],
             )
-            if args.attack_period_us is not None
+            if opts["attack_period_us"] is not None
             else None
         )
     else:
@@ -166,9 +184,21 @@ def _cmd_gen(args) -> int:
 
 
 def _coalescence_from_args(args):
+    if (args.pack_us is None) != (args.abs_us is None):
+        missing = "--abs-us" if args.abs_us is None else "--pack-us"
+        raise ConfigError(f"--pack-us and --abs-us go together: {missing} is missing")
+    choices = {
+        "--system": args.system,
+        "--pack-us/--abs-us": args.pack_us,
+        "--tic-us": args.tic_us,
+        "--pic-count": args.pic_count,
+    }
+    given = [flag for flag, value in choices.items() if value is not None]
+    if len(given) > 1:
+        raise ConfigError(f"measure takes one coalescence choice, not {' and '.join(given)}")
     if args.system is not None:
         return COALESCENCE_PRESETS[args.system]
-    if args.pack_us is not None and args.abs_us is not None:
+    if args.pack_us is not None:
         return HicConfig(
             packet_timer_ns=_ns(args.pack_us, US, "--pack-us"),
             absolute_timer_ns=_ns(args.abs_us, US, "--abs-us"),
@@ -202,6 +232,10 @@ def _cmd_measure(args) -> int:
 
 def _detector_config(args):
     """The detector's preset, overlaid with its --config section and flag."""
+    key = _DETECTOR_FLAG[args.detector]
+    for other, other_key in _DETECTOR_FLAG.items():
+        if other != args.detector and getattr(args, other_key) is not None:
+            raise ConfigError(f"{_flags([other_key])} is a flag of --detector {other}")
     preset = getattr(ExperimentConfig, args.detector)
     d = config_to_dict(preset)
     if args.config is not None:
@@ -210,15 +244,14 @@ def _detector_config(args):
         if not isinstance(section, dict):
             raise ConfigError(f"{args.config}: the {args.detector} section must be an object")
         d.update(section)
-    key = "threshold" if args.detector == "pdmm" else "peak_factor"  # flag and config key
     if getattr(args, key) is not None:
         d[key] = getattr(args, key)
     return config_from_dict(d, type(preset))
 
 
 def _cmd_detect(args) -> int:
-    series = load_measurements(args.measurements)
-    report = run_detector(args.detector, series, _detector_config(args))
+    cfg = _detector_config(args)
+    report = run_detector(args.detector, load_measurements(args.measurements), cfg)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
@@ -234,8 +267,7 @@ def _cmd_experiment(args) -> int:
     given = {k: getattr(args, k) for k in _PRESET_RUN if getattr(args, k) is not None}
     if args.config is not None:
         if given:
-            flags = ", ".join("--" + k.replace("_", "-") for k in given)
-            raise ConfigError(f"{flags} cannot be combined with --config")
+            raise ConfigError(f"{_flags(given)} cannot be combined with --config")
         cfg = dataclasses.replace(load_experiment_config(args.config), **runs)
         systems = {"config": cfg.coalescence}
     elif args.preset is not None:

@@ -158,9 +158,10 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     independent runs.  Inside a run a group ends at the first arrival at or
     past its start plus absolute_ns (half-open: an arrival at the expiry opens
     the next group).  Runs advance together as a vectorized frontier while
-    many are open; the last few are walked group by group, each searching its
-    next starts a block of keys at a time.  Without a packet timer (TIC) the
-    whole trace is one run.
+    many are open; only a run whose last arrival reaches its group's expiry
+    searches for its next start, the rest being one group.  The last few are
+    walked group by group, each searching its next starts a block of keys at
+    a time.  Without a packet timer (TIC) the whole trace is one run.
     """
     n = len(t)
     _require_int64(int(t[-1]) + max(absolute_ns, packet_ns or 0), "the last arrival plus a timer")
@@ -172,9 +173,9 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     is_first = np.zeros(n, bool)
     while len(cur) >= _WALK_BELOW_RUNS:
         is_first[cur] = True
-        nxt = np.searchsorted(t, t[cur] + absolute_ns, side="left")
-        open_ = nxt < end
-        cur, end = nxt[open_], end[open_]
+        expiry = t[cur] + absolute_ns
+        open_ = t[end - 1] >= expiry
+        cur, end = np.searchsorted(t, expiry[open_], side="left"), end[open_]
     for i, e in zip(cur.tolist(), end.tolist()):
         while i < e:
             # keys are sorted, so every key's next start lies in t[i:ub], ub being the last key's

@@ -196,14 +196,14 @@ def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
     keep = np.ones(len(a) + len(b), bool)
     keep[pos] = False
     cols = []
-    for s_col, g_col in zip(
-        (small.t_ns, small.size_bytes, small.label), (big.t_ns, big.size_bytes, big.label)
-    ):
+    for s_col, g_col in zip((small.t_ns, small.size_bytes), (big.t_ns, big.size_bytes)):
         out = np.empty(len(keep), g_col.dtype)
         out[pos] = s_col
         out[keep] = g_col
         cols.append(out)
-    return PacketTrace(*cols)
+    label = np.full(len(keep), big.label[0] if len(big) else 0, big.label.dtype)
+    label[pos] = small.label
+    return PacketTrace(*cols, label)
 
 
 def save_trace(trace: PacketTrace, path) -> None:

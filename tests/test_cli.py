@@ -93,6 +93,33 @@ class TestGen:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [
+            (["--mean-gap-us", "5"], "--mean-gap-us"),
+            (["--attack-period-us", "400"], "--attack-period-us"),
+            (["--size-bytes", "500"], "--size-bytes"),
+            (["--attack-size-bytes", "1500"], "--attack-size-bytes"),
+            (["--attack-period-us", "400", "--mean-gap-us", "5"], "--mean-gap-us, --attack-period-us"),
+        ],
+        ids=["mean-gap", "attack-period", "size", "attack-size", "two"],
+    )
+    def test_preset_rejects_custom_trace_flags(self, tmp_path, capsys, extra, flags):
+        out = tmp_path / "t.csv"
+        argv = ["gen", "--preset", "high-rate", "--duration-s", "0.1", "--out", str(out), *extra]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {flags} cannot be combined with --preset\n"
+        assert not out.exists()
+
+    def test_custom_trace_defaults(self, tmp_path):
+        # sizes left out are 500 bytes for the background and 1500 for the attack
+        out = tmp_path / "t.csv"
+        argv = ["gen", "--mean-gap-us", "50", "--attack-period-us", "500", "--duration-s", "0.1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        trace = load_trace(out)
+        assert set(trace.size_bytes[trace.label == 0].tolist()) == {500}
+        assert set(trace.size_bytes[trace.label == 1].tolist()) == {1500}
+
 
 class TestMeasure:
     def test_system_preset_equals_explicit_timers(self, tmp_path):
@@ -115,6 +142,38 @@ class TestMeasure:
     def test_needs_some_scheme(self, tmp_path):
         trace = _gen(tmp_path)
         assert main(["measure", "--trace", str(trace), "--out", str(tmp_path / "m.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--system", "hicv1", "--pic-count", "5"],
+                "measure takes one coalescence choice, not --system and --pic-count",
+            ),
+            (
+                ["--pack-us", "30", "--abs-us", "300", "--tic-us", "100"],
+                "measure takes one coalescence choice, not --pack-us/--abs-us and --tic-us",
+            ),
+            (
+                ["--tic-us", "100", "--pic-count", "5", "--system", "hicv2"],
+                "measure takes one coalescence choice, not --system and --tic-us and --pic-count",
+            ),
+            (
+                ["--pack-us", "30", "--tic-us", "100"],
+                "--pack-us and --abs-us go together: --abs-us is missing",
+            ),
+            (["--pack-us", "30"], "--pack-us and --abs-us go together: --abs-us is missing"),
+            (["--abs-us", "300"], "--pack-us and --abs-us go together: --pack-us is missing"),
+        ],
+        ids=["system-pic", "hic-tic", "three", "lone-pack-tic", "lone-pack", "lone-abs"],
+    )
+    def test_one_coalescence_choice(self, tmp_path, capsys, extra, message):
+        trace = _gen(tmp_path)
+        out = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert main(["measure", "--trace", str(trace), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists() and not (tmp_path / "m.csv.json").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -365,6 +424,20 @@ class TestDetect:
 
     def test_bad_detector_name(self, tmp_path):
         assert main(["detect", "--detector", "zz", "--measurements", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "detector, flag, owner",
+        [("pad", "--threshold", "pdmm"), ("pdmm", "--peak-factor", "pad")],
+        ids=["threshold-with-pad", "peak-factor-with-pdmm"],
+    )
+    def test_other_detectors_flag_is_config_error(self, tmp_path, capsys, detector, flag, owner):
+        m = tmp_path / "m.csv"
+        m.write_text("m_ns,count\n100,1\n200,1\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        argv = ["detect", "--detector", detector, "--measurements", str(m), flag, "2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {flag} is a flag of --detector {owner}\n"
+        assert not out.exists()
 
 
 class TestExperiment:

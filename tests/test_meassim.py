@@ -324,6 +324,30 @@ def test_mixed_regime_trace_matches_references():
     assert series.count.tolist() == c
 
 
+def test_frontier_closes_runs_at_the_absolute_expiry():
+    # runs of 1-3 groups on a 20 us lattice whose last arrival lands 1 ns
+    # before, exactly on, or 1 ns after the last group's absolute expiry: on
+    # or after, it opens a group of its own; before, the run closes unsearched
+    pack, hard = 30 * US, 100 * US
+    rng = np.random.default_rng(5)
+    runs, start, n_groups = [], 0, 0
+    for k in range(6 * _WALK_BELOW_RUNS):
+        groups, d = 1 + k // 3 % 3, k % 3 - 1
+        n_groups += groups + (d >= 0)
+        lattice = start + 20 * US * np.arange(5 * groups, dtype=np.int64)
+        runs.append(np.append(lattice, lattice[-5] + hard + d))
+        start = int(runs[-1][-1]) + pack + int(rng.integers(0, 50 * US))
+    t = np.concatenate(runs)
+    assert 1 + np.count_nonzero(np.diff(t) >= pack) >= 2 * _WALK_BELOW_RUNS
+    series = coalesce(make_trace(t), HicConfig(pack, hard))
+    m, c = hic_reference(t, pack, hard)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    assert len(c) == n_groups
+    abs_fired = _abs_fired_by_oracle(t, m, c, hard)
+    assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+
+
 # --- the walk's search blocks ---
 #
 # One run (every gap below the packet timer) is walked a block of

@@ -194,6 +194,9 @@ def test_merge_matches_lexsort_reference(a, b):
         # an empty trace beside a mixed one still sorts the mixed one's ties by label
         ([], [(5, 1), (5, 0), (6, 1), (6, 0)]),
         ([(5, 1), (5, 0)], []),
+        # an empty trace beside a one-label one takes the insertion path
+        ([], [(5, 1), (6, 1)]),
+        ([(5, 0)], []),
         ([], []),
     ],
     ids=[
@@ -203,6 +206,8 @@ def test_merge_matches_lexsort_reference(a, b):
         "same-label-b-smaller",
         "empty-then-mixed",
         "mixed-then-empty",
+        "empty-then-attack",
+        "background-then-empty",
         "both-empty",
     ],
 )
