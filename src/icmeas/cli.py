@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--size-bytes", type=_int64)
     gen.add_argument("--attack-period-us", type=float)
     gen.add_argument("--attack-size-bytes", type=_int64)
-    gen.add_argument("--attack-jitter-us", type=float, default=0.0)
+    gen.add_argument("--attack-jitter-us", type=float)
     gen.add_argument("--no-attack", action="store_true")
     gen.add_argument("--duration-s", type=float, default=20.0)
     gen.add_argument("--seed", type=_int64, default=0)
@@ -156,6 +156,11 @@ def _cmd_gen(args) -> int:
         background, attack = preset_traffic(args.preset, duration_ns, seed=args.seed)
     elif args.mean_gap_us is not None:
         opts = {**_CUSTOM_TRACE, **given}
+        attack_flags = [
+            k for k in ("attack_size_bytes", "attack_jitter_us") if getattr(args, k) is not None
+        ]
+        if attack_flags and opts["attack_period_us"] is None and not args.no_attack:
+            raise ConfigError(f"{_flags(attack_flags)} cannot be used without --attack-period-us")
         background = PoissonConfig(
             mean_gap_ns=opts["mean_gap_us"] * US,
             duration_ns=duration_ns,
@@ -173,10 +178,10 @@ def _cmd_gen(args) -> int:
         )
     else:
         raise ConfigError("gen needs --preset or --mean-gap-us")
-    if attack is not None and not args.no_attack:
-        attack = dataclasses.replace(attack, jitter_stddev_ns=args.attack_jitter_us * US)
-    else:
+    if args.no_attack:
         attack = None  # the jitter is not checked against an attack that is not sent
+    elif attack is not None and args.attack_jitter_us is not None:
+        attack = dataclasses.replace(attack, jitter_stddev_ns=args.attack_jitter_us * US)
     trace = build_trace(background, attack)
     save_trace(trace, args.out)
     print(f"wrote {len(trace)} packets to {args.out}")

@@ -286,24 +286,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return run_systems(cfg, {"": cfg.coalescence})[""]
 
 
-def result_to_dict(result: ExperimentResult) -> dict:
-    return {
-        "config": result.config,
-        "aggregate": result.aggregate,
-        "trials": [
-            {
-                "seed": t.seed,
-                "stats": dataclasses.asdict(t.stats),
-                "detections": dict(t.detections),
-            }
-            for t in result.trials
-        ],
-    }
-
-
 def results_json(results: dict) -> str:
     """Stable-order JSON for a {system_name: ExperimentResult} mapping."""
-    payload = {name: result_to_dict(res) for name, res in sorted(results.items())}
+    payload = {name: dataclasses.asdict(res) for name, res in sorted(results.items())}
     return json.dumps({"systems": payload}, sort_keys=True, indent=2) + "\n"
 
 

@@ -274,5 +274,8 @@ def load_measurements(path) -> MeasurementSeries:
     if not isinstance(flags, dict):
         raise PreconditionError(f"{path}.json: flags must be a JSON object")
     series = MeasurementSeries(data[:, 0], data[:, 1], flags)
-    series.validate()
+    try:
+        series.validate()
+    except PreconditionError as exc:  # a count below 1 or unsorted rows
+        raise PreconditionError(f"{path}: {exc}") from None
     return series

@@ -116,9 +116,7 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     band = (freqs >= cfg.min_freq_hz) & (freqs <= cfg.max_freq_hz)
     band_freqs = freqs[band]
     trajectory = []
-    windows = 0
-    for start in range(0, len(x) - cfg.window + 1, cfg.window // 2):
-        windows += 1
+    for w, start in enumerate(range(0, len(x) - cfg.window + 1, cfg.window // 2)):
         psd = periodogram(x[start : start + cfg.window].reshape(cfg.segments, seg)).mean(axis=0)
         in_band = psd[band]
         floor = float(np.median(in_band))
@@ -128,8 +126,8 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
             peak_freq = float(band_freqs[k])
         else:
             ratio, peak_freq = 0.0, 0.0
-        trajectory.append((windows - 1, ratio, peak_freq))
+        trajectory.append((w, ratio, peak_freq))
         if ratio > cfg.peak_factor:
             end_ns = (start + cfg.window) * cfg.sample_interval_ns
-            return DetectionReport(True, int(end_ns), windows, tuple(trajectory))
-    return DetectionReport(False, None, windows, tuple(trajectory))
+            return DetectionReport(True, int(end_ns), len(trajectory), tuple(trajectory))
+    return DetectionReport(False, None, len(trajectory), tuple(trajectory))

@@ -135,18 +135,6 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     return counts.reshape(n_blocks, n_bins)
 
 
-def block_counts(m_with_history, history_len: int, cfg: PdmmConfig) -> np.ndarray:
-    """Raw-bin counts (float64, n_bins) of the in-range differences ending in a block.
-
-    m_with_history concatenates up to max_order prior timestamps (the
-    history) with the block's timestamps; only differences whose later
-    endpoint lies in the block are counted, each at every order that stays
-    within the available past.
-    """
-    m = np.asarray(m_with_history, dtype=np.int64)
-    return _count_blocks(m, history_len, max(len(m) - history_len, 0), 1, cfg)[0]
-
-
 def pearson_chi_square(counts, sub_bins: int):
     """Uniformity statistic over equal-width sub-bins and its CDF value.
 
@@ -253,4 +241,4 @@ def min_detectable_deviation(sub_bins: int, total: float, threshold: float) -> f
     if not 0.0 < threshold < 1.0:
         raise ConfigError("threshold must be in (0, 1)")
     quantile = 2.0 * gammaincinv((sub_bins - 1) / 2.0, 1.0 - threshold)
-    return float(np.sqrt(quantile / (total * (sub_bins + sub_bins / (sub_bins - 1)))))
+    return float(np.sqrt(quantile / closed_form_chi_square(1.0, sub_bins, total)))

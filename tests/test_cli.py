@@ -53,6 +53,12 @@ class TestGen:
         # no attack is sent, so it is not checked
         jittered = _gen(tmp_path, "--no-attack", "--attack-jitter-us", "1000", name="j.csv")
         assert load_trace(jittered) == trace
+        # the same holds without a preset, where no --attack-period-us is needed
+        custom = ["gen", "--mean-gap-us", "50", "--duration-s", "0.1", "--out"]
+        assert main(custom + [str(tmp_path / "c.csv")]) == 0
+        jitter = ["--no-attack", "--attack-jitter-us", "3"]
+        assert main(custom + [str(tmp_path / "cj.csv"), *jitter]) == 0
+        assert load_trace(tmp_path / "cj.csv") == load_trace(tmp_path / "c.csv")
 
     def test_explicit_parameters(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -78,19 +84,33 @@ class TestGen:
         assert main(["gen", "--out", str(tmp_path / "t.csv")]) == 1
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, message",
         [
-            ["--preset", "high-rate", "--seed", "-1"],
-            ["--mean-gap-us", "50", "--seed", "-1"],
-            ["--mean-gap-us", "50", "--attack-period-us", "0"],
+            (["--preset", "high-rate", "--seed", "-1"], "seed must be non-negative"),
+            (["--mean-gap-us", "50", "--seed", "-1"], "seed must be non-negative"),
+            (["--mean-gap-us", "50", "--attack-period-us", "0"], "period_ns must be positive"),
+            # an attack flag without the period that sends the attack
+            (
+                ["--mean-gap-us", "50", "--attack-size-bytes", "900", "--attack-jitter-us", "3"],
+                "--attack-size-bytes, --attack-jitter-us cannot be used without --attack-period-us",
+            ),
+            (
+                ["--mean-gap-us", "50", "--attack-jitter-us", "3"],
+                "--attack-jitter-us cannot be used without --attack-period-us",
+            ),
         ],
-        ids=["preset-negative-seed", "negative-seed", "zero-attack-period"],
+        ids=[
+            "preset-negative-seed",
+            "negative-seed",
+            "zero-attack-period",
+            "attack-flags-without-period",
+            "jitter-without-period",
+        ],
     )
-    def test_bad_values_are_config_errors(self, tmp_path, capsys, extra):
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, extra, message):
         out = tmp_path / "t.csv"
         assert main(["gen", "--duration-s", "0.1", "--out", str(out), *extra]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -713,6 +733,24 @@ class TestStats:
         p = tmp_path / "m.csv"
         p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
         assert main(["stats", "--measurements", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("100,1\n200,0\n", "measurement counts must be >= 1"),
+            ("200,1\n100,1\n", "measurement timestamps must be strictly increasing"),
+            ("100,1\n100,1\n", "measurement timestamps must be strictly increasing"),
+        ],
+        ids=["zero-count", "decreasing", "repeated"],
+    )
+    def test_broken_invariant_names_the_file(self, tmp_path, capsys, rows, message):
+        p = tmp_path / "m.csv"
+        p.write_text("m_ns,count\n" + rows, encoding="utf-8")
+        out = tmp_path / "r.json"
+        for command in (["stats"], ["detect", "--detector", "pdmm", "--out", str(out)]):
+            assert main(command + ["--measurements", str(p)]) == 4
+            assert capsys.readouterr() == ("", f"invalid input file: {p}: {message}\n")
+        assert not out.exists()
 
     def test_sidecar_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

@@ -16,7 +16,7 @@ from icmeas.pdmm import (
     _CHUNK_BLOCKS,
     DetectionReport,
     PdmmConfig,
-    block_counts,
+    _count_blocks,
     closed_form_chi_square,
     detect_stream,
     deviation_histogram,
@@ -95,7 +95,7 @@ class TestAccumulateBlock:
         # at order two, all inside [50, 500) us
         cfg = _cfg()
         m = np.array([0, 100 * US, 250 * US], np.int64)
-        counts = block_counts(m, 0, cfg)
+        counts = _count_blocks(m, 0, len(m), 1, cfg)[0]
         assert counts.shape == (450,)
         assert counts.sum() == 3
         assert counts[(100 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
@@ -104,17 +104,20 @@ class TestAccumulateBlock:
 
     def test_upper_boundary_discarded(self):
         cfg = _cfg()
-        assert block_counts(np.array([0, 500 * US], np.int64), 0, cfg).sum() == 0
+        m = np.array([0, 500 * US], np.int64)
+        assert _count_blocks(m, 0, len(m), 1, cfg)[0].sum() == 0
 
     def test_lower_boundary_counted(self):
         cfg = _cfg()
-        counts = block_counts(np.array([0, 50 * US], np.int64), 0, cfg)
+        m = np.array([0, 50 * US], np.int64)
+        counts = _count_blocks(m, 0, len(m), 1, cfg)[0]
         assert counts.sum() == 1
         assert counts[0] == 1
 
     def test_below_lower_cutoff_discarded(self):
         cfg = _cfg()
-        assert block_counts(np.array([0, 49 * US], np.int64), 0, cfg).sum() == 0
+        m = np.array([0, 49 * US], np.int64)
+        assert _count_blocks(m, 0, len(m), 1, cfg)[0].sum() == 0
 
     def test_history_only_seeds_differences(self):
         # with two history points, only differences ending in the block are
@@ -124,7 +127,7 @@ class TestAccumulateBlock:
         m = np.array([0, 100 * US, 200 * US, 300 * US], np.int64)
         # block entries 200 and 300: order1 {100,100}, order2 {200,200},
         # order3 {300}; all within [50,500)
-        assert block_counts(m, 2, cfg).sum() == 5
+        assert _count_blocks(m, 2, len(m) - 2, 1, cfg)[0].sum() == 5
 
     def test_order_independence_within_block(self):
         cfg = _cfg(max_order=4)
@@ -133,7 +136,8 @@ class TestAccumulateBlock:
         # splitting the stream into two blocks, the second with the full
         # history, reproduces the one-shot accumulation exactly
         np.testing.assert_array_equal(
-            block_counts(m, 0, cfg), block_counts(m[:20], 0, cfg) + block_counts(m, 20, cfg)
+            _count_blocks(m, 0, len(m), 1, cfg)[0],
+            _count_blocks(m[:20], 0, 20, 1, cfg)[0] + _count_blocks(m, 20, len(m) - 20, 1, cfg)[0],
         )
 
 
@@ -296,7 +300,7 @@ class TestDetectStream:
         for b in range(n_blocks):
             lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
             start = max(0, lo - cfg.max_order)
-            blocks.append(block_counts(m[start:hi], lo - start, cfg))
+            blocks.append(_count_blocks(m[start:hi], lo - start, hi - lo, 1, cfg)[0])
             if len(blocks) > cfg.window_blocks:
                 blocks.popleft()
             if b == 0:
@@ -365,7 +369,7 @@ class TestDetectStream:
             for b in range(n_blocks):
                 lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
                 start = max(0, lo - cfg.max_order)
-                counts += block_counts(m[start:hi], lo - start, cfg)
+                counts += _count_blocks(m[start:hi], lo - start, hi - lo, 1, cfg)[0]
                 if b + 1 in (n_blocks // 2, n_blocks):
                     chis[b + 1], _ = pearson_chi_square(counts, cfg.sub_bins)
             ratios.append(chis[n_blocks] / chis[n_blocks // 2])
