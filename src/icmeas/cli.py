@@ -28,7 +28,6 @@ from .harness import (
     config_to_dict,
     emit_results,
     load_config_json,
-    load_experiment_config,
     measurement_stats,
     preset_experiment,
     preset_traffic,
@@ -273,7 +272,7 @@ def _cmd_experiment(args) -> int:
     if args.config is not None:
         if given:
             raise ConfigError(f"{_flags(given)} cannot be combined with --config")
-        cfg = dataclasses.replace(load_experiment_config(args.config), **runs)
+        cfg = dataclasses.replace(config_from_dict(load_config_json(args.config)), **runs)
         systems = {"config": cfg.coalescence}
     elif args.preset is not None:
         opts = {**_PRESET_RUN, **given}

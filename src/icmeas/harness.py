@@ -416,7 +416,3 @@ def load_config_json(path):
             return json.load(f)
     except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    return config_from_dict(load_config_json(path))

@@ -45,9 +45,11 @@ class MeasurementSeries:
         return int(self.count.sum())
 
     def validate(self) -> None:
-        """Assert the series invariants: c >= 1 and strictly increasing m."""
+        """Assert the series invariants: c >= 1 and strictly increasing m >= 0."""
         if len(self) == 0:
             return
+        if int(self.m_ns.min()) < 0:
+            raise PreconditionError("m_ns must be non-negative")
         if int(self.count.min()) < 1:
             raise PreconditionError("measurement counts must be >= 1")
         if len(self) > 1 and int(np.diff(self.m_ns).min()) <= 0:
@@ -126,7 +128,7 @@ def _require_int64(value: int, what: str) -> None:
 
 
 def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
-    """Shift each arrival by its serialization delay, re-sorting if needed."""
+    """Shift each arrival by its serialization delay; mixed sizes are stable-sorted after."""
     if len(trace) == 0:
         return trace
     size = trace.size_bytes
@@ -139,8 +141,6 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
         return PacketTrace(trace.t_ns + delay.astype(np.int64), size, trace.label)
     t = delay.astype(np.int64)
     t += trace.t_ns
-    if not np.any(t[1:] < t[:-1]):
-        return PacketTrace(t, size, trace.label)
     order = np.argsort(t, kind="stable")
     return PacketTrace(t[order], size[order], trace.label[order])
 
@@ -258,8 +258,6 @@ def load_measurements(path) -> MeasurementSeries:
     """
     path = str(path)
     data = _read_int_csv(path, _MEAS_HEADER)
-    if np.any(data[:, 0] < 0):
-        raise PreconditionError(f"{path}: m_ns must be non-negative")
     sidecar = {}
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:
@@ -276,6 +274,6 @@ def load_measurements(path) -> MeasurementSeries:
     series = MeasurementSeries(data[:, 0], data[:, 1], flags)
     try:
         series.validate()
-    except PreconditionError as exc:  # a count below 1 or unsorted rows
+    except PreconditionError as exc:  # a negative m, a count below 1 or unsorted rows
         raise PreconditionError(f"{path}: {exc}") from None
     return series

@@ -125,6 +125,8 @@ class TestShiftedErlang:
     def test_order_validation(self):
         with pytest.raises(ConfigError):
             pdf_shifted_erlang(40.0 * US, 0, self.P)
+        with pytest.raises(ConfigError, match="^n_orders must be >= 1$"):
+            mixture_density(40.0 * US, 0, self.P)
 
     def test_order_one_reduces_to_shifted_exp(self):
         y = np.linspace(0.0, 100.0 * US, 257)

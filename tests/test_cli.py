@@ -80,6 +80,20 @@ class TestGen:
         periodic = trace.t_ns[trace.label == 1]
         assert np.all(np.diff(periodic) == 500 * US)
 
+    def test_attack_jitter_moves_only_the_attack(self, tmp_path):
+        argv = ["gen", "--preset", "high-rate", "--duration-s", "0.1", "--seed", "1", "--out"]
+        assert main(argv + [str(tmp_path / "a.csv")]) == 0
+        assert main(argv + [str(tmp_path / "j.csv"), "--attack-jitter-us", "3"]) == 0
+        plain, jittered = load_trace(tmp_path / "a.csv"), load_trace(tmp_path / "j.csv")
+        for col in ("t_ns", "size_bytes"):
+            background = [getattr(t, col)[t.label == 0] for t in (plain, jittered)]
+            assert np.array_equal(*background)
+        attack = [t.t_ns[t.label == 1] for t in (plain, jittered)]
+        assert len(attack[0]) == len(attack[1]) == 250
+        moved = np.abs(attack[1] - attack[0])
+        period_ns = harness.TRAFFIC_PRESETS["high-rate"][1].period_ns
+        assert moved.min() >= 1 and moved.max() <= period_ns // 2 - 1
+
     def test_requires_preset_or_mean_gap(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t.csv")]) == 1
 
@@ -740,8 +754,9 @@ class TestStats:
             ("100,1\n200,0\n", "measurement counts must be >= 1"),
             ("200,1\n100,1\n", "measurement timestamps must be strictly increasing"),
             ("100,1\n100,1\n", "measurement timestamps must be strictly increasing"),
+            ("-5,1\n10,1\n", "m_ns must be non-negative"),
         ],
-        ids=["zero-count", "decreasing", "repeated"],
+        ids=["zero-count", "decreasing", "repeated", "negative-time"],
     )
     def test_broken_invariant_names_the_file(self, tmp_path, capsys, rows, message):
         p = tmp_path / "m.csv"

@@ -19,7 +19,7 @@ from icmeas.harness import (
     config_from_dict,
     config_to_dict,
     emit_results,
-    load_experiment_config,
+    load_config_json,
     measurement_stats,
     preset_experiment,
     preset_traffic,
@@ -547,7 +547,7 @@ class TestConfigFiles:
             ),
             encoding="utf-8",
         )
-        cfg = load_experiment_config(path)
+        cfg = config_from_dict(load_config_json(path))
         preset = preset_experiment(
             "low-rate", "hicv2", trials=1, seed_base=3, detectors=("pdmm",)
         )
@@ -714,7 +714,7 @@ def test_non_finite_float_fields_are_config_errors(tmp_path, section, key, value
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(d), encoding="utf-8")
     with pytest.raises(ConfigError, match="must be finite"):
-        load_experiment_config(path)
+        config_from_dict(load_config_json(path))
 
 
 @pytest.mark.parametrize("text", [b"\xff\xfe{\x00}\x00", b'{"trials": 1, "seed_base": "\xe9"}'])
@@ -722,4 +722,4 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, text):
     path = tmp_path / "exp.json"
     path.write_bytes(text)
     with pytest.raises(ConfigError):
-        load_experiment_config(path)
+        config_from_dict(load_config_json(path))

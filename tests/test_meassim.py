@@ -47,6 +47,11 @@ def test_config_validation():
         TransferConfig(bit_rate_bps=0)
     with pytest.raises(ConfigError, match="too small"):
         TransferConfig(bit_rate_bps=1e-301)  # 8e9 / rate is inf
+    with pytest.raises(ConfigError) as info:
+        coalesce(make_trace([0, 100]), TransferConfig())
+    assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
+    with pytest.raises(ConfigError, match="^measurement columns must have equal length$"):
+        MeasurementSeries([10, 20], [1])
 
 
 # --- transfer stage ---
@@ -546,6 +551,13 @@ def test_load_measurements_rejects_malformed_sidecar(tmp_path):
         (tmp_path / "m.csv.json").write_text(sidecar, encoding="utf-8")
         with pytest.raises(PreconditionError, match=f"^{p}.json: "):
             load_measurements(p)
+
+
+def test_save_measurements_refuses_what_load_refuses(tmp_path):
+    p = tmp_path / "m.csv"
+    with pytest.raises(PreconditionError, match="^m_ns must be non-negative$"):
+        save_measurements(MeasurementSeries([-5, 10], [1, 1]), p)
+    assert not p.exists() and not (tmp_path / "m.csv.json").exists()
 
 
 def test_series_validate():

@@ -178,6 +178,8 @@ class TestPearsonChiSquare:
     def test_divisibility_required(self):
         with pytest.raises(ConfigError):
             pearson_chi_square(np.full(10, 100.0), 3)
+        with pytest.raises(ConfigError, match="^sub_bins must be >= 2$"):
+            pearson_chi_square(np.full(10, 100.0), 1)
 
 
 class TestClosedForm:

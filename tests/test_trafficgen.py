@@ -38,6 +38,11 @@ def test_poisson_config_rejects_bad_values():
         PoissonConfig(mean_gap_ns=100.0, duration_ns=-1, seed=1)
     with pytest.raises(ConfigError):
         PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=1, size_mix=((100, 0.5), (200, 0.4)))
+    for mix in (((0, 0.5), (200, 0.5)), ((100, -0.5), (200, 1.5))):
+        with pytest.raises(ConfigError, match=r"^size_mix entries must be \(size>=1, weight>=0\)$"):
+            PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=1, size_mix=mix)
+    with pytest.raises(ConfigError, match="^size_bytes must be >= 1$"):
+        PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=1, size_bytes=0)
 
 
 def test_configs_reject_negative_seed():
@@ -142,6 +147,14 @@ def test_periodic_jitter_stays_near_grid():
 def test_periodic_rejects_large_jitter():
     with pytest.raises(ConfigError):
         AttackConfig(period_ns=100, duration_ns=1000, jitter_stddev_ns=30.0)
+    for key, value, message in [
+        ("duration_ns", -1, "duration_ns must be non-negative"),
+        ("start_offset_ns", -1, "start_offset_ns must be non-negative"),
+        ("jitter_stddev_ns", -1.0, "jitter_stddev_ns must be non-negative"),
+        ("size_bytes", 0, "size_bytes must be >= 1"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            AttackConfig(**{"period_ns": 100, "duration_ns": 1000, key: value})
 
 
 def test_merge_interleaves_and_breaks_ties_background_first():
@@ -232,6 +245,8 @@ def test_merge_rejects_unsorted():
 def test_trace_is_sorted_by_construction(tmp_path):
     with pytest.raises(PreconditionError, match="not sorted"):
         PacketTrace(np.array([0, 200, 100]), np.full(3, 500), np.zeros(3))
+    with pytest.raises(ConfigError, match="^trace columns must have equal length$"):
+        PacketTrace(np.array([0, 100]), np.full(3, 500), np.zeros(3))
     tied = PacketTrace(np.array([0, 100, 100]), np.full(3, 500), np.zeros(3))
     assert tied.t_ns.tolist() == [0, 100, 100]
     p = tmp_path / "unsorted.csv"
