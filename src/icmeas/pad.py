@@ -99,6 +99,11 @@ def periodogram(series) -> np.ndarray:
     return spec
 
 
+# detect_psd transforms segments this many windows ahead of the scan; an
+# early stop pays for at most this many windows it never tests
+_BATCH_WINDOWS = 4
+
+
 def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     """Slide windows over the series and flag in-band spectral peaks.
 
@@ -106,18 +111,32 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     the in-band maximum is compared against peak_factor times the in-band
     median; detection reports the end timestamp of the first flagged
     window.  A series shorter than one window yields an insufficient-data
-    report.
+    report.  Segment k starts at k * min(segment_len, hop), so a window's
+    segments are consecutive; each segment is transformed once, when the
+    scan first needs it, together with those of the next _BATCH_WINDOWS
+    windows.
     """
     x = np.asarray(series, dtype=float)
     if len(x) < cfg.window:
         return DetectionReport(False, None, 0)
-    seg = cfg.segment_len
+    seg, hop = cfg.segment_len, cfg.window // 2
+    step = min(seg, hop)
+    starts = range(0, len(x) - cfg.window + 1, hop)
+    segs = np.lib.stride_tricks.sliding_window_view(x, seg)[::step]
+    segs = segs[: starts[-1] // step + cfg.segments]
+    specs = np.empty((len(segs), seg // 2 + 1))
+    done = 0
     freqs = np.fft.rfftfreq(seg, d=cfg.sample_interval_ns / 1e9)
     band = (freqs >= cfg.min_freq_hz) & (freqs <= cfg.max_freq_hz)
     band_freqs = freqs[band]
     trajectory = []
-    for w, start in enumerate(range(0, len(x) - cfg.window + 1, cfg.window // 2)):
-        psd = periodogram(x[start : start + cfg.window].reshape(cfg.segments, seg)).mean(axis=0)
+    for w, start in enumerate(starts):
+        first = start // step
+        if first + cfg.segments > done:
+            stop = min(len(segs), first + cfg.segments + _BATCH_WINDOWS * hop // step)
+            specs[done:stop] = periodogram(segs[done:stop])
+            done = stop
+        psd = specs[first : first + cfg.segments].mean(axis=0)
         in_band = psd[band]
         floor = float(np.median(in_band))
         if floor > 0.0:

@@ -8,8 +8,10 @@ of its period.  A Pearson chi-square uniformity test over equal-width
 sub-bins turns that concentration into a detection verdict.
 """
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv
@@ -99,6 +101,38 @@ _CHUNK_BLOCKS = 4
 _BUFFER_ELEMS = 1 << 17
 
 
+def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
+    """(start, stop, masked) ranges of the orders 1..top worth counting.
+
+    Row `order` holds d = m[i] - (m[i - order] + low) for first <= i < end.
+    When m[:end] is nondecreasing, d grows with the order at every i, so
+    the row minima and maxima grow with the order too, and bisections over
+    them find the bounds.  Rows below lo (max < 0) or from hi on
+    (min >= span) hold no difference in range and are left out; rows in
+    [a, b) (min >= 0, max < span) hold only differences in range and need
+    no mask.  Rows past `first` hold the -1 sentinel and are always masked,
+    and so is every row of an m that is not nondecreasing.
+    """
+    k = min(top, first)
+    if k < 1 or np.any(m[1:end] < m[: end - 1]):
+        return [(1, top + 1, True)]
+    row = np.empty(end - first, np.int64)
+
+    @cache
+    def row_extrema(order):
+        np.subtract(m[first:end], shifted[first - order : end - order], out=row)
+        return int(row.min()), int(row.max())
+
+    orders = range(k + 1)
+    lo = bisect_left(orders, True, 1, key=lambda o: row_extrema(o)[1] >= 0)
+    hi = bisect_left(orders, True, lo, key=lambda o: row_extrema(o)[0] >= span)
+    a = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[0] >= 0)
+    b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= span)
+    if a >= b:
+        a = b = hi
+    return [(lo, a, True), (a, b, False), (b, hi, True), (k + 1, top + 1, True)]
+
+
 def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig):
     """Raw-bin counts (float64, (n_blocks, n_bins)) of consecutive blocks of m.
 
@@ -108,7 +142,9 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     all blocks.  low_cutoff_ns is folded into a shifted copy of m, so one
     unsigned compare of m[i] - (m[j] + low) against the span keeps exactly
     the differences in [low, high).  Entries whose earlier endpoint would lie
-    before m[0] are set to -1, which that compare rejects.
+    before m[0] are set to -1, which that compare rejects.  _order_ranges
+    leaves out the orders with no difference in range and marks those with
+    every difference in range, which skip the compare.
     """
     n_bins = cfg.n_bins
     span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
@@ -121,17 +157,27 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     shifted = m[:end] + cfg.low_cutoff_ns
     # span = n_bins * bin_width_ns, so block k's keys floor-divide to k * n_bins + raw_bin
     offset = np.repeat(np.arange(0, n_blocks * span, span, dtype=np.int64), block_len)
+    keyed = m[first:end] + offset  # an unmasked row's keys come out of one subtraction
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
-    for group in range(1, top + 1, len(diffs)):
-        rows = diffs[: min(len(diffs), top + 1 - group)]
-        for row, order in zip(rows, range(group, group + len(rows))):
-            skip = max(order - first, 0)
-            row[:skip] = -1
-            i = first + skip
-            np.subtract(m[i:end], shifted[i - order : end - order], out=row[skip:])
-        in_range = rows.view(np.uint64) < span
-        rows += offset
-        counts += np.bincount(rows[in_range] // cfg.bin_width_ns, minlength=n_blocks * n_bins)
+    for start, stop, masked in _order_ranges(m, shifted, first, end, top, span):
+        for group in range(start, stop, len(diffs)):
+            rows = diffs[: min(len(diffs), stop - group)]
+            for row, order in zip(rows, range(group, group + len(rows))):
+                if masked:
+                    skip = max(order - first, 0)
+                    row[:skip] = -1
+                    i = first + skip
+                    np.subtract(m[i:end], shifted[i - order : end - order], out=row[skip:])
+                else:
+                    np.subtract(keyed, shifted[first - order : end - order], out=row)
+            if masked:
+                in_range = rows.view(np.uint64) < span
+                rows += offset
+                keys = rows[in_range]
+            else:
+                keys = rows.ravel()
+            keys //= cfg.bin_width_ns
+            counts += np.bincount(keys, minlength=n_blocks * n_bins)
     return counts.reshape(n_blocks, n_bins)
 
 

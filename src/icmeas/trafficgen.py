@@ -206,7 +206,26 @@ def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
     return PacketTrace(*cols, label)
 
 
+def _check_trace_rows(t_ns, size_bytes, label) -> None:
+    """Raise PreconditionError unless t_ns >= 0, size_bytes >= 1 and every label is 0 or 1.
+
+    The rules of a trace file, which save_trace and load_trace both apply.
+    """
+    if np.any(t_ns < 0):
+        raise PreconditionError("t_ns must be non-negative")
+    if np.any(size_bytes < 1):
+        raise PreconditionError("size_bytes must be >= 1")
+    if np.any((label != BACKGROUND) & (label != ATTACK)):
+        raise PreconditionError(f"labels must be {BACKGROUND} or {ATTACK}")
+
+
 def save_trace(trace: PacketTrace, path) -> None:
+    """Write the t_ns,size_bytes,label CSV.
+
+    A trace that breaks the rules load_trace checks raises
+    PreconditionError before any file is opened.
+    """
+    _check_trace_rows(trace.t_ns, trace.size_bytes, trace.label)
     _write_int_csv(path, _TRACE_HEADER, [trace.t_ns, trace.size_bytes, trace.label])
 
 
@@ -289,13 +308,8 @@ def _read_int_csv(path, header: str) -> np.ndarray:
 def load_trace(path) -> PacketTrace:
     """Read a trace CSV; rows must be sorted by t_ns >= 0, with sizes >= 1 and labels 0 or 1."""
     data = _read_int_csv(path, _TRACE_HEADER)
-    if np.any(data[:, 0] < 0):
-        raise PreconditionError(f"{path}: t_ns must be non-negative")
-    if np.any(data[:, 1] < 1):
-        raise PreconditionError(f"{path}: size_bytes must be >= 1")
-    if np.any((data[:, 2] != BACKGROUND) & (data[:, 2] != ATTACK)):
-        raise PreconditionError(f"{path}: labels must be {BACKGROUND} or {ATTACK}")
     try:
-        return PacketTrace(data[:, 0], data[:, 1], data[:, 2])
-    except PreconditionError as exc:  # unsorted rows
+        _check_trace_rows(*data.T)  # before the uint8 label cast could wrap a label
+        return PacketTrace(*data.T)
+    except PreconditionError as exc:
         raise PreconditionError(f"{path}: {exc}") from None

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from icmeas import pad
 from icmeas.errors import ConfigError
 from icmeas.harness import COALESCENCE_PRESETS, PAD_PRESET, build_trace, preset_traffic
 from icmeas.meassim import MeasurementSeries, TransferConfig, measure
-from icmeas.pad import PadConfig, detect_psd, periodogram, rasterize
+from icmeas.pad import _BATCH_WINDOWS, PadConfig, detect_psd, periodogram, rasterize
 from oracles import pad_scan_reference
 
 US = 1000
@@ -196,3 +197,32 @@ class TestScanMatchesLoopOracle:
             k = int(rng.integers(0, n))
             series[k:] += rng.uniform(0, 20) * np.sin(np.arange(n - k) * rng.uniform(0.1, 3.0))
             assert _report_tuple(detect_psd(series, cfg)) == pad_scan_reference(series, cfg)
+
+    @pytest.mark.parametrize("segments", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "onset", [None, 2, 4 * _BATCH_WINDOWS + 1], ids=["no-stop", "early", "late"]
+    )
+    def test_each_segment_transformed_once_in_lazy_batches(self, monkeypatch, segments, onset):
+        # series over several batches of windows; a sinusoid from window
+        # `onset` on stops the scan there or one window earlier
+        cfg = PadConfig(window=256, segments=segments, peak_factor=20.0, max_freq_hz=5000.0)
+        hop = cfg.window // 2
+        step = min(cfg.segment_len, hop)  # segment k starts at k * step
+        n_windows = 6 * _BATCH_WINDOWS + 3
+        rng = np.random.default_rng(segments)
+        series = rng.poisson(20.0, cfg.window + (n_windows - 1) * hop + 37).astype(float)
+        if onset is not None:
+            k = np.arange(len(series) - onset * hop)
+            series[onset * hop :] += 20.0 * np.sin(2 * np.pi * 0.1 * k)
+        transformed = []
+        monkeypatch.setattr(pad, "periodogram", lambda x: transformed.append(len(x)) or periodogram(x))
+        rep = detect_psd(series, cfg)
+        assert _report_tuple(rep) == pad_scan_reference(series, cfg)
+        assert rep.detected == (onset is not None)
+        if onset is None:
+            assert rep.blocks_processed == n_windows
+            assert sum(transformed) == (n_windows - 1) * hop // step + segments
+        else:
+            assert onset - 1 <= rep.blocks_processed - 1 <= onset
+            last = rep.blocks_processed - 1 + _BATCH_WINDOWS
+            assert sum(transformed) <= last * hop // step + segments

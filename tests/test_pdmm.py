@@ -538,3 +538,108 @@ def pdmm_cases(draw):
 def test_chunked_report_equals_oracle_report(case):
     m, cfg = case
     _assert_matches_oracle(m, cfg)
+
+
+# --- order ranges: skipped, masked and unmasked rows against the pair-loop oracle ---
+
+
+def _assert_blocks_match_oracle(m, first, n_blocks, cfg):
+    """_count_blocks over n_blocks blocks after m[:first] equals the oracle block by block."""
+    counts = _count_blocks(m, first, cfg.block_len, n_blocks, cfg)
+    for k in range(n_blocks):
+        lo = first + k * cfg.block_len
+        want = pdmm_counts_reference(
+            m, lo, lo + cfg.block_len, cfg.max_order,
+            cfg.low_cutoff_ns, cfg.high_cutoff_ns, cfg.bin_width_ns,
+        )
+        np.testing.assert_array_equal(counts[k], want)
+
+
+def _assert_chunks_match_oracle(m, cfg):
+    """Every chunk detect_stream would count, against the oracle block by block.
+
+    Walks the whole series whatever the test would decide, so no early stop
+    hides a later chunk.
+    """
+    n_blocks = len(m) // cfg.block_len
+    for b in range(0, n_blocks, CHUNK):
+        lo = b * cfg.block_len
+        hist_start = max(0, lo - cfg.max_order)
+        chunk_blocks = min(CHUNK, n_blocks - b)
+        _assert_blocks_match_oracle(m[hist_start:], lo - hist_start, chunk_blocks, cfg)
+
+
+def _row_extrema(m, first, end, order, low):
+    d = m[first:end] - m[first - order : end - order] - low
+    return int(d.min()), int(d.max())
+
+
+# gaps of 25-35 ns in [60, 420): order 1 never reaches the range, order 2
+# straddles its low edge, orders 3-11 lie wholly inside it, orders from about
+# 12 to 16 straddle its high edge and orders 17-20 lie wholly above it
+_RANGES_CFG = dict(low_cutoff_ns=60, high_cutoff_ns=420, max_order=20, sub_bins=9, bin_width_ns=4)
+
+
+def _ranges_stream(seed, n):
+    rng = np.random.default_rng(seed)
+    return 1_000 + np.cumsum(rng.integers(25, 35, n, endpoint=True))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_order_ranges_chunk_has_every_kind_of_row(seed):
+    cfg = _fuzz_cfg(**_RANGES_CFG)
+    first, end = cfg.max_order, cfg.max_order + CHUNK * cfg.block_len
+    m = _ranges_stream(seed, end)
+    span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
+    kinds = set()
+    for order in range(1, cfg.max_order + 1):
+        lo, hi = _row_extrema(m, first, end, order, cfg.low_cutoff_ns)
+        if hi < 0 or lo >= span:
+            kinds.add("below" if hi < 0 else "above")
+        else:
+            kinds.add("inside" if lo >= 0 and hi < span else "edge")
+    assert kinds == {"below", "edge", "inside", "above"}
+    _assert_blocks_match_oracle(m, first, CHUNK, cfg)
+
+
+@pytest.mark.parametrize("first", [0, 2, 5])
+def test_order_ranges_sentinel_rows_stay_masked(first):
+    # with history shorter than max_order, orders above `first` reach back
+    # before m[0]; their rows hold the -1 sentinel, although the entries they
+    # do have lie wholly inside the range
+    cfg = _fuzz_cfg(**_RANGES_CFG)
+    m = _ranges_stream(first, first + CHUNK * cfg.block_len)
+    end = len(m)
+    span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
+    for order in range(first + 1, 11):
+        lo, hi = _row_extrema(m, order, end, order, cfg.low_cutoff_ns)
+        assert order < 3 or (lo >= 0 and hi < span)
+    _assert_blocks_match_oracle(m, first, CHUNK, cfg)
+
+
+def test_order_ranges_sentinel_rows_in_a_later_chunk():
+    # max_order above a chunk's length: the second chunk's history is short too
+    cfg = _fuzz_cfg(**{**_RANGES_CFG, "max_order": 40, "high_cutoff_ns": 1140}, block_len=6)
+    assert cfg.max_order > CHUNK * cfg.block_len
+    for seed in range(3):
+        _assert_chunks_match_oracle(_ranges_stream(seed, (3 * CHUNK + 1) * cfg.block_len), cfg)
+
+
+def test_order_ranges_repeated_stamps_with_zero_low_cutoff():
+    # low_cutoff_ns = 0: a zero difference is in range, so order 1 on up is unmasked
+    cfg = _fuzz_cfg(low_cutoff_ns=0, high_cutoff_ns=360, max_order=12, bin_width_ns=4)
+    for seed in range(3):
+        m = _fuzz_stream(seed, cfg.max_order + CHUNK * cfg.block_len, spread=3)
+        assert np.any(np.diff(m) == 0)
+        assert _row_extrema(m, cfg.max_order, len(m), 1, 0)[0] == 0
+        _assert_blocks_match_oracle(m, cfg.max_order, CHUNK, cfg)
+        _assert_chunks_match_oracle(m, cfg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_order_ranges_shuffled_series_is_counted_masked(seed):
+    cfg = _fuzz_cfg(**_RANGES_CFG)
+    m = _ranges_stream(seed, cfg.max_order + CHUNK * cfg.block_len)
+    m = np.random.default_rng(seed).permutation(m)
+    _assert_blocks_match_oracle(m, cfg.max_order, CHUNK, cfg)
+    _assert_chunks_match_oracle(m, cfg)

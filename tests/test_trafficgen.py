@@ -342,6 +342,28 @@ def test_save_trace_literal_text(tmp_path):
     assert p.read_bytes() == b"t_ns,size_bytes,label\n0,1500,0\n7,64,1\n1000000123,1,0\n"
 
 
+@pytest.mark.parametrize(
+    "t_ns,size_bytes,label,message",
+    [
+        ([-5, 3], [500, 500], [0, 1], "t_ns must be non-negative"),
+        ([0, 3], [500, 0], [0, 1], "size_bytes must be >= 1"),
+        ([0, 3], [500, 500], [0, 2], "labels must be 0 or 1"),
+    ],
+    ids=["negative-time", "size-zero", "label-two"],
+)
+def test_save_trace_refuses_what_load_refuses(tmp_path, t_ns, size_bytes, label, message):
+    trace = PacketTrace(np.array(t_ns), np.array(size_bytes), np.array(label))
+    p = tmp_path / "trace.csv"
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        save_trace(trace, p)
+    assert not p.exists()
+    # the rows as text, written by hand, are refused by the loader for the same rule
+    rows = "".join(f"{t},{s},{c}\n" for t, s, c in zip(t_ns, size_bytes, label))
+    p.write_text("t_ns,size_bytes,label\n" + rows, encoding="utf-8")
+    with pytest.raises(PreconditionError, match=f"^{p}: {message}$"):
+        load_trace(p)
+
+
 def test_save_measurements_literal_text(tmp_path):
     series = MeasurementSeries(np.array([120_000, 9_000_000_001]), np.array([1, 17]))
     p = tmp_path / "m.csv"
