@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .errors import ConfigError, InsufficientDataError
 
@@ -95,6 +94,8 @@ def pdf_shifted_erlang(y_ns, order: int, p: GapDistParams):
     Order 1 is pdf_shifted_exp; higher orders are evaluated in log space, so
     no power or factorial overflows.
     """
+    from scipy.special import gammaln
+
     if order < 1:
         raise ConfigError("order must be >= 1")
     if order == 1:
@@ -117,6 +118,8 @@ def mixture_density(y_ns, n_orders: int, p: GapDistParams):
     upper incomplete gamma form of the truncated exponential series; converges
     pointwise to 1/lambda above the bound as n_orders grows.
     """
+    from scipy.special import gammaincc
+
     if n_orders < 1:
         raise ConfigError("n_orders must be >= 1")
     y = np.asarray(y_ns, dtype=float)

@@ -72,13 +72,15 @@ def rasterize(ms, sample_interval_ns: int, n_samples: int | None = None) -> np.n
         raise ConfigError("n_samples must be non-negative")
     if len(ms) == 0:
         return np.zeros(0 if n_samples is None else n_samples)
-    idx = ms.m_ns // sample_interval_ns
+    idx = (ms.m_ns // sample_interval_ns).astype(np.int64, copy=False)
+    weights = ms.count
     if n_samples is None:
+        # time-ordered, so the last index is the largest and every index is kept
         n_samples = int(idx[-1]) + 1
-    keep = idx < n_samples
-    return np.bincount(
-        idx[keep].astype(np.int64), weights=ms.count[keep], minlength=n_samples
-    )
+    else:
+        keep = idx < n_samples
+        idx, weights = idx[keep], weights[keep]
+    return np.bincount(idx, weights=weights, minlength=n_samples)
 
 
 def periodogram(series) -> np.ndarray:

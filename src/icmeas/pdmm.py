@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .errors import ConfigError, InsufficientDataError
 
@@ -190,6 +189,8 @@ def pearson_chi_square(counts, sub_bins: int):
     sub_bins - 1 degrees of freedom, evaluated via the regularized lower
     incomplete gamma function.
     """
+    from scipy.special import gammainc
+
     if sub_bins < 2:
         raise ConfigError("sub_bins must be >= 2")
     counts = np.asarray(counts, dtype=np.float64)
@@ -280,6 +281,8 @@ def min_detectable_deviation(sub_bins: int, total: float, threshold: float) -> f
     Inverts the closed form against the chi-square quantile at
     1 - threshold with sub_bins - 1 degrees of freedom.
     """
+    from scipy.special import gammaincinv
+
     if sub_bins < 2:
         raise ConfigError("sub_bins must be >= 2")
     if total <= 0:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -831,6 +835,43 @@ class TestIntFlags:
     def test_non_integer_is_config_error(self, capsys):
         assert main(["gen", "--preset", "high-rate", "--seed", "1.5", "--out", "x"]) == 1
         assert capsys.readouterr().err == "config error: argument --seed: invalid int value: '1.5'\n"
+
+
+# Runs in a fresh interpreter: import icmeas, then each command through cli.main,
+# recording its exit code and whether scipy.special has been imported by then.
+_COLD_START = """
+import json, sys
+loaded = lambda: "scipy.special" in sys.modules
+steps = []
+import icmeas
+from icmeas.cli import main
+steps.append(["import icmeas", 0, loaded()])
+trace, m, out = sys.argv[2:5]
+for argv in (
+    ["gen", "--preset", "high-rate", "--duration-s", "1", "--out", trace],
+    ["measure", "--trace", trace, "--system", "hicv1", "--out", m],
+    ["stats", "--measurements", m],
+    ["detect", "--detector", "pad", "--measurements", m, "--out", out],
+    ["detect", "--detector", "pdmm", "--measurements", m, "--out", out],
+):
+    code = main(argv)
+    steps.append([" ".join(argv[:3]), code, loaded()])
+with open(sys.argv[1], "w") as f:
+    json.dump(steps, f)
+"""
+
+
+def test_only_pdmm_loads_scipy_special(tmp_path):
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    files = [str(tmp_path / n) for n in ("steps.json", "trace.csv", "m.csv", "r.json")]
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START, *files],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    steps = json.loads((tmp_path / "steps.json").read_text(encoding="utf-8"))
+    assert [(code, loaded) for _, code, loaded in steps] == [(0, False)] * 5 + [(0, True)], steps
 
 
 class TestUsageErrors:

@@ -75,6 +75,12 @@ class TestRasterize:
         out = rasterize(_series([50, 250], [3, 4]), 100 * US, n_samples=2)
         np.testing.assert_array_equal(out, [3.0, 0.0])
 
+    @pytest.mark.parametrize("n_samples", [None, 2])
+    def test_float_interval_bins_as_int(self, n_samples):
+        ms = _series([99, 100, 250], [2, 5, 4])
+        out = rasterize(ms, 100.0 * US, n_samples)
+        np.testing.assert_array_equal(out, [2.0, 5.0, 4.0][:n_samples])
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             rasterize(_series([1], [1]), 0)
