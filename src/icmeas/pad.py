@@ -8,6 +8,7 @@ a window whose in-band spectral peak exceeds a multiple of the in-band
 median floor.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,16 @@ class PadConfig:
         nyquist = 0.5e9 / self.sample_interval_ns
         if self.max_freq_hz > nyquist:
             raise ConfigError(f"max_freq_hz exceeds the Nyquist frequency {nyquist:.1f}")
-        freqs = np.fft.rfftfreq(self.segment_len, d=self.sample_interval_ns / 1e9)
-        if not ((freqs >= self.min_freq_hz) & (freqs <= self.max_freq_hz)).any():
+        # the first bin at or above min_freq_hz, found without materializing
+        # the bins: bin k sits at float(k) * val as rfftfreq forms it, so the
+        # steps go between the integers a float holds exactly
+        val = 1.0 / (self.segment_len * (self.sample_interval_ns / 1e9))
+        k = math.ceil(self.min_freq_hz / val)
+        while k > 0 and math.floor(math.nextafter(k, 0)) * val >= self.min_freq_hz:
+            k = math.floor(math.nextafter(k, 0))
+        while k * val < self.min_freq_hz:
+            k = math.ceil(math.nextafter(k, math.inf))
+        if k > self.segment_len // 2 or k * val > self.max_freq_hz:
             raise ConfigError("search band contains no frequency bins")
 
     @property
@@ -101,11 +110,6 @@ def periodogram(series) -> np.ndarray:
     return spec
 
 
-# detect_psd transforms segments this many windows ahead of the scan; an
-# early stop pays for at most this many windows it never tests
-_BATCH_WINDOWS = 4
-
-
 def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     """Slide windows over the series and flag in-band spectral peaks.
 
@@ -114,41 +118,34 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     median; detection reports the end timestamp of the first flagged
     window.  A series shorter than one window yields an insufficient-data
     report.  Segment k starts at k * min(segment_len, hop), so a window's
-    segments are consecutive; each segment is transformed once, when the
-    scan first needs it, together with those of the next _BATCH_WINDOWS
-    windows.
+    segments are consecutive; every segment is transformed once, in one
+    call, and every window is scored before the scan is cut at the first
+    flagged one.
     """
     x = np.asarray(series, dtype=float)
     if len(x) < cfg.window:
         return DetectionReport(False, None, 0)
     seg, hop = cfg.segment_len, cfg.window // 2
     step = min(seg, hop)
-    starts = range(0, len(x) - cfg.window + 1, hop)
-    segs = np.lib.stride_tricks.sliding_window_view(x, seg)[::step]
-    segs = segs[: starts[-1] // step + cfg.segments]
-    specs = np.empty((len(segs), seg // 2 + 1))
-    done = 0
+    stride = hop // step  # segments between consecutive window starts
+    n = (len(x) - cfg.window) // hop + 1
+    last = (n - 1) * stride + 1
     freqs = np.fft.rfftfreq(seg, d=cfg.sample_interval_ns / 1e9)
     band = (freqs >= cfg.min_freq_hz) & (freqs <= cfg.max_freq_hz)
-    band_freqs = freqs[band]
-    trajectory = []
-    for w, start in enumerate(starts):
-        first = start // step
-        if first + cfg.segments > done:
-            stop = min(len(segs), first + cfg.segments + _BATCH_WINDOWS * hop // step)
-            specs[done:stop] = periodogram(segs[done:stop])
-            done = stop
-        psd = specs[first : first + cfg.segments].mean(axis=0)
-        in_band = psd[band]
-        floor = float(np.median(in_band))
-        if floor > 0.0:
-            k = int(np.argmax(in_band))
-            ratio = float(in_band[k]) / floor
-            peak_freq = float(band_freqs[k])
-        else:
-            ratio, peak_freq = 0.0, 0.0
-        trajectory.append((w, ratio, peak_freq))
-        if ratio > cfg.peak_factor:
-            end_ns = (start + cfg.window) * cfg.sample_interval_ns
-            return DetectionReport(True, int(end_ns), len(trajectory), tuple(trajectory))
-    return DetectionReport(False, None, len(trajectory), tuple(trajectory))
+    segs = np.lib.stride_tricks.sliding_window_view(x, seg)[::step][: last - 1 + cfg.segments]
+    specs = periodogram(segs)[:, band]
+    # each window's segment spectra added in order, then divided: the same
+    # floats as their mean(axis=0)
+    psd = sum(specs[j : j + last : stride] for j in range(cfg.segments)) / cfg.segments
+    floor = np.median(psd, axis=1)
+    k = np.argmax(psd, axis=1)
+    live = floor > 0.0
+    ratio = np.divide(psd[np.arange(n), k], floor, out=np.zeros(n), where=live)
+    peak_freq = np.where(live, freqs[band][k], 0.0)
+    hits = np.flatnonzero(ratio > cfg.peak_factor)
+    windows = int(hits[0]) + 1 if len(hits) else n
+    trajectory = tuple(zip(range(windows), ratio[:windows].tolist(), peak_freq[:windows].tolist()))
+    if len(hits):
+        end_ns = ((windows - 1) * hop + cfg.window) * cfg.sample_interval_ns
+        return DetectionReport(True, int(end_ns), windows, trajectory)
+    return DetectionReport(False, None, windows, trajectory)

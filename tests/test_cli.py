@@ -408,6 +408,13 @@ class TestDetect:
         assert err.startswith("config error:") and "no frequency bins" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_pad_window_beyond_memory_is_insufficient_data(self, tmp_path, capsys):
+        # the band check must not materialize the 2**59 bins of one segment
+        capsys.readouterr()
+        assert self._detect_with_config(tmp_path, {"pad": {"window": 2**62}}, "pad") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["blocks"] == 0 and report["detected"] is False
+
     def test_malformed_measurement_file_is_invalid_input(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("m_ns,count\n200,1\n100,1\n", encoding="utf-8")

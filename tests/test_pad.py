@@ -4,12 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmeas import pad
 from icmeas.errors import ConfigError
 from icmeas.harness import COALESCENCE_PRESETS, PAD_PRESET, build_trace, preset_traffic
 from icmeas.meassim import MeasurementSeries, TransferConfig, measure
-from icmeas.pad import _BATCH_WINDOWS, PadConfig, detect_psd, periodogram, rasterize
+from icmeas.pad import PadConfig, detect_psd, periodogram, rasterize
 from oracles import pad_scan_reference
 
 US = 1000
@@ -46,6 +48,32 @@ class TestConfig:
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
             PadConfig(**kw)
+
+    @pytest.mark.parametrize("sample_interval_ns", [1_000, 100_000, 123_457])
+    @pytest.mark.parametrize("window,segments", [(64, 1), (1024, 4), (8192, 8)])
+    def test_band_check_matches_rfftfreq(self, sample_interval_ns, window, segments):
+        # edges on a bin, one ulp either side of it, and halfway between bins
+        seg = window // segments
+        freqs = np.fft.rfftfreq(seg, d=sample_interval_ns / 1e9)
+        picked = freqs[[0, 1, 2, seg // 4, -2, -1]]
+        edges = {
+            float(e) for f in picked for e in (np.nextafter(f, -np.inf), f, np.nextafter(f, np.inf))
+        }
+        edges |= {float(f + freqs[1] / 2) for f in picked[:-1]}
+        nyquist = 0.5e9 / sample_interval_ns
+        edges = sorted(e for e in edges if 0.0 <= e <= nyquist)
+        decisions = set()
+        for lo in edges:
+            for hi in (e for e in edges if e > lo):
+                expected = bool(((freqs >= lo) & (freqs <= hi)).any())
+                try:
+                    PadConfig(sample_interval_ns, window, segments, min_freq_hz=lo, max_freq_hz=hi)
+                    accepted = True
+                except ConfigError:
+                    accepted = False
+                assert accepted == expected, (lo, hi)
+                decisions.add(accepted)
+        assert decisions == {True, False}
 
 
 class TestRasterize:
@@ -175,7 +203,7 @@ def _report_tuple(rep):
 
 
 class TestScanMatchesLoopOracle:
-    """detect_psd's batched segment periodograms equal the per-segment loop exactly."""
+    """detect_psd's one-pass scan equals the per-window, per-segment loop exactly."""
 
     # a peak factor no window reaches: the scan runs to the end of the series
     NO_STOP = dataclasses.replace(PAD_PRESET, peak_factor=1e300)
@@ -204,17 +232,52 @@ class TestScanMatchesLoopOracle:
             series[k:] += rng.uniform(0, 20) * np.sin(np.arange(n - k) * rng.uniform(0.1, 3.0))
             assert _report_tuple(detect_psd(series, cfg)) == pad_scan_reference(series, cfg)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_drawn_configs(self, data):
+        window = data.draw(st.sampled_from([64, 128, 256, 512, 1024]), "window")
+        segments = data.draw(st.sampled_from([1, 2, 4, 8]), "segments")
+        seg, hop = window // segments, window // 2
+        interval = PadConfig.sample_interval_ns
+        freqs = np.fft.rfftfreq(seg, d=interval / 1e9)
+        # band edges on a bin or halfway to the next bin outward; bin lo stays inside
+        lo = data.draw(st.integers(0, seg // 2 - 1), "lo bin")
+        hi = data.draw(st.integers(lo + 1, seg // 2), "hi bin")
+        below, above = data.draw(st.tuples(st.booleans(), st.booleans()), "between bins")
+        cfg = PadConfig(
+            window=window,
+            segments=segments,
+            peak_factor=data.draw(st.sampled_from([1.5, 4.0, 10.0, 100.0]), "peak_factor"),
+            min_freq_hz=max(float(freqs[lo] - below * freqs[1] / 2), 0.0),
+            max_freq_hz=min(float(freqs[hi] + above * freqs[1] / 2), 0.5e9 / interval),
+        )
+        n = data.draw(
+            st.one_of(
+                st.sampled_from([window - 1, window, window + hop - 1, window + hop]),
+                st.integers(window - 1, 6 * window),
+            ),
+            "length",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        series = rng.poisson(rng.uniform(0.5, 50.0), n).astype(float)
+        onset = data.draw(st.integers(0, n), "sinusoid onset")
+        cycles = data.draw(st.floats(0.01, 0.5), "cycles per sample")
+        series[onset:] += 20.0 * np.sin(2 * np.pi * cycles * np.arange(n - onset))
+        # a constant stretch of whole hops: windows wholly inside it have a zero floor
+        start = hop * data.draw(st.integers(0, n // hop), "constant start hop")
+        series[start : start + hop * data.draw(st.integers(0, 6), "constant hops")] = 7.0
+        assert _report_tuple(detect_psd(series, cfg)) == pad_scan_reference(series, cfg)
+
     @pytest.mark.parametrize("segments", [1, 2, 8])
-    @pytest.mark.parametrize(
-        "onset", [None, 2, 4 * _BATCH_WINDOWS + 1], ids=["no-stop", "early", "late"]
-    )
-    def test_each_segment_transformed_once_in_lazy_batches(self, monkeypatch, segments, onset):
-        # series over several batches of windows; a sinusoid from window
-        # `onset` on stops the scan there or one window earlier
+    @pytest.mark.parametrize("onset", [None, 2, 17], ids=["no-stop", "early", "late"])
+    def test_each_segment_transformed_once(self, monkeypatch, segments, onset):
+        # a sinusoid from window `onset` on stops the scan there or one
+        # window earlier; the segments of every window are transformed in
+        # one call either way
         cfg = PadConfig(window=256, segments=segments, peak_factor=20.0, max_freq_hz=5000.0)
         hop = cfg.window // 2
         step = min(cfg.segment_len, hop)  # segment k starts at k * step
-        n_windows = 6 * _BATCH_WINDOWS + 3
+        n_windows = 27
         rng = np.random.default_rng(segments)
         series = rng.poisson(20.0, cfg.window + (n_windows - 1) * hop + 37).astype(float)
         if onset is not None:
@@ -225,10 +288,8 @@ class TestScanMatchesLoopOracle:
         rep = detect_psd(series, cfg)
         assert _report_tuple(rep) == pad_scan_reference(series, cfg)
         assert rep.detected == (onset is not None)
+        assert transformed == [(n_windows - 1) * hop // step + segments]
         if onset is None:
             assert rep.blocks_processed == n_windows
-            assert sum(transformed) == (n_windows - 1) * hop // step + segments
         else:
             assert onset - 1 <= rep.blocks_processed - 1 <= onset
-            last = rep.blocks_processed - 1 + _BATCH_WINDOWS
-            assert sum(transformed) <= last * hop // step + segments
