@@ -59,6 +59,18 @@ class PdmmConfig:
             raise ConfigError("histogram span must divide evenly into sub-bins")
         if self.window_blocks is not None and self.window_blocks < 1:
             raise ConfigError("window_blocks must be >= 1 when set")
+        # a chunk keys its differences below _CHUNK_BLOCKS * span and counts
+        # them in a (_CHUNK_BLOCKS, n_bins) float64 array
+        if _CHUNK_BLOCKS * span > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"n_bins = {self.n_bins} is too large: the keys of a "
+                f"{_CHUNK_BLOCKS}-block chunk would overflow int64"
+            )
+        if _CHUNK_BLOCKS * self.n_bins * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"n_bins = {self.n_bins} is too large: the float64 counts of a "
+                f"{_CHUNK_BLOCKS}-block chunk would exceed the addressable size"
+            )
 
     @property
     def n_bins(self) -> int:

@@ -5,7 +5,9 @@ PacketTrace is sorted by timestamp by construction; equal timestamps are
 allowed.
 """
 
+import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -270,6 +272,11 @@ def _field_bytes(values: np.ndarray, end: bytes) -> np.ndarray:
     return out
 
 
+# Suffixes that np.loadtxt, given a file name, decompresses by
+# (np.lib._datasource picks the opener); see _read_int_csv.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+
+
 def _read_int_csv(path, header: str) -> np.ndarray:
     """Integer rows of a CSV file whose first line must equal header.
 
@@ -277,20 +284,42 @@ def _read_int_csv(path, header: str) -> np.ndarray:
     header, a non-integer value or a row of the wrong width raises
     PreconditionError; so does a `#`, which marks no comment.  Empty lines,
     CRLF endings and a body of only whitespace are accepted.
+
+    The header is checked through a plain open.  The body is then parsed
+    by np.loadtxt from the file name, which its tokenizer reads in blocks
+    (from an open handle it reads one line at a time).  A name ending in a
+    compression suffix, or shaped like a URL, would be decompressed or
+    fetched by that path, so such a file is parsed from the open handle.
+    The file must be seekable: a pipe could not be read a second time, and
+    is refused with io.UnsupportedOperation.
     """
     width = header.count(",") + 1
+    name = os.fspath(path)
+    by_name = (
+        isinstance(name, str) and not name.endswith(_COMPRESSED_SUFFIXES) and "://" not in name
+    )
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(name, "r", encoding="utf-8") as f:
             got = f.readline().strip()
             if got != header:
                 raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
+            if not f.seekable():  # a second open would miss the lines f has buffered
+                raise io.UnsupportedOperation("underlying stream is not seekable")
             body_start = f.tell()
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings(
                         "ignore", "loadtxt: input contained no data", UserWarning
                     )
-                    data = np.loadtxt(f, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+                    data = np.loadtxt(
+                        name if by_name else f,
+                        dtype=np.int64,
+                        delimiter=",",
+                        comments=None,  # any comment marker turns the block read off
+                        skiprows=1 if by_name else 0,
+                        encoding="utf-8",
+                        ndmin=2,
+                    )
             except ValueError as exc:
                 f.seek(body_start)
                 if f.read().strip():

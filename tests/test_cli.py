@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,37 @@ class TestMeasure:
         ]
         assert main(argv) == 3
 
+    def test_pipe_is_io_error_and_writes_nothing(self, tmp_path, capsys):
+        # The reader checks the header through one open and parses the body
+        # through a second; a pipe would hand the second only what the first
+        # left unread, so it is refused.  The body is far larger than one
+        # read buffer, so the writer is still writing when the reader stops.
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        body = "".join(f"{i * 10},1500,0\n" for i in range(100_000))
+
+        def feed():
+            try:
+                with open(fifo, "w", encoding="utf-8") as w:
+                    w.write("t_ns,size_bytes,label\n" + body)
+            except BrokenPipeError:
+                pass  # the reader closed its end
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = tmp_path / "m.csv"
+        argv = ["measure", "--trace", str(fifo), "--system", "hicv1", "--out", str(out)]
+        try:
+            assert main(argv) == 3
+        finally:
+            # release a writer still waiting for a reader to open the pipe
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "not seekable" in err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_report_file_for_each_detector(self, tmp_path):
@@ -391,6 +423,20 @@ class TestDetect:
 
     def test_config_section_with_wrong_typed_value(self, tmp_path):
         assert self._detect_with_config(tmp_path, {"pad": {"window": "8192"}}, "pad") == 1
+
+    def test_pdmm_histogram_too_large_is_config_error(self, tmp_path, capsys):
+        # n_bins near 2**62 used to die in np.zeros with "array is too big"
+        m = _measure(tmp_path, _gen(tmp_path), "--system", "hicv1")
+        cfg = tmp_path / "det.json"
+        section = {"low_cutoff_ns": 0, "high_cutoff_ns": 4611686018427387800, "bin_width_ns": 1}
+        cfg.write_text(json.dumps({"pdmm": section}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        argv = ["detect", "--detector", "pdmm", "--measurements", str(m), "--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_bins = 4611686018427387800" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("duration_s", ["0.5", "2"])
     def test_pad_band_without_a_bin_is_config_error(self, tmp_path, capsys, duration_s):

@@ -88,6 +88,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(**kw)
 
+    # Each case sits one step either side of a chunk-size limit; a config
+    # allocates nothing, and no accepted one here is run.
+    @pytest.mark.parametrize(
+        "bin_width_ns, n_bins, too_large",
+        [
+            # keys of a chunk stay below _CHUNK_BLOCKS * span: int64 holds 4 * (2**61 - 2**41)
+            (2**40, 2**21 - 2, None),
+            (2**40, 2**21, "overflow int64"),
+            # a chunk's float64 counts take 4 * n_bins * 8 bytes
+            (1, 2**58 - 2, None),
+            (1, 2**58, "exceed the addressable size"),
+        ],
+    )
+    def test_chunk_size_limits(self, bin_width_ns, n_bins, too_large):
+        kw = dict(low_cutoff_ns=0, high_cutoff_ns=n_bins * bin_width_ns, sub_bins=2)
+        kw["bin_width_ns"] = bin_width_ns
+        assert _CHUNK_BLOCKS == 4  # the bounds above are worked out for 4-block chunks
+        if too_large is None:
+            assert PdmmConfig(**kw).n_bins == n_bins
+        else:
+            with pytest.raises(ConfigError, match=f"^n_bins = {n_bins} is too large: .*{too_large}"):
+                PdmmConfig(**kw)
+
 
 class TestAccumulateBlock:
     def test_hand_counted_orders(self):

@@ -9,6 +9,7 @@ from icmeas.errors import ConfigError, PreconditionError
 from icmeas.meassim import MeasurementSeries, load_measurements, save_measurements
 from icmeas.trafficgen import (
     _BLOCK_ROWS,
+    _COMPRESSED_SUFFIXES,
     ATTACK,
     BACKGROUND,
     AttackConfig,
@@ -500,6 +501,49 @@ def test_loaders_reject_whitespace_line_between_rows(tmp_path, kind):
     p.write_text("\n".join([header, rows[0], "  ", rows[1]]) + "\n", encoding="utf-8")
     with pytest.raises(PreconditionError):
         load(p)
+
+
+# Given a file name, np.loadtxt would pick a decompressor by these suffixes;
+# the writers write plain text under any name, and the loaders read it back.
+@pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])
+def test_plain_files_named_like_compressed_ones_round_trip(tmp_path, suffix):
+    trace = merge(
+        gen_poisson(PoissonConfig(mean_gap_ns=5 * US, duration_ns=10 * MS, seed=3)),
+        gen_periodic(AttackConfig(period_ns=800 * US, duration_ns=10 * MS)),
+    )
+    series = MeasurementSeries(*np.unique(trace.t_ns, return_counts=True))
+    for value, save, load in [
+        (trace, save_trace, load_trace),
+        (series, save_measurements, load_measurements),
+    ]:
+        plain, named = tmp_path / "plain.csv", tmp_path / f"named{suffix}"
+        save(value, plain)
+        save(value, named)
+        assert named.read_bytes() == plain.read_bytes()
+        assert load(named) == load(plain) == value
+
+
+def test_compressed_suffixes_are_the_ones_numpy_decompresses():
+    # an opener added by a numpy upgrade must join the reader's tuple
+    openers = set(np.lib._datasource._file_openers.keys()) - {None}
+    assert set(_COMPRESSED_SUFFIXES) == openers
+    assert len(_COMPRESSED_SUFFIXES) == len(openers)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_loaders_read_url_shaped_names_as_local_files(tmp_path, monkeypatch, kind):
+    # Given "http://host/x.csv", np.loadtxt would look for ./host/x.csv and
+    # then fetch the URL; the reader must open the local file of that name.
+    # The decoy ./host/x.csv is found first, so a reader that handed numpy
+    # the name would load one row instead of reaching the network.
+    load, header, rows, columns = _LOADERS[kind]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "x.csv").write_text("\n".join([header, *rows]) + "\n")
+    (tmp_path / "host").mkdir()
+    (tmp_path / "host" / "x.csv").write_text("\n".join([header, rows[1]]) + "\n")
+    got = columns(load("http://host/x.csv"))
+    assert got.tolist() == [[int(v) for v in row.split(",")] for row in rows]
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
