@@ -127,28 +127,52 @@ def _require_int64(value: int, what: str) -> None:
         raise PreconditionError(f"{what} reaches {value} ns, past the int64 range")
 
 
+def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
+    """Each packet's serialization delay (ns, rounded half to even), int64.
+
+    A one-size trace gets one entry: one shift moves every packet and keeps
+    the order.  The trace must not be empty.
+    """
+    size = trace.size_bytes
+    delay = (size[:1] if size.min() == size.max() else size) * (8e9 / cfg.bit_rate_bps)
+    np.rint(delay, out=delay)
+    # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
+    _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
+    return delay.astype(np.int64)
+
+
+def _delayed(trace: PacketTrace, delay: np.ndarray) -> PacketTrace:
+    """The trace plus _transfer_delay's delays (summed into that array), re-sorted if mixed."""
+    if len(delay) == 1:
+        return PacketTrace(trace.t_ns + delay, trace.size_bytes, trace.label)
+    delay += trace.t_ns
+    order = np.argsort(delay, kind="stable")
+    return PacketTrace(delay[order], trace.size_bytes[order], trace.label[order])
+
+
 def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     """Shift each arrival by its serialization delay; mixed sizes are stable-sorted after."""
     if len(trace) == 0:
         return trace
-    size = trace.size_bytes
-    one_size = size.min() == size.max()  # then one shift moves every packet, keeping the order
-    delay = (size[:1] if one_size else size) * (8e9 / cfg.bit_rate_bps)
-    np.rint(delay, out=delay)
-    # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
-    _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
-    if one_size:
-        return PacketTrace(trace.t_ns + delay.astype(np.int64), size, trace.label)
-    t = delay.astype(np.int64)
-    t += trace.t_ns
-    order = np.argsort(t, kind="stable")
-    return PacketTrace(t[order], size[order], trace.label[order])
+    return _delayed(trace, _transfer_delay(trace, cfg))
 
 
 # measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16
 _WALK_BELOW_RUNS = 16
 # keys the walk searches at once; 2,048-8,192 timed alike on that 2M-packet trace
 _WALK_BLOCK = 4096
+# gaps compared with the packet timer at once, so no diff the length of the trace is built
+_CUT_BLOCK = 65_536
+
+
+def _packet_timer_cuts(t: np.ndarray, packet_ns: int) -> np.ndarray:
+    """Indices of the arrivals (t non-empty) that follow a gap of at least packet_ns."""
+    return np.concatenate(
+        [
+            np.flatnonzero(np.diff(t[s : s + _CUT_BLOCK + 1]) >= packet_ns) + s + 1
+            for s in range(0, len(t), _CUT_BLOCK)
+        ]
+    )
 
 
 def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = None):
@@ -164,11 +188,7 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     a time.  Without a packet timer (TIC) the whole trace is one run.
     """
     n = len(t)
-    _require_int64(int(t[-1]) + max(absolute_ns, packet_ns or 0), "the last arrival plus a timer")
-    if packet_ns is None:
-        cut = np.empty(0, np.int64)
-    else:
-        cut = np.flatnonzero(np.diff(t) >= packet_ns) + 1
+    cut = np.empty(0, np.int64) if packet_ns is None else _packet_timer_cuts(t, packet_ns)
     cur, end = np.concatenate(([0], cut)), np.concatenate((cut, [n]))
     is_first = np.zeros(n, bool)
     while len(cur) >= _WALK_BELOW_RUNS:
@@ -208,6 +228,17 @@ def _coalesce_pic(t: np.ndarray, cfg: PicConfig):
     return np.append(m, t[-1]), np.append(count, rem), {"pic_flushed": True}
 
 
+def _check_timer_reach(last_ns: int, cfg: CoalescenceConfig) -> None:
+    """Raise PreconditionError when a timer started at the last arrival passes int64."""
+    if isinstance(cfg, TicConfig):
+        reach = cfg.timer_ns
+    elif isinstance(cfg, HicConfig):
+        reach = max(cfg.absolute_timer_ns, cfg.packet_timer_ns)
+    else:
+        return  # count-based coalescing starts no timer
+    _require_int64(last_ns + reach, "the last arrival plus a timer")
+
+
 def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
     """Group a trace into measurements under the given strategy.
 
@@ -217,6 +248,7 @@ def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
     """
     if len(trace) == 0:
         return MeasurementSeries(np.empty(0, np.int64), np.empty(0, np.int64))
+    _check_timer_reach(int(trace.t_ns[-1]), cfg)
     if isinstance(cfg, TicConfig):
         m, c, flags = _coalesce_timers(trace.t_ns, cfg.timer_ns)
     elif isinstance(cfg, PicConfig):
@@ -231,8 +263,24 @@ def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
 def measure(
     trace: PacketTrace, transfer: TransferConfig, cfg: CoalescenceConfig
 ) -> MeasurementSeries:
-    """Full measurement pipeline: transfer delay, then coalescence."""
-    return coalesce(apply_transfer(trace, transfer), cfg)
+    """Full measurement pipeline: transfer delay, then coalescence.
+
+    Coalescing commutes with one shift of every arrival: the timers group on
+    arrival differences and count-based coalescing on counts.  So a one-size
+    trace is coalesced as given and its m shifted after, and no shifted copy
+    of the trace is made; errors are those of the shifted trace.
+    """
+    if len(trace) == 0:
+        return coalesce(trace, cfg)
+    delay = _transfer_delay(trace, transfer)
+    # a size below 1 (refused on load, possible in memory) shifts back, and
+    # coalesce's own int64 check on the unshifted trace could then be stricter
+    if len(delay) > 1 or delay[0] < 0:
+        return coalesce(_delayed(trace, delay), cfg)
+    _check_timer_reach(int(trace.t_ns[-1]) + int(delay[0]), cfg)
+    series = coalesce(trace, cfg)
+    np.add(series.m_ns, delay, out=series.m_ns)  # coalesce builds m afresh, never as a view of t_ns
+    return series
 
 
 def save_measurements(series: MeasurementSeries, path, config: dict | None = None) -> None:

@@ -8,6 +8,7 @@ allowed.
 import io
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -276,6 +277,28 @@ def _field_bytes(values: np.ndarray, end: bytes) -> np.ndarray:
 # (np.lib._datasource picks the opener); see _read_int_csv.
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
 
+# The row at the end of an np.loadtxt error: a bad value's, or that of the
+# first row whose width differs from the first row's (with advice that does
+# not apply here).
+_LOADTXT_ROW = re.compile(
+    r" at row (\d+)(, column \d+\.|; use `usecols` to select a subset and avoid this error)$"
+)
+
+
+def _at_file_line(message: str, body: str) -> str:
+    """np.loadtxt's error message with its row replaced by the line of the file.
+
+    np.loadtxt counts only the body's non-empty lines as rows: from 0 in a
+    value error, from 1 in a width error.  Lines count from 1, the header's.
+    """
+    match = _LOADTXT_ROW.search(message)
+    if match is None:
+        return message
+    width_error = match[2].startswith(";")
+    row_lines = [i for i, text in enumerate(body.split("\n"), 2) if text]
+    line = row_lines[int(match[1]) - width_error]
+    return f"{message[: match.start()]} at line {line}{'' if width_error else match[2]}"
+
 
 def _read_int_csv(path, header: str) -> np.ndarray:
     """Integer rows of a CSV file whose first line must equal header.
@@ -322,8 +345,9 @@ def _read_int_csv(path, header: str) -> np.ndarray:
                     )
             except ValueError as exc:
                 f.seek(body_start)
-                if f.read().strip():
-                    raise PreconditionError(f"{path}: {exc}") from None
+                body = f.read()
+                if body.strip():
+                    raise PreconditionError(f"{path}: {_at_file_line(str(exc), body)}") from None
                 data = np.empty((0, width), np.int64)  # a body of only whitespace
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"{path}: not UTF-8 text: {exc.reason}") from None

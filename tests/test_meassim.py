@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from icmeas import COALESCENCE_PRESETS
 from icmeas.errors import ConfigError, PreconditionError
 from icmeas.meassim import (
+    _CUT_BLOCK,
     _WALK_BELOW_RUNS,
     _WALK_BLOCK,
     HicConfig,
@@ -12,6 +16,7 @@ from icmeas.meassim import (
     PicConfig,
     TicConfig,
     TransferConfig,
+    _packet_timer_cuts,
     apply_transfer,
     coalesce,
     load_measurements,
@@ -254,6 +259,114 @@ def test_measure_pipeline_applies_delay_before_grouping():
     assert series.count.tolist() == [2, 1]
 
 
+# --- measure: a one-size trace is coalesced unshifted ---
+
+
+@st.composite
+def measure_traces(draw):
+    """Sorted traces of 0-300 packets, of one size or of mixed sizes.
+
+    Gaps of 0-3 ns tie arrivals; gaps up to 20 us let a 64 B packet
+    overtake a 1500 B one at 100 Mbps, so the mixed path re-sorts.
+    """
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.integers(0, draw(st.sampled_from([3, 20_000])), n, endpoint=True)
+    t = draw(st.integers(0, 10**6)) + np.cumsum(gaps)
+    if draw(st.booleans()):
+        sizes = np.full(n, draw(st.sampled_from([-64, 1, 3, 64, 1500])))
+    else:
+        sizes = rng.choice([64, 576, 1500], n)
+    return PacketTrace(t, sizes, rng.integers(0, 2, n).astype(np.uint8))
+
+
+_MEASURE_CONFIGS = {
+    "tic": st.builds(TicConfig, st.integers(1, 50 * US)),
+    "pic": st.builds(PicConfig, st.integers(1, 12)),
+    "hic": st.builds(HicConfig, st.integers(1, 20 * US), st.integers(1, 60 * US), st.just(True)),
+}
+
+
+@pytest.mark.parametrize("rate_bps", [1e9, 100e6])
+@pytest.mark.parametrize("kind", sorted(_MEASURE_CONFIGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_measure_equals_transfer_then_coalesce(rate_bps, kind, data):
+    trace = data.draw(measure_traces())
+    cfg = data.draw(_MEASURE_CONFIGS[kind])
+    transfer = TransferConfig(bit_rate_bps=rate_bps)
+    t_before = trace.t_ns.copy()
+    got = measure(trace, transfer, cfg)
+    want = coalesce(apply_transfer(trace, transfer), cfg)
+    assert got.m_ns.dtype == got.count.dtype == np.int64
+    assert got.m_ns.tolist() == want.m_ns.tolist()
+    assert got.count.tolist() == want.count.tolist()
+    assert got.flags == want.flags  # MeasurementSeries.__eq__ leaves flags out
+    assert np.array_equal(trace.t_ns, t_before)  # m is shifted in place, the trace is not
+
+
+def _error_text(fn):
+    with pytest.raises(PreconditionError) as info:
+        fn()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("sizes", [[1500, 1500], [64, 1500]], ids=["one-size", "two-sizes"])
+def test_measure_int64_boundary_is_the_same_on_both_paths(sizes):
+    # 1 Gbps: the last packet's 1500 B take 12 us, the largest delay
+    transfer = TransferConfig(bit_rate_bps=1e9)
+
+    def both(last, cfg):
+        trace = PacketTrace([0, last], sizes, [0, 0])
+        return (
+            lambda: measure(trace, transfer, cfg),
+            lambda: coalesce(apply_transfer(trace, transfer), cfg),
+        )
+
+    timer = 300 * US
+    tic, hic = TicConfig(timer), HicConfig(30 * US, timer)
+    # the delay check comes first, also where a timer would pass int64
+    last = 2**63 - 1 - 12_000
+    got, want = both(last, PicConfig(1))
+    assert got() == want() and got().m_ns.tolist()[-1] == 2**63 - 1
+    for cfg in (PicConfig(1), tic, hic):
+        got, want = both(last + 1, cfg)
+        assert _error_text(got) == _error_text(want) == (
+            f"the last t_ns plus the largest delay reaches {2**63} ns, past the int64 range"
+        )
+    # then the timers' check, on the last arrival plus its delay plus a timer
+    last = 2**63 - 1 - 12_000 - timer
+    for cfg in (tic, hic):
+        got, want = both(last, cfg)
+        assert got() == want() and got().flags == want().flags
+        assert got().m_ns.tolist()[-1] == (2**63 - 1 if cfg is tic else last + 12_000 + 30 * US)
+        got, want = both(last + 1, cfg)
+        assert _error_text(got) == _error_text(want) == (
+            f"the last arrival plus a timer reaches {2**63} ns, past the int64 range"
+        )
+
+
+def test_measure_of_a_negative_size_checks_the_shifted_trace():
+    # load_trace refuses sizes below 1, a trace built in memory may hold them
+    trace = PacketTrace([0, 2**63 - 300 * US], [-1500, -1500], [0, 0])
+    transfer, cfg = TransferConfig(bit_rate_bps=1e9), TicConfig(300 * US)
+    got, want = measure(trace, transfer, cfg), coalesce(apply_transfer(trace, transfer), cfg)
+    assert got == want and got.m_ns.tolist()[-1] == 2**63 - 12_000
+
+
+def test_measure_of_a_one_size_trace_allocates_under_an_int64_per_packet():
+    # a shifted copy of the trace, or one n-long diff of it, takes 8 B per packet alone
+    n = 400_000
+    trace = make_trace(10 * US * np.arange(n), size=500)
+    tracemalloc.start()
+    try:
+        measure(trace, TransferConfig(), COALESCENCE_PRESETS["hicv1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
 # --- cross-checks against the independent references ---
 
 
@@ -351,6 +464,21 @@ def test_frontier_closes_runs_at_the_absolute_expiry():
     assert len(c) == n_groups
     abs_fired = _abs_fired_by_oracle(t, m, c, hard)
     assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+
+
+# --- the packet timer's cuts, a block of gaps at a time ---
+
+
+@pytest.mark.parametrize("n", [_CUT_BLOCK, _CUT_BLOCK + 1, 2 * _CUT_BLOCK + 1])
+def test_packet_timer_cuts_at_block_edges(n):
+    gaps = np.ones(n - 1, np.int64)
+    for i in (_CUT_BLOCK - 1, _CUT_BLOCK, _CUT_BLOCK + 1, n - 2):
+        if i < n - 1:
+            gaps[i] = 9  # gap i ends at arrival i + 1
+    t = np.concatenate(([0], np.cumsum(gaps)))
+    for pack in (1, 9, 10):  # every gap, exactly the long ones, none
+        want = np.flatnonzero(np.diff(t) >= pack) + 1
+        assert _packet_timer_cuts(t, pack).tolist() == want.tolist()
 
 
 # --- the walk's search blocks ---

@@ -478,6 +478,55 @@ def test_loaders_accept_loose_file_endings(tmp_path, kind, tail):
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize(
+    "form", ["plus-signs", "spaces-around-fields", "trailing-form-feed", "spaced-header"]
+)
+def test_loaders_accept_loose_forms_as_the_plain_file(tmp_path, kind, form):
+    # np.loadtxt strips whitespace around fields and takes a leading '+';
+    # the header check strips its line
+    _, header, rows, _ = _LOADERS[kind]
+    loose_header, loose_rows = {
+        "plus-signs": (header, ["+" + r.replace(",", ",+") for r in rows]),
+        "spaces-around-fields": (header, [" " + r.replace(",", " , ") + " " for r in rows]),
+        "trailing-form-feed": (header, [r + "\f" for r in rows]),
+        "spaced-header": (" " + header + "  ", rows),
+    }[form]
+    plain = _load_text(tmp_path, kind, "\n".join([header, *rows]) + "\n")
+    loose = _load_text(tmp_path, kind, "\n".join([loose_header, *loose_rows]) + "\n")
+    assert loose.tolist() == plain.tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize("name", ["bad.csv", "bad.csv.gz"])
+@pytest.mark.parametrize("case", ["value-after-blank-line", "short-row", "long-row-after-blanks"])
+def test_loader_errors_name_the_file_line(tmp_path, kind, name, case):
+    # the header is line 1; np.loadtxt's own row skips blank lines and counts
+    # from 0 for a bad value but from 1 for a width change
+    load, header, rows, _ = _LOADERS[kind]
+    width = header.count(",") + 1
+    bad_value = "100,x" + ",0" * (width - 2)
+    lines, message = {
+        "value-after-blank-line": (
+            [rows[0], "", bad_value],
+            "could not convert string 'x' to int64 at line 4, column 2.",
+        ),
+        "short-row": (
+            [rows[0], rows[1].rsplit(",", 1)[0]],
+            f"the number of columns changed from {width} to {width - 1} at line 3",
+        ),
+        "long-row-after-blanks": (
+            ["", rows[0], "", "", rows[1] + ",7"],
+            f"the number of columns changed from {width} to {width + 1} at line 6",
+        ),
+    }[case]
+    p = tmp_path / name
+    p.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(PreconditionError) as info:
+        load(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
 @pytest.mark.parametrize("second", ["short", "long", "comment-line", "trailing-comment"])
 def test_loaders_reject_bad_second_row(tmp_path, kind, second):
     # the writer never emits a '#', so the reader takes it for no comment marker
