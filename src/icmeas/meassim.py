@@ -273,9 +273,7 @@ def measure(
     if len(trace) == 0:
         return coalesce(trace, cfg)
     delay = _transfer_delay(trace, transfer)
-    # a size below 1 (refused on load, possible in memory) shifts back, and
-    # coalesce's own int64 check on the unshifted trace could then be stricter
-    if len(delay) > 1 or delay[0] < 0:
+    if len(delay) > 1:
         return coalesce(_delayed(trace, delay), cfg)
     _check_timer_reach(int(trace.t_ns[-1]) + int(delay[0]), cfg)
     series = coalesce(trace, cfg)

@@ -24,20 +24,35 @@ _TRACE_HEADER = "t_ns,size_bytes,label"
 
 @dataclass(frozen=True, eq=False)
 class PacketTrace:
-    """Column-oriented packet sequence; unsorted t_ns raises PreconditionError."""
+    """Column-oriented packet sequence.
+
+    PreconditionError unless t_ns >= 0, size_bytes >= 1, every label is 0 or
+    1, and t_ns is sorted.  A column may be a read-only view, such as a
+    broadcast of one value; nothing in the package writes into a trace column.
+    """
 
     t_ns: np.ndarray
     size_bytes: np.ndarray
     label: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_ns", np.asarray(self.t_ns, dtype=np.int64))
-        object.__setattr__(self, "size_bytes", np.asarray(self.size_bytes, dtype=np.int64))
-        object.__setattr__(self, "label", np.asarray(self.label, dtype=np.uint8))
-        if not (len(self.t_ns) == len(self.size_bytes) == len(self.label)):
+        t = np.asarray(self.t_ns, dtype=np.int64)
+        size = np.asarray(self.size_bytes, dtype=np.int64)
+        label = np.asarray(self.label)  # checked before the uint8 cast could wrap it
+        if not (len(t) == len(size) == len(label)):
             raise ConfigError("trace columns must have equal length")
-        if np.any(self.t_ns[1:] < self.t_ns[:-1]):
+        if len(t):
+            if t[0] < 0:  # t is checked sorted below, so t[0] is its least entry
+                raise PreconditionError("t_ns must be non-negative")
+            if size.min() < 1:
+                raise PreconditionError("size_bytes must be >= 1")
+            if not (BACKGROUND <= label.min() and label.max() <= ATTACK):  # NaN fails too
+                raise PreconditionError(f"labels must be {BACKGROUND} or {ATTACK}")
+        if np.any(t[1:] < t[:-1]):
             raise PreconditionError("trace is not sorted by t_ns")
+        object.__setattr__(self, "t_ns", t)
+        object.__setattr__(self, "size_bytes", size)
+        object.__setattr__(self, "label", label.astype(np.uint8, copy=False))
 
     def __len__(self):
         return len(self.t_ns)
@@ -126,7 +141,7 @@ def _draw_sizes(rng, n, cfg) -> np.ndarray:
         weights = np.array([w for _, w in cfg.size_mix], float)
         weights = weights / weights.sum()
         return rng.choice(sizes, size=n, p=weights)
-    return np.full(n, cfg.size_bytes, np.int64)
+    return np.broadcast_to(np.int64(cfg.size_bytes), (n,))
 
 
 def gen_poisson(cfg: PoissonConfig) -> PacketTrace:
@@ -145,10 +160,11 @@ def gen_poisson(cfg: PoissonConfig) -> PacketTrace:
     t = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     np.cumsum(t, out=t)  # gaps are >= 0, so t is nondecreasing and each cut is a prefix
     t = t[: np.searchsorted(t, cfg.duration_ns)]
-    t_ns = np.rint(t, out=t).astype(np.int64)
+    t_ns = np.rint(t, out=t).view(np.int64)
+    np.copyto(t_ns, t, casting="unsafe")  # cast in place: element i is read before it is written
     t_ns = t_ns[: np.searchsorted(t_ns, cfg.duration_ns)]  # rounding may touch the boundary
     sizes = _draw_sizes(rng, len(t_ns), cfg)
-    return PacketTrace(t_ns, sizes, np.zeros(len(t_ns), np.uint8))
+    return PacketTrace(t_ns, sizes, np.broadcast_to(np.uint8(BACKGROUND), t_ns.shape))
 
 
 def gen_periodic(cfg: AttackConfig) -> PacketTrace:
@@ -165,8 +181,8 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
         np.clip(jitter, -bound, bound, out=jitter)
         t_ns = np.maximum(t_ns + jitter, 0)
     t_ns = t_ns[t_ns < cfg.duration_ns]
-    sizes = np.full(len(t_ns), cfg.size_bytes, np.int64)
-    return PacketTrace(t_ns, sizes, np.ones(len(t_ns), np.uint8))
+    sizes = np.broadcast_to(np.int64(cfg.size_bytes), t_ns.shape)
+    return PacketTrace(t_ns, sizes, np.broadcast_to(np.uint8(ATTACK), t_ns.shape))
 
 
 def _one_label(trace: PacketTrace) -> bool:
@@ -209,26 +225,8 @@ def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
     return PacketTrace(*cols, label)
 
 
-def _check_trace_rows(t_ns, size_bytes, label) -> None:
-    """Raise PreconditionError unless t_ns >= 0, size_bytes >= 1 and every label is 0 or 1.
-
-    The rules of a trace file, which save_trace and load_trace both apply.
-    """
-    if np.any(t_ns < 0):
-        raise PreconditionError("t_ns must be non-negative")
-    if np.any(size_bytes < 1):
-        raise PreconditionError("size_bytes must be >= 1")
-    if np.any((label != BACKGROUND) & (label != ATTACK)):
-        raise PreconditionError(f"labels must be {BACKGROUND} or {ATTACK}")
-
-
 def save_trace(trace: PacketTrace, path) -> None:
-    """Write the t_ns,size_bytes,label CSV.
-
-    A trace that breaks the rules load_trace checks raises
-    PreconditionError before any file is opened.
-    """
-    _check_trace_rows(trace.t_ns, trace.size_bytes, trace.label)
+    """Write the t_ns,size_bytes,label CSV; PacketTrace holds the rules load_trace checks."""
     _write_int_csv(path, _TRACE_HEADER, [trace.t_ns, trace.size_bytes, trace.label])
 
 
@@ -295,9 +293,13 @@ def _at_file_line(message: str, body: str) -> str:
     if match is None:
         return message
     width_error = match[2].startswith(";")
-    row_lines = [i for i, text in enumerate(body.split("\n"), 2) if text]
-    line = row_lines[int(match[1]) - width_error]
+    line = _row_line(body, int(match[1]) - width_error)
     return f"{message[: match.start()]} at line {line}{'' if width_error else match[2]}"
+
+
+def _row_line(body: str, row: int) -> int:
+    """The file line of the body's row (from 0; a row is a non-empty line; the header is line 1)."""
+    return [i for i, text in enumerate(body.split("\n"), 2) if text][row]
 
 
 def _read_int_csv(path, header: str) -> np.ndarray:
@@ -349,12 +351,14 @@ def _read_int_csv(path, header: str) -> np.ndarray:
                 if body.strip():
                     raise PreconditionError(f"{path}: {_at_file_line(str(exc), body)}") from None
                 data = np.empty((0, width), np.int64)  # a body of only whitespace
+            if len(data) and data.shape[1] != width:  # every row has the same wrong width
+                f.seek(body_start)
+                found = f"found {data.shape[1]} at line {_row_line(f.read(), 0)}"
+                raise PreconditionError(f"{path}: rows must have {width} columns, {found}")
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if len(data) == 0:  # np.loadtxt gives shape (0, 1) when no row was read
         return np.empty((0, width), np.int64)
-    if data.shape[1] != width:
-        raise PreconditionError(f"{path}: rows must have {width} columns")
     return data
 
 
@@ -362,7 +366,6 @@ def load_trace(path) -> PacketTrace:
     """Read a trace CSV; rows must be sorted by t_ns >= 0, with sizes >= 1 and labels 0 or 1."""
     data = _read_int_csv(path, _TRACE_HEADER)
     try:
-        _check_trace_rows(*data.T)  # before the uint8 label cast could wrap a label
         return PacketTrace(*data.T)
     except PreconditionError as exc:
         raise PreconditionError(f"{path}: {exc}") from None

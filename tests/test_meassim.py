@@ -274,7 +274,7 @@ def measure_traces(draw):
     gaps = rng.integers(0, draw(st.sampled_from([3, 20_000])), n, endpoint=True)
     t = draw(st.integers(0, 10**6)) + np.cumsum(gaps)
     if draw(st.booleans()):
-        sizes = np.full(n, draw(st.sampled_from([-64, 1, 3, 64, 1500])))
+        sizes = np.full(n, draw(st.sampled_from([1, 3, 64, 1500])))
     else:
         sizes = rng.choice([64, 576, 1500], n)
     return PacketTrace(t, sizes, rng.integers(0, 2, n).astype(np.uint8))
@@ -346,12 +346,10 @@ def test_measure_int64_boundary_is_the_same_on_both_paths(sizes):
         )
 
 
-def test_measure_of_a_negative_size_checks_the_shifted_trace():
-    # load_trace refuses sizes below 1, a trace built in memory may hold them
-    trace = PacketTrace([0, 2**63 - 300 * US], [-1500, -1500], [0, 0])
-    transfer, cfg = TransferConfig(bit_rate_bps=1e9), TicConfig(300 * US)
-    got, want = measure(trace, transfer, cfg), coalesce(apply_transfer(trace, transfer), cfg)
-    assert got == want and got.m_ns.tolist()[-1] == 2**63 - 12_000
+def test_measure_never_sees_a_size_below_1():
+    # a size below 1 would shift packets back in time; a trace cannot hold one
+    with pytest.raises(PreconditionError, match="^size_bytes must be >= 1$"):
+        measure(PacketTrace([0, 5], [-1500, -1500], [0, 0]), TransferConfig(), PicConfig(1))
 
 
 def test_measure_of_a_one_size_trace_allocates_under_an_int64_per_packet():

@@ -120,6 +120,45 @@ def test_poisson_size_mix():
     assert frac == pytest.approx(0.25, abs=0.01)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_expect=st.integers(0, 3000),
+    mean_gap_ns=st.floats(0.01, 1e15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_poisson_times_are_the_rounded_draws_on_drawn_configs(n_expect, mean_gap_ns, seed):
+    # times up to ~3e18 ns; the reference rounds into a new array with np.rint(t).astype(np.int64)
+    cfg = PoissonConfig(mean_gap_ns=mean_gap_ns, duration_ns=int(n_expect * mean_gap_ns), seed=seed)
+    got = gen_poisson(cfg)
+    assert got.t_ns.dtype == np.int64
+    assert np.array_equal(got.t_ns, gen_poisson_reference(cfg).t_ns)
+
+
+@pytest.mark.parametrize(
+    "gen, cfg, size, label",
+    [
+        (gen_poisson, PoissonConfig(19_000.0, 50 * MS, seed=4, size_bytes=500), 500, BACKGROUND),
+        (gen_periodic, AttackConfig(period_ns=400 * US, duration_ns=50 * MS), 1500, ATTACK),
+        (
+            gen_periodic,
+            AttackConfig(400 * US, 50 * MS, size_bytes=64, jitter_stddev_ns=1000.0, seed=5),
+            64,
+            ATTACK,
+        ),
+    ],
+    ids=["poisson", "periodic", "periodic-jittered"],
+)
+def test_generated_one_value_columns_are_read_only_and_full(gen, cfg, size, label):
+    trace = gen(cfg)
+    n = len(trace)
+    assert n > 100
+    wants = (np.full(n, size, np.int64), np.full(n, label, np.uint8))
+    for col, want in zip((trace.size_bytes, trace.label), wants):
+        assert not col.flags.writeable
+        assert col.dtype == want.dtype and col.shape == want.shape
+        assert np.array_equal(col, want)
+
+
 def test_periodic_exact_grid():
     cfg = AttackConfig(period_ns=400 * US, duration_ns=2 * MS)
     trace = gen_periodic(cfg)
@@ -257,6 +296,16 @@ def test_trace_is_sorted_by_construction(tmp_path):
     assert str(p) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "label",
+    [np.array([256, 0]), [256, 0], [-1, 0], [2**70, 0], np.array([0.0, np.nan])],
+    ids=["array-256", "list-256", "minus-one", "past-int64", "nan"],
+)
+def test_trace_refuses_labels_the_uint8_cast_would_wrap(label):
+    with pytest.raises(PreconditionError, match="^labels must be 0 or 1$"):
+        PacketTrace([0, 1], [1, 1], label)
+
+
 def test_trace_roundtrip(tmp_path):
     cfg = PoissonConfig(mean_gap_ns=5_000.0, duration_ns=10 * MS, seed=11)
     trace = merge(
@@ -353,10 +402,10 @@ def test_save_trace_literal_text(tmp_path):
     ids=["negative-time", "size-zero", "label-two"],
 )
 def test_save_trace_refuses_what_load_refuses(tmp_path, t_ns, size_bytes, label, message):
-    trace = PacketTrace(np.array(t_ns), np.array(size_bytes), np.array(label))
+    # such a trace cannot be built, so it never reaches the writer
     p = tmp_path / "trace.csv"
     with pytest.raises(PreconditionError, match=f"^{message}$"):
-        save_trace(trace, p)
+        save_trace(PacketTrace(np.array(t_ns), np.array(size_bytes), np.array(label)), p)
     assert not p.exists()
     # the rows as text, written by hand, are refused by the loader for the same rule
     rows = "".join(f"{t},{s},{c}\n" for t, s, c in zip(t_ns, size_bytes, label))
@@ -498,10 +547,20 @@ def test_loaders_accept_loose_forms_as_the_plain_file(tmp_path, kind, form):
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
 @pytest.mark.parametrize("name", ["bad.csv", "bad.csv.gz"])
-@pytest.mark.parametrize("case", ["value-after-blank-line", "short-row", "long-row-after-blanks"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "value-after-blank-line",
+        "short-row",
+        "long-row-after-blanks",
+        "every-row-short",
+        "every-row-long-after-blanks",
+    ],
+)
 def test_loader_errors_name_the_file_line(tmp_path, kind, name, case):
     # the header is line 1; np.loadtxt's own row skips blank lines and counts
-    # from 0 for a bad value but from 1 for a width change
+    # from 0 for a bad value but from 1 for a width change; when every row
+    # has the same wrong width, the first row's line is named
     load, header, rows, _ = _LOADERS[kind]
     width = header.count(",") + 1
     bad_value = "100,x" + ",0" * (width - 2)
@@ -517,6 +576,14 @@ def test_loader_errors_name_the_file_line(tmp_path, kind, name, case):
         "long-row-after-blanks": (
             ["", rows[0], "", "", rows[1] + ",7"],
             f"the number of columns changed from {width} to {width + 1} at line 6",
+        ),
+        "every-row-short": (
+            [r.rsplit(",", 1)[0] for r in rows],
+            f"rows must have {width} columns, found {width - 1} at line 2",
+        ),
+        "every-row-long-after-blanks": (
+            ["", "", rows[0] + ",7", "", rows[1] + ",7"],
+            f"rows must have {width} columns, found {width + 1} at line 4",
         ),
     }[case]
     p = tmp_path / name
