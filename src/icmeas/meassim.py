@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, require_finite
-from .trafficgen import PacketTrace, _read_int_csv, _write_int_csv
+from .trafficgen import PacketTrace, _read_int_csv, _stored, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
 
@@ -134,7 +134,8 @@ def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
     the order.  The trace must not be empty.
     """
     size = trace.size_bytes
-    delay = (size[:1] if size.min() == size.max() else size) * (8e9 / cfg.bit_rate_bps)
+    sizes = _stored(size)
+    delay = (size[:1] if sizes.min() == sizes.max() else size) * (8e9 / cfg.bit_rate_bps)
     np.rint(delay, out=delay)
     # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
     _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
@@ -184,8 +185,11 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     the next group).  Runs advance together as a vectorized frontier while
     many are open; only a run whose last arrival reaches its group's expiry
     searches for its next start, the rest being one group.  The last few are
-    walked group by group, each searching its next starts a block of keys at
-    a time.  Without a packet timer (TIC) the whole trace is one run.
+    walked a block of keys at a time: a block in which a group from any key
+    would hold the same number of arrivals (a constant stride) is checked by
+    two shifted comparisons and written in one strided assignment; any other
+    searches each key's next start and steps group by group.  Without a
+    packet timer (TIC) the whole trace is one run.
     """
     n = len(t)
     cut = np.empty(0, np.int64) if packet_ns is None else _packet_timer_cuts(t, packet_ns)
@@ -197,11 +201,20 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
         open_ = t[end - 1] >= expiry
         cur, end = np.searchsorted(t, expiry[open_], side="left"), end[open_]
     for i, e in zip(cur.tolist(), end.tolist()):
+        run = t[:e]  # slices of it stop at the run's end
         while i < e:
-            # keys are sorted, so every key's next start lies in t[i:ub], ub being the last key's
             stop = min(i + _WALK_BLOCK, e)
-            ub = i + int(np.searchsorted(t[i:e], t[stop - 1] + absolute_ns, side="left"))
-            hop = memoryview(np.searchsorted(t[i:ub], t[i:stop] + absolute_ns, side="left"))
+            keys = t[i:stop] + absolute_ns
+            # if every key hops `stride` on (or past the run), the block's starts are i::stride
+            stride = int(np.searchsorted(run[i:], keys[0], side="left"))
+            below, above = run[i + stride - 1 : stop + stride - 1], run[i + stride : stop + stride]
+            if np.all(below < keys[: len(below)]) and np.all(keys[: len(above)] <= above):
+                is_first[i:stop:stride] = True
+                i += -((i - stop) // stride) * stride  # the first multiple of stride past stop
+                continue
+            # keys are sorted, so every key's next start lies in t[i:ub], ub being the last key's
+            ub = i + int(np.searchsorted(run[i:], keys[-1], side="left"))
+            hop = memoryview(np.searchsorted(t[i:ub], keys, side="left"))
             j, block_len = 0, stop - i
             while j < block_len:
                 is_first[i + j] = True

@@ -22,6 +22,11 @@ ATTACK = 1
 _TRACE_HEADER = "t_ns,size_bytes,label"
 
 
+def _stored(col: np.ndarray) -> np.ndarray:
+    """The column's stored entries, for a reduction: a broadcast of one value (stride 0) stores one."""
+    return col[:1] if col.strides == (0,) else col
+
+
 @dataclass(frozen=True, eq=False)
 class PacketTrace:
     """Column-oriented packet sequence.
@@ -44,9 +49,10 @@ class PacketTrace:
         if len(t):
             if t[0] < 0:  # t is checked sorted below, so t[0] is its least entry
                 raise PreconditionError("t_ns must be non-negative")
-            if size.min() < 1:
+            if _stored(size).min() < 1:
                 raise PreconditionError("size_bytes must be >= 1")
-            if not (BACKGROUND <= label.min() and label.max() <= ATTACK):  # NaN fails too
+            stored = _stored(label)
+            if not (BACKGROUND <= stored.min() and stored.max() <= ATTACK):  # NaN fails too
                 raise PreconditionError(f"labels must be {BACKGROUND} or {ATTACK}")
         if np.any(t[1:] < t[:-1]):
             raise PreconditionError("trace is not sorted by t_ns")
@@ -186,7 +192,8 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
 
 
 def _one_label(trace: PacketTrace) -> bool:
-    return len(trace) == 0 or trace.label.min() == trace.label.max()
+    labels = _stored(trace.label)
+    return len(trace) == 0 or labels.min() == labels.max()
 
 
 def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:

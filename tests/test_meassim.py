@@ -541,6 +541,86 @@ def test_walk_tied_stamps_straddle_a_block_edge(hard):
     _assert_walk_matches_references(t, 2, hard)
 
 
+# a lattice under a timer of 13 spacings: every key lands exactly on the
+# arrival 13 on, so a block of the walk starts every ceil(B / 13) * 13 keys,
+# and B - 1 being a multiple of 13, each block's last key opens a group
+_STRIDE = 13
+_SECOND_BLOCK = -(-_B // _STRIDE) * _STRIDE
+
+
+@pytest.mark.parametrize("spacing", [1, 10])
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize(
+    "moved",
+    [_SECOND_BLOCK, _SECOND_BLOCK + 1_000, _SECOND_BLOCK + _B - 1, _SECOND_BLOCK + _B + 11],
+    ids=["first-key", "interior-key", "last-key", "last-key-target"],
+)
+def test_walk_regular_trace_with_one_key_moved(moved, delta, spacing):
+    # a key 1 ns early leaves the expiry 13 keys back unreached; 1 ns late,
+    # its own expiry falls 1 ns short of the arrival 13 on; on the 1 ns
+    # lattice a move also reaches a neighbour's stamp, shortening a hop: 1 ns
+    # late, the arrival 12 past a block's last key cuts that key's hop alone
+    t = 100 + spacing * np.arange(3 * _B + 7)
+    t[moved] += delta
+    hard = spacing * _STRIDE
+    _assert_walk_matches_references(t, 2 * spacing + 1, hard)
+    _assert_walk_matches_references(t, hard + 2, hard)  # inverted
+
+
+@pytest.mark.parametrize("past", [1, _STRIDE - 1, _STRIDE, _STRIDE + 1])
+def test_walk_run_ends_within_a_stride_of_a_block(past):
+    # the first block's last key hops to key B + 12: past the run's end until past reaches 13
+    _assert_walk_matches_references(100 + 10 * np.arange(_B + past), 11, 10 * _STRIDE)
+
+
+@pytest.mark.parametrize("cfg", [TicConfig(125 * US), *COALESCENCE_PRESETS.values()])
+def test_walk_on_constant_spacing_searches_no_block_of_keys(monkeypatch, cfg):
+    # every group of a constant-spacing run holds the same number of arrivals,
+    # so each block is one strided write: only single keys are searched
+    multi_key = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        if np.ndim(v) and np.size(v) > 1:
+            multi_key.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    trace = make_trace(10 * US * np.arange(200_000))
+    series = coalesce(trace, cfg)
+    assert series.total_packets() == len(trace)
+    assert multi_key == []
+
+
+@st.composite
+def piecewise_regular_cases(draw):
+    """(sorted stamps, packet timer, absolute timer) of one run in 1-3 regular pieces.
+
+    Each piece is up to 3 blocks of one spacing, which divides the absolute
+    timer or is drawn freely; a rare stamp is moved by 1 ns either way.  The
+    packet timer sits above every gap, so the walk groups the whole trace.
+    """
+    hard = draw(st.integers(2, 200))
+    divisors = [d for d in range(1, hard + 1) if hard % d == 0]
+    gaps = []
+    for _ in range(draw(st.integers(1, 3))):
+        spacing = draw(st.sampled_from(divisors) | st.integers(1, hard + 5))
+        gaps.append(np.full(draw(st.integers(1, 3 * _B)), spacing, np.int64))
+    t = draw(st.integers(1, 1_000)) + np.cumsum(np.concatenate(gaps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moved = rng.random(len(t)) < draw(st.sampled_from([0.0, 1e-4, 1e-3]))
+    t[moved] += rng.choice([-1, 1], size=int(moved.sum()))
+    t.sort()  # a 1 ns move on a 1 ns spacing may pass a neighbour
+    pack = int(np.diff(t).max(initial=0)) + draw(st.integers(1, hard + 5))
+    return t, pack, hard
+
+
+@settings(max_examples=40, deadline=None)
+@given(piecewise_regular_cases())
+def test_walk_properties_on_piecewise_regular_traces(case):
+    _assert_walk_matches_references(*case)
+
+
 # --- properties over random traces ---
 
 

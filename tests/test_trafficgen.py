@@ -306,6 +306,25 @@ def test_trace_refuses_labels_the_uint8_cast_would_wrap(label):
         PacketTrace([0, 1], [1, 1], label)
 
 
+@pytest.mark.parametrize(
+    "size, label, message",
+    [
+        (np.int64(0), np.uint8(0), "size_bytes must be >= 1"),
+        (np.int64(1), np.uint8(2), "labels must be 0 or 1"),
+        (np.int64(1), np.int64(256), "labels must be 0 or 1"),
+        (np.int64(1), np.float64(np.nan), "labels must be 0 or 1"),
+    ],
+    ids=["size-zero", "label-two", "int64-label-256", "nan-label"],
+)
+def test_trace_refuses_broadcast_columns_as_their_copies(size, label, message):
+    # a broadcast column is read once, at its one value; its copy is reduced
+    cols = np.broadcast_to(size, (3,)), np.broadcast_to(label, (3,))
+    assert all(col.strides == (0,) for col in cols)
+    for size_col, label_col in (cols, [np.ascontiguousarray(col) for col in cols]):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            PacketTrace([0, 1, 2], size_col, label_col)
+
+
 def test_trace_roundtrip(tmp_path):
     cfg = PoissonConfig(mean_gap_ns=5_000.0, duration_ns=10 * MS, seed=11)
     trace = merge(
