@@ -296,7 +296,7 @@ def _cmd_experiment(args) -> int:
     else:
         raise ConfigError("experiment needs --preset or --config")
     results = run_systems(cfg, systems)
-    emit_results(results, json_path=args.out + ".json", csv_path=args.out + ".csv")
+    emit_results(results, args.out)
     for name in sorted(results):
         for det, agg in results[name].aggregate.items():
             med = agg["median_ttd_ns"]

@@ -198,10 +198,11 @@ def build_trace(
     """The Poisson background trace, merged with the periodic attack when given.
 
     With a transfer config each component is delayed before the merge, so
-    the result is the transferred trace in arrival order; packets that
-    arrive at the same instant are ordered background before attack.  A
-    component of one packet size moves by one shift and the merge inserts
-    one component into the other, so neither sorts.
+    the result is the transferred trace in arrival order.  The background
+    is passed to merge first, and merge orders packets that arrive at the
+    same instant by argument order, so they go background before attack.
+    A component of one packet size moves by one shift and the merge
+    inserts the attack into the background, so neither sorts.
     """
     parts = [gen_poisson(background)]
     if attack is not None:
@@ -319,14 +320,11 @@ def results_csv(results: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_results(results: dict, json_path=None, csv_path=None) -> None:
-    """Write the JSON and/or CSV renderings of a results mapping."""
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(results_json(results))
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(results_csv(results))
+def emit_results(results: dict, out) -> None:
+    """Write the JSON and CSV renderings of a results mapping to {out}.json and {out}.csv."""
+    for suffix, render in ((".json", results_json), (".csv", results_csv)):
+        with open(f"{out}{suffix}", "w", encoding="utf-8", newline="\n") as f:
+            f.write(render(results))
 
 
 def config_to_dict(obj) -> dict:

@@ -163,8 +163,6 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     end = first + length
     counts = np.zeros(n_blocks * n_bins)
     top = min(cfg.max_order, end - 1)
-    if length < 1 or top < 1:
-        return counts.reshape(n_blocks, n_bins)
     shifted = m[:end] + cfg.low_cutoff_ns
     # span = n_bins * bin_width_ns, so block k's keys floor-divide to k * n_bins + raw_bin
     offset = np.repeat(np.arange(0, n_blocks * span, span, dtype=np.int64), block_len)

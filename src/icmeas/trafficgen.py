@@ -191,45 +191,28 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
     return PacketTrace(t_ns, sizes, np.broadcast_to(np.uint8(ATTACK), t_ns.shape))
 
 
-def _one_label(trace: PacketTrace) -> bool:
-    labels = _stored(trace.label)
-    return len(trace) == 0 or labels.min() == labels.max()
-
-
 def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
-    """Merge two traces; ties are ordered background before attack.
+    """Merge two traces by time; on a tie a's packets go before b's.
 
-    Rows equal in (t_ns, label) keep input order, a's before b's.  When each
-    input carries one label, the smaller is inserted into the larger by
-    position and each output column is written once; otherwise the
-    concatenation is sorted.
+    b's packets are inserted into a by position.  Each output column is
+    filled with a's value where a's column holds one value, or else gets
+    a's column copied around b's rows; b's column is then written in.
     """
-    if not (_one_label(a) and _one_label(b)):
-        t = np.concatenate([a.t_ns, b.t_ns])
-        size = np.concatenate([a.size_bytes, b.size_bytes])
-        label = np.concatenate([a.label, b.label])
-        order = np.lexsort((label, t))  # stable: equal (t, label) keep input order
-        return PacketTrace(t[order], size[order], label[order])
-    small_is_a = len(a) < len(b)
-    small, big = (a, b) if small_is_a else (b, a)
-    side = "right"
-    if len(small):
-        s, g = small.label[0], big.label[0]
-        if s < g or (s == g and small_is_a):
-            side = "left"  # the small trace's packets go first on a tie
-    pos = np.searchsorted(big.t_ns, small.t_ns, side=side)
-    pos += np.arange(len(small))
-    keep = np.ones(len(a) + len(b), bool)
+    n = len(a) + len(b)
+    pos = np.searchsorted(a.t_ns, b.t_ns, side="right") + np.arange(len(b))
+    keep = np.ones(n, bool)
     keep[pos] = False
     cols = []
-    for s_col, g_col in zip((small.t_ns, small.size_bytes), (big.t_ns, big.size_bytes)):
-        out = np.empty(len(keep), g_col.dtype)
-        out[pos] = s_col
-        out[keep] = g_col
+    for a_col, b_col in zip((a.t_ns, a.size_bytes, a.label), (b.t_ns, b.size_bytes, b.label)):
+        stored = _stored(a_col)
+        if len(stored) == 1:
+            out = np.full(n, stored[0], a_col.dtype)
+        else:
+            out = np.empty(n, a_col.dtype)
+            out[keep] = a_col
+        out[pos] = b_col
         cols.append(out)
-    label = np.full(len(keep), big.label[0] if len(big) else 0, big.label.dtype)
-    label[pos] = small.label
-    return PacketTrace(*cols, label)
+    return PacketTrace(*cols)
 
 
 def save_trace(trace: PacketTrace, path) -> None:

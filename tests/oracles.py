@@ -175,11 +175,11 @@ def gen_poisson_reference(cfg):
 
 
 def merge_reference(a, b):
-    """Merge two traces by a stable lexsort of their concatenation, by (t_ns, label)."""
+    """Merge two traces by a stable time sort of their concatenation: on a tie, a's rows first."""
     t = np.concatenate([a.t_ns, b.t_ns])
     size = np.concatenate([a.size_bytes, b.size_bytes])
     label = np.concatenate([a.label, b.label])
-    order = np.lexsort((label, t))  # stable: equal (t, label) keep input order
+    order = np.argsort(t, kind="stable")  # equal times keep input order
     return PacketTrace(t[order], size[order], label[order])
 
 

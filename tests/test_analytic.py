@@ -258,6 +258,12 @@ class TestRatioEstimator:
         with pytest.raises(InsufficientDataError):
             estimate_lambda_ratio(_series([5], [3]))
 
+    def test_decreasing_series_is_refused(self):
+        with pytest.raises(
+            InsufficientDataError, match="^measurement timestamps are not increasing$"
+        ):
+            estimate_lambda_ratio(_series([300, 200, 100], [2, 2, 2]))
+
     def test_recovers_poisson_rate(self):
         lam = 12.5 * US
         ms = _poisson_measured(lam, 1_000_000, seed=411, hic=HicConfig(30 * US, 300 * US))

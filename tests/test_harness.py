@@ -204,6 +204,10 @@ class TestMeasurementStats:
         with pytest.raises(InsufficientDataError):
             measurement_stats(_series([5], [1]))
 
+    def test_zero_span_is_insufficient(self):
+        with pytest.raises(InsufficientDataError, match="^measurement span must be positive$"):
+            measurement_stats(MeasurementSeries(np.array([5, 5]), np.array([1, 1]), {}))
+
 
 class TestBuildTrace:
     def test_background_alone_and_merged_with_attack(self):
@@ -215,7 +219,7 @@ class TestBuildTrace:
 
     @staticmethod
     def _reference(background, attack, transfer):
-        """gen_poisson and gen_periodic, each delayed per packet, merged by lexsort."""
+        """gen_poisson and gen_periodic, each delayed per packet, merged by a stable time sort."""
         parts = [gen_poisson(background)]
         if attack is not None:
             parts.append(gen_periodic(attack))
@@ -512,15 +516,13 @@ class TestSerialization:
 
     def test_emit_results_writes_files(self, tmp_path):
         results = self._results()
-        jp = tmp_path / "out.json"
-        cp = tmp_path / "out.csv"
-        emit_results(results, json_path=jp, csv_path=cp)
-        assert jp.read_text(encoding="utf-8") == results_json(results)
-        assert cp.read_text(encoding="utf-8") == results_csv(results)
+        emit_results(results, tmp_path / "out")
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == results_json(results)
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == results_csv(results)
 
     def test_emit_results_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
-            emit_results(self._results(), json_path=tmp_path / "no" / "dir" / "x.json")
+            emit_results(self._results(), tmp_path / "no" / "dir" / "x")
 
 
 def _json_round_trip(cfg, cls=ExperimentConfig):

@@ -49,6 +49,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PadConfig(**kw)
 
+    def test_band_search_steps_down_onto_the_bin_at_min_freq(self):
+        # min_freq_hz over the 26.04 Hz bin width is 11.000000000000002, so the
+        # search starts at bin 12 and steps down to bin 11, which sits on min_freq_hz
+        kw = dict(
+            sample_interval_ns=300_000, window=1024, segments=8, min_freq_hz=286.45833333333337
+        )
+        freqs = np.fft.rfftfreq(1024 // 8, d=300_000 / 1e9)
+        assert np.flatnonzero(freqs >= kw["min_freq_hz"])[0] == 11
+        PadConfig(**kw, max_freq_hz=1000.0)
+        PadConfig(**kw, max_freq_hz=300.0)  # bin 11 is the only one in this band
+
     @pytest.mark.parametrize("sample_interval_ns", [1_000, 100_000, 123_457])
     @pytest.mark.parametrize("window,segments", [(64, 1), (1024, 4), (8192, 8)])
     def test_band_check_matches_rfftfreq(self, sample_interval_ns, window, segments):

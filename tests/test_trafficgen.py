@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -17,6 +18,7 @@ from icmeas.trafficgen import (
     PoissonConfig,
     gen_periodic,
     gen_poisson,
+    _at_file_line,
     _write_int_csv,
     load_trace,
     merge,
@@ -171,6 +173,11 @@ def test_periodic_offset_and_duration_edge():
     trace = gen_periodic(cfg)
     # last point 250 < 300; 350 would exceed the window
     assert trace.t_ns.tolist() == [50, 150, 250]
+    # a train that would start at or after the duration has no packet
+    for duration_ns in (0, 49, 50):
+        empty = gen_periodic(dataclasses.replace(cfg, duration_ns=duration_ns))
+        assert empty == PacketTrace.empty()
+        assert empty.t_ns.dtype == np.int64 and empty.label.dtype == np.uint8
 
 
 def test_periodic_jitter_stays_near_grid():
@@ -206,12 +213,22 @@ def test_merge_interleaves_and_breaks_ties_background_first():
     assert out.size_bytes.tolist() == [500, 500, 1500, 500, 1500]
 
 
+def test_merge_ties_follow_argument_order_not_labels():
+    bg = PacketTrace(np.array([0, 100, 200]), np.array([500, 500, 500]), np.array([0, 0, 0]))
+    atk = PacketTrace(np.array([100, 250]), np.array([1500, 1500]), np.array([1, 1]))
+    out = merge(atk, bg)
+    assert out.t_ns.tolist() == [0, 100, 100, 200, 250]
+    assert out.label.tolist() == [0, 1, 0, 0, 1]
+    assert out.size_bytes.tolist() == [500, 1500, 500, 500, 1500]
+
+
 @st.composite
 def merge_traces(draw):
     """A sorted trace of 0-12 packets on a few timestamps, so ties are common.
 
-    Its labels are all BACKGROUND, all ATTACK, or mixed; each row's size is
-    distinct, so a reordering of tied rows shows in the size column.
+    Its labels are all BACKGROUND, all ATTACK, or mixed; a one-label column
+    may be a broadcast of its value, as the generators build it.  Each row's
+    size is distinct, so a reordering of tied rows shows in the size column.
     """
     n = draw(st.integers(0, 12))
     t = sorted(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
@@ -219,14 +236,15 @@ def merge_traces(draw):
     if kind == "mixed":
         label = draw(st.lists(st.sampled_from([BACKGROUND, ATTACK]), min_size=n, max_size=n))
     else:
-        label = [BACKGROUND if kind == "background" else ATTACK] * n
+        value = np.uint8(BACKGROUND if kind == "background" else ATTACK)
+        label = np.broadcast_to(value, (n,)) if draw(st.booleans()) else [value] * n
     base = draw(st.integers(1, 1000))
-    return PacketTrace(np.array(t, np.int64), base + np.arange(n), np.array(label, np.uint8))
+    return PacketTrace(np.array(t, np.int64), base + np.arange(n), np.asarray(label, np.uint8))
 
 
 @settings(max_examples=400, deadline=None)
 @given(merge_traces(), merge_traces())
-def test_merge_matches_lexsort_reference(a, b):
+def test_merge_matches_stable_sort_reference(a, b):
     # both argument orders, and a trace merged with itself (equal labels on both sides)
     for x, y in ((a, b), (b, a), (a, a)):
         out = merge(x, y)
@@ -238,16 +256,16 @@ def test_merge_matches_lexsort_reference(a, b):
 @pytest.mark.parametrize(
     "a, b",
     [
-        # the attack first: on a tie its packets still go after the background's
+        # the attack first: on a tie its packets go before the background's, as a's
         ([(5, 1), (5, 1)], [(5, 0), (5, 0), (5, 0)]),
         ([(5, 1)], [(0, 0), (5, 0), (5, 0)]),
-        # equal labels on both sides: a's tied rows before b's, whichever is smaller
+        # equal labels on both sides: a's tied rows before b's, whichever is larger
         ([(5, 0)], [(5, 0), (5, 0), (7, 0)]),
         ([(5, 0), (5, 0), (7, 0)], [(5, 0)]),
-        # an empty trace beside a mixed one still sorts the mixed one's ties by label
+        # an empty trace beside a mixed one keeps the mixed one's rows as they are
         ([], [(5, 1), (5, 0), (6, 1), (6, 0)]),
         ([(5, 1), (5, 0)], []),
-        # an empty trace beside a one-label one takes the insertion path
+        # an empty trace beside a one-label one: nothing to insert, or nothing to insert into
         ([], [(5, 1), (6, 1)]),
         ([(5, 0)], []),
         ([], []),
@@ -610,6 +628,18 @@ def test_loader_errors_name_the_file_line(tmp_path, kind, name, case):
     with pytest.raises(PreconditionError) as info:
         load(p)
     assert str(info.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        "could not convert string 'x' to int64",
+        "at row 3 of a message that names no row at its end",
+        "the number of columns changed from 3 to 2 at row 7",
+    ],
+)
+def test_loader_error_without_a_row_is_kept_as_it_is(message):
+    assert _at_file_line(message, "0,1500,0\n\n0,1500\n") == message
 
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
