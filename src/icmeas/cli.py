@@ -49,9 +49,9 @@ from .trafficgen import AttackConfig, PoissonConfig, load_trace, save_trace
 # defaults of the experiment flags that only a preset run takes
 _PRESET_RUN = {
     "systems": "hicv1,hicv2",
-    "detectors": "pdmm,pad",
+    "detectors": ",".join(DETECTOR_NAMES),
     "no_attack": False,
-    "window_s": 20.0,
+    "window_s": ExperimentConfig.detection_window_ns / SECOND,
 }
 # defaults of the gen flags that only a trace without --preset takes
 _CUSTOM_TRACE = {

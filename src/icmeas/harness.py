@@ -147,11 +147,11 @@ def preset_traffic(traffic: str, duration_ns: int, seed: int = 0, attack: bool =
 def preset_experiment(
     traffic: str,
     system: str,
-    trials: int = 1,
-    seed_base: int = 0,
+    trials: int = ExperimentConfig.trials,
+    seed_base: int = ExperimentConfig.seed_base,
     attack: bool = True,
     detectors: tuple = DETECTOR_NAMES,
-    detection_window_ns: int = 20 * SECOND,
+    detection_window_ns: int = ExperimentConfig.detection_window_ns,
 ) -> ExperimentConfig:
     """Build an ExperimentConfig from named traffic and coalescence presets."""
     background, attack_cfg = preset_traffic(traffic, detection_window_ns, attack=attack)
@@ -246,17 +246,15 @@ def _aggregate(cfg: ExperimentConfig, trials: tuple) -> ExperimentResult:
     aggregate = {}
     for name in cfg.detectors:
         ttds = [t.detections[name] for t in trials]
-        finite = sorted(t for t in ttds if t is not None)
-        timeouts = len(ttds) - len(finite)
-        if timeouts >= len(finite):
-            median = None
-        else:
-            k = len(ttds)  # median index over all trials, timeouts at the top
-            mid = (k - 1) // 2
-            median = finite[mid] if k % 2 == 1 else (finite[mid] + finite[mid + 1]) // 2
+        timeouts = ttds.count(None)
+        # timeouts rank last; the median is the floor mean of the two middle
+        # ranks (one rank twice for an odd count), None if the upper one timed out
+        ranked = sorted(t for t in ttds if t is not None) + [None] * timeouts
+        k = len(ranked)
+        low, high = ranked[(k - 1) // 2], ranked[k // 2]
         aggregate[name] = {
-            "median_ttd_ns": median,
-            "detection_rate": len(finite) / len(ttds),
+            "median_ttd_ns": None if high is None else (low + high) // 2,
+            "detection_rate": (k - timeouts) / k,
             "timeouts": timeouts,
         }
     echo = config_to_dict(cfg)
@@ -311,7 +309,7 @@ def results_csv(results: dict) -> str:
             else:
                 cells.append(json.dumps(agg["median_ttd_ns"]))
         lines.append(f"median_ttd_ns[{det}]," + ",".join(cells))
-    for stat in ("mean_gap_us", "var_gap_us2", "mean_count", "rate_per_s"):
+    for stat in (f.name for f in dataclasses.fields(MeasurementStats)):
         cells = []
         for sysname in systems:
             vals = [getattr(t.stats, stat) for t in results[sysname].trials]

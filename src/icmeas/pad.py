@@ -124,7 +124,7 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     """
     x = np.asarray(series, dtype=float)
     if len(x) < cfg.window:
-        return DetectionReport(False, None, 0)
+        return DetectionReport(None, 0)
     seg, hop = cfg.segment_len, cfg.window // 2
     step = min(seg, hop)
     stride = hop // step  # segments between consecutive window starts
@@ -145,7 +145,5 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     hits = np.flatnonzero(ratio > cfg.peak_factor)
     windows = int(hits[0]) + 1 if len(hits) else n
     trajectory = tuple(zip(range(windows), ratio[:windows].tolist(), peak_freq[:windows].tolist()))
-    if len(hits):
-        end_ns = ((windows - 1) * hop + cfg.window) * cfg.sample_interval_ns
-        return DetectionReport(True, int(end_ns), windows, trajectory)
-    return DetectionReport(False, None, windows, trajectory)
+    end_ns = ((windows - 1) * hop + cfg.window) * cfg.sample_interval_ns
+    return DetectionReport(int(end_ns) if len(hits) else None, windows, trajectory)

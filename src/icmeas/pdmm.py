@@ -83,17 +83,17 @@ class DetectionReport:
 
     trajectory holds one (index, statistic, score) triple per tested block
     or window; detection_time_ns is the timestamp closing the detecting
-    block, absent when nothing detected.
+    block, absent when nothing detected.  detected is true exactly when
+    detection_time_ns is set.
     """
 
-    detected: bool
     detection_time_ns: int | None
     blocks_processed: int
     trajectory: tuple = field(default_factory=tuple)
 
-    def __post_init__(self):
-        if self.detected != (self.detection_time_ns is not None):
-            raise ConfigError("detection_time_ns must be present iff detected")
+    @property
+    def detected(self) -> bool:
+        return self.detection_time_ns is not None
 
     def to_dict(self) -> dict:
         return {
@@ -232,7 +232,7 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     m = np.asarray(ms.m_ns, dtype=np.int64)
     n_blocks = len(m) // cfg.block_len
     if n_blocks < 2:
-        return DetectionReport(False, None, n_blocks)
+        return DetectionReport(None, n_blocks)
     counts = np.zeros(cfg.n_bins)
     window = deque() if cfg.window_blocks is not None else None
     trajectory = []
@@ -257,8 +257,8 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
             continue
         trajectory.append((b, chi_square, p))
         if p > 1.0 - cfg.threshold:
-            return DetectionReport(True, int(m[hi - 1]), b + 1, tuple(trajectory))
-    return DetectionReport(False, None, n_blocks, tuple(trajectory))
+            return DetectionReport(int(m[hi - 1]), b + 1, tuple(trajectory))
+    return DetectionReport(None, n_blocks, tuple(trajectory))
 
 
 def deviation_histogram(sub_bins: int, total: float, deviation: float) -> np.ndarray:

@@ -5,7 +5,6 @@ PacketTrace is sorted by timestamp by construction; equal timestamps are
 allowed.
 """
 
-import io
 import math
 import os
 import re
@@ -318,8 +317,8 @@ def _read_int_csv(path, header: str) -> np.ndarray:
             got = f.readline().strip()
             if got != header:
                 raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
-            if not f.seekable():  # a second open would miss the lines f has buffered
-                raise io.UnsupportedOperation("underlying stream is not seekable")
+            # raises io.UnsupportedOperation on a pipe: a second open would
+            # miss the lines f has buffered
             body_start = f.tell()
             try:
                 with warnings.catch_warnings():

@@ -1,7 +1,10 @@
 """Tests for the experiment harness: presets, stats, runs, serialization."""
 
 import dataclasses
+import itertools
 import json
+import math
+import statistics
 import tracemalloc
 import weakref
 
@@ -16,6 +19,8 @@ from icmeas.harness import (
     PDMM_PRESET,
     TRAFFIC_PRESETS,
     ExperimentConfig,
+    MeasurementStats,
+    TrialResult,
     build_trace,
     config_from_dict,
     config_to_dict,
@@ -417,6 +422,26 @@ class TestRunExperiment:
         assert res.aggregate == {}
         assert res.trials[0].detections == {}
         assert res.trials[0].stats.rate_per_s > 0
+
+    def test_aggregate_on_every_mix_of_times_and_timeouts(self):
+        # brute-force reference: a timeout ranks as +inf; the median is the
+        # floor mean of the low and high middle values, None when the high
+        # one is a timeout
+        cfg = preset_experiment("high-rate", "hicv1", detectors=("pdmm",))
+        stats = MeasurementStats(1.0, 0.0, 1.0, 1.0)
+        for k in range(1, 7):
+            for ttds in itertools.product((1, 2, 5, None), repeat=k):
+                trials = tuple(TrialResult(0, stats, {"pdmm": t}) for t in ttds)
+                got = harness._aggregate(cfg, trials).aggregate["pdmm"]
+                ranked = [math.inf if t is None else t for t in ttds]
+                low, high = statistics.median_low(ranked), statistics.median_high(ranked)
+                timeouts = ttds.count(None)
+                want = {
+                    "median_ttd_ns": None if high == math.inf else (low + high) // 2,
+                    "detection_rate": (k - timeouts) / k,
+                    "timeouts": timeouts,
+                }
+                assert json.dumps(got) == json.dumps(want), ttds
 
 
 # one system of each scheme the coalescer knows

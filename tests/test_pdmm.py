@@ -262,14 +262,17 @@ class TestMinDetectableDeviation:
 
 
 class TestDetectionReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            DetectionReport(True, None, 3)
-        with pytest.raises(ConfigError):
-            DetectionReport(False, 5, 3)
+    def test_detected_follows_detection_time(self):
+        for time_ns, detected in ((5, True), (0, True), (None, False)):
+            rep = DetectionReport(time_ns, 3)
+            assert rep.detected is detected
+            assert rep.to_dict()["detected"] is detected
+            assert rep.to_dict()["detection_time_ns"] == time_ns
+            with pytest.raises(AttributeError):
+                rep.detected = not detected
 
     def test_to_dict(self):
-        rep = DetectionReport(True, 123, 4, ((1, 2.0, 0.5), (2, 3.0, 0.99)))
+        rep = DetectionReport(123, 4, ((1, 2.0, 0.5), (2, 3.0, 0.99)))
         d = rep.to_dict()
         assert d["detected"] is True
         assert d["detection_time_ns"] == 123
@@ -423,7 +426,7 @@ def _oracle_report(m, cfg):
     """
     n_blocks = len(m) // cfg.block_len
     if n_blocks < 2:
-        return DetectionReport(False, None, n_blocks)
+        return DetectionReport(None, n_blocks)
     blocks, trajectory = [], []
     for b in range(n_blocks):
         lo, hi = b * cfg.block_len, (b + 1) * cfg.block_len
@@ -441,8 +444,8 @@ def _oracle_report(m, cfg):
             continue
         trajectory.append((b, chi, p))
         if p > 1.0 - cfg.threshold:
-            return DetectionReport(True, int(m[hi - 1]), b + 1, tuple(trajectory))
-    return DetectionReport(False, None, n_blocks, tuple(trajectory))
+            return DetectionReport(int(m[hi - 1]), b + 1, tuple(trajectory))
+    return DetectionReport(None, n_blocks, tuple(trajectory))
 
 
 def _fuzz_cfg(**kw):

@@ -173,11 +173,23 @@ def test_periodic_offset_and_duration_edge():
     trace = gen_periodic(cfg)
     # last point 250 < 300; 350 would exceed the window
     assert trace.t_ns.tolist() == [50, 150, 250]
-    # a train that would start at or after the duration has no packet
-    for duration_ns in (0, 49, 50):
-        empty = gen_periodic(dataclasses.replace(cfg, duration_ns=duration_ns))
-        assert empty == PacketTrace.empty()
-        assert empty.t_ns.dtype == np.int64 and empty.label.dtype == np.uint8
+    # a train that would start at or after the duration has no packet, with
+    # or without jitter; an offset a period or more past the duration would
+    # draw a negative number of jitters (offset 250, duration 0: -2)
+    for jitter_stddev_ns in (0.0, 1.0):
+        for start_offset_ns, duration_ns in [(50, 0), (50, 49), (50, 50)] + [
+            (250, d) for d in (0, 50, 150, 151, 249, 250)
+        ]:
+            empty = gen_periodic(
+                dataclasses.replace(
+                    cfg,
+                    duration_ns=duration_ns,
+                    start_offset_ns=start_offset_ns,
+                    jitter_stddev_ns=jitter_stddev_ns,
+                )
+            )
+            assert empty == PacketTrace.empty()
+            assert empty.t_ns.dtype == np.int64 and empty.label.dtype == np.uint8
 
 
 def test_periodic_jitter_stays_near_grid():
