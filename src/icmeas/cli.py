@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
     meas.add_argument("--abs-us", type=float, help="dual-timer absolute timer")
     meas.add_argument("--tic-us", type=float, help="fixed-timer coalescing")
     meas.add_argument("--pic-count", type=_int64, help="count-based coalescing")
-    meas.add_argument("--rate-gbps", type=float, default=1.0)
+    meas.add_argument("--rate-gbps", type=float, default=TransferConfig.bit_rate_bps / 1e9)
     meas.add_argument("--out", required=True)
 
     det = sub.add_parser("detect", help="run one detector on measurements")
@@ -235,22 +235,20 @@ def _cmd_measure(args) -> int:
 
 
 def _detector_config(args):
-    """The detector's preset, overlaid with its --config section and flag."""
+    """The detector's config: its --config section and flag over the calibrated defaults."""
     key = _DETECTOR_FLAG[args.detector]
     for other, other_key in _DETECTOR_FLAG.items():
         if other != args.detector and getattr(args, other_key) is not None:
             raise ConfigError(f"{_flags([other_key])} is a flag of --detector {other}")
-    preset = getattr(ExperimentConfig, args.detector)
-    d = config_to_dict(preset)
+    section = {}
     if args.config is not None:
         doc = load_config_json(args.config)
         section = doc.get(args.detector, {}) if isinstance(doc, dict) else None
         if not isinstance(section, dict):
             raise ConfigError(f"{args.config}: the {args.detector} section must be an object")
-        d.update(section)
     if getattr(args, key) is not None:
-        d[key] = getattr(args, key)
-    return config_from_dict(d, type(preset))
+        section = {**section, key: getattr(args, key)}
+    return config_from_dict(section, type(getattr(ExperimentConfig, args.detector)))
 
 
 def _cmd_detect(args) -> int:

@@ -52,25 +52,11 @@ TRAFFIC_PRESETS = {
     ),
 }
 
-# detector parameters calibrated on the presets above (false-positive rate
-# and detection-time measurements over seeded background/attack ensembles)
-PDMM_PRESET = PdmmConfig(
-    low_cutoff_ns=1000 * US,
-    high_cutoff_ns=5000 * US,
-    max_order=80,
-    block_len=2000,
-    sub_bins=200,
-    threshold=0.05,
-    bin_width_ns=1 * US,
-)
-PAD_PRESET = PadConfig(
-    sample_interval_ns=100 * US,
-    window=8192,
-    segments=8,
-    peak_factor=8.0,
-    min_freq_hz=200.0,
-    max_freq_hz=3000.0,
-)
+# the detector classes default to parameters calibrated on the presets above
+# (false-positive rate and detection-time measurements over seeded
+# background/attack ensembles)
+PDMM_PRESET = PdmmConfig()
+PAD_PRESET = PadConfig()
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,7 @@ def load_measurements(path) -> MeasurementSeries:
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:
             sidecar = json.load(f)
-    except OSError:
+    except FileNotFoundError:
         pass  # sidecar is optional on load
     except ValueError as exc:
         raise PreconditionError(f"{path}.json: {exc}") from None

@@ -8,7 +8,7 @@ a window whose in-band spectral peak exceeds a multiple of the in-band
 median floor.
 """
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +25,13 @@ class PadConfig:
     sought; peak_factor is the detection multiplier over the in-band median
     floor.  Each analysis window is split into `segments` equal parts whose
     periodograms are averaged (more segments: steadier floor, wider bins).
+    The defaults are the preset calibrated on the built-in traffic presets.
     """
 
     sample_interval_ns: int = 100_000
     window: int = 8192
     segments: int = 8
-    peak_factor: float = 10.0
+    peak_factor: float = 8.0
     min_freq_hz: float = 200.0
     max_freq_hz: float = 3000.0
 
@@ -52,15 +53,11 @@ class PadConfig:
         if self.max_freq_hz > nyquist:
             raise ConfigError(f"max_freq_hz exceeds the Nyquist frequency {nyquist:.1f}")
         # the first bin at or above min_freq_hz, found without materializing
-        # the bins: bin k sits at float(k) * val as rfftfreq forms it, so the
-        # steps go between the integers a float holds exactly
-        val = 1.0 / (self.segment_len * (self.sample_interval_ns / 1e9))
-        k = math.ceil(self.min_freq_hz / val)
-        while k > 0 and math.floor(math.nextafter(k, 0)) * val >= self.min_freq_hz:
-            k = math.floor(math.nextafter(k, 0))
-        while k * val < self.min_freq_hz:
-            k = math.ceil(math.nextafter(k, math.inf))
-        if k > self.segment_len // 2 or k * val > self.max_freq_hz:
+        # the bins: bin k sits at k * hz as rfftfreq forms it
+        hz = 1.0 / (self.segment_len * (self.sample_interval_ns / 1e9))
+        bins = range(self.segment_len // 2 + 1)
+        k = bisect_left(bins, True, key=lambda i: i * hz >= self.min_freq_hz)
+        if k == len(bins) or k * hz > self.max_freq_hz:
             raise ConfigError("search band contains no frequency bins")
 
     @property

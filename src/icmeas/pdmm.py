@@ -27,14 +27,15 @@ class PdmmConfig:
     equal-width cells.  threshold is the false-alarm control: a block
     detects when the chi-square CDF value exceeds 1 - threshold.
     window_blocks, when set, keeps only that many trailing blocks in the
-    histogram instead of accumulating forever.
+    histogram instead of accumulating forever.  The defaults are the preset
+    calibrated on the built-in traffic presets.
     """
 
-    low_cutoff_ns: int
+    low_cutoff_ns: int = 1_000_000
     high_cutoff_ns: int = 5_000_000
-    max_order: int = 10
+    max_order: int = 80
     block_len: int = 2000
-    sub_bins: int = 50
+    sub_bins: int = 200
     threshold: float = 0.05
     bin_width_ns: int = 1000
     window_blocks: int | None = None

@@ -164,7 +164,7 @@ def gen_poisson(cfg: PoissonConfig) -> PacketTrace:
         acc += float(gaps.sum())
     t = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     np.cumsum(t, out=t)  # gaps are >= 0, so t is nondecreasing and each cut is a prefix
-    t = t[: np.searchsorted(t, cfg.duration_ns)]
+    t = t[: np.searchsorted(t, cfg.duration_ns)]  # past duration_ns, t may not fit int64
     t_ns = np.rint(t, out=t).view(np.int64)
     np.copyto(t_ns, t, casting="unsafe")  # cast in place: element i is read before it is written
     t_ns = t_ns[: np.searchsorted(t_ns, cfg.duration_ns)]  # rounding may touch the boundary

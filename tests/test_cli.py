@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end and its exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icmeas import harness
+from icmeas import cli, harness
 from icmeas.cli import main
-from icmeas.harness import trial_seeds
+from icmeas.harness import PAD_PRESET, PDMM_PRESET, trial_seeds
 from icmeas.meassim import load_measurements
+from icmeas.pdmm import DetectionReport
 from icmeas.trafficgen import load_trace
 
 US = 1000
@@ -404,13 +406,34 @@ class TestDetect:
         assert main(argv) == 0
         assert out.exists()
 
-    def _detect_with_config(self, tmp_path, doc, detector="pdmm"):
+    def _detect_with_config(self, tmp_path, doc, detector="pdmm", *flags):
         m = tmp_path / "m.csv"
         m.write_text("m_ns,count\n100,1\n200,1\n", encoding="utf-8")
         cfg = tmp_path / "det.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["detect", "--detector", detector, "--measurements", str(m), "--config", str(cfg)]
-        return main(argv)
+        return main([*argv, *flags])
+
+    @pytest.mark.parametrize(
+        "detector, section, flag",
+        [
+            ("pdmm", {"threshold": 0.01}, {}),
+            ("pdmm", {"high_cutoff_ns": 3_000_000}, {"threshold": 0.02}),
+            ("pad", {"window": 4096}, {}),
+            ("pad", {"segments": 4}, {"peak_factor": 6.0}),
+        ],
+    )
+    def test_partial_config_section_starts_from_the_preset(
+        self, tmp_path, monkeypatch, detector, section, flag
+    ):
+        used = []
+        monkeypatch.setattr(
+            cli, "run_detector", lambda name, ms, cfg: used.append(cfg) or DetectionReport(None, 0)
+        )
+        flags = [a for k, v in flag.items() for a in ("--" + k.replace("_", "-"), str(v))]
+        assert self._detect_with_config(tmp_path, {detector: section}, detector, *flags) == 0
+        preset = {"pdmm": PDMM_PRESET, "pad": PAD_PRESET}[detector]
+        assert used == [dataclasses.replace(preset, **section, **flag)]
 
     def test_config_section_with_misspelled_key(self, tmp_path, capsys):
         assert self._detect_with_config(tmp_path, {"pdmm": {"treshold": 0.01}}) == 1
@@ -823,6 +846,14 @@ class TestStats:
             assert main(command + ["--measurements", str(p)]) == 4
             assert capsys.readouterr() == ("", f"invalid input file: {p}: {message}\n")
         assert not out.exists()
+
+    def test_sidecar_that_cannot_be_read_is_io_error(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("m_ns,count\n100,1\n200,1\n", encoding="utf-8")
+        (tmp_path / "m.csv.json").mkdir()
+        assert main(["stats", "--measurements", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and f"{p}.json" in err
 
     def test_sidecar_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

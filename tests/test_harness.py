@@ -423,6 +423,11 @@ class TestRunExperiment:
         assert res.trials[0].detections == {}
         assert res.trials[0].stats.rate_per_s > 0
 
+    def test_trial_result_rejects_a_negative_detection_time(self):
+        stats = MeasurementStats(1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="^negative detection time for pad$"):
+            TrialResult(0, stats, {"pdmm": 0, "pad": -1})
+
     def test_aggregate_on_every_mix_of_times_and_timeouts(self):
         # brute-force reference: a timeout ranks as +inf; the median is the
         # floor mean of the low and high middle values, None when the high
@@ -580,6 +585,23 @@ class TestConfigFiles:
         assert cfg.attack is None
         assert cfg.detectors == ("pdmm", "pad")
         assert cfg.pdmm == PDMM_PRESET and cfg.pad == PAD_PRESET
+
+    @pytest.mark.parametrize(
+        "name, section",
+        [
+            ("pdmm", {"threshold": 0.01}),  # no low_cutoff_ns: the preset's applies
+            ("pdmm", {"low_cutoff_ns": 2000 * US, "window_blocks": 3}),
+            ("pad", {"window": 4096}),
+            ("pad", {"segments": 4, "peak_factor": 6.5}),
+        ],
+    )
+    def test_partial_detector_section_starts_from_the_preset(self, name, section):
+        preset = {"pdmm": PDMM_PRESET, "pad": PAD_PRESET}[name]
+        want = dataclasses.replace(preset, **section)
+        assert config_from_dict(section, type(preset)) == want
+        d = config_to_dict(preset_experiment("high-rate", "hicv1"))
+        d[name] = section
+        assert getattr(config_from_dict(d), name) == want
 
     def test_explicit_coalescence_section(self):
         d = {

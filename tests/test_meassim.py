@@ -759,11 +759,27 @@ def test_load_measurements_rejects_malformed_sidecar(tmp_path):
             load_measurements(p)
 
 
+def test_load_measurements_raises_on_a_sidecar_it_cannot_read(tmp_path):
+    # only a missing sidecar is optional: one that exists is read or reported
+    p = tmp_path / "m.csv"
+    p.write_text("m_ns,count\n100,1\n", encoding="utf-8")
+    (tmp_path / "m.csv.json").mkdir()
+    with pytest.raises(IsADirectoryError, match="m.csv.json"):
+        load_measurements(p)
+
+
 def test_save_measurements_refuses_what_load_refuses(tmp_path):
     p = tmp_path / "m.csv"
     with pytest.raises(PreconditionError, match="^m_ns must be non-negative$"):
         save_measurements(MeasurementSeries([-5, 10], [1, 1]), p)
     assert not p.exists() and not (tmp_path / "m.csv.json").exists()
+
+
+def test_series_equals_only_a_series():
+    series = MeasurementSeries([10, 20], [1, 3])
+    columns = (series.m_ns, series.count)
+    assert series.__eq__(columns) is NotImplemented
+    assert series != columns
 
 
 def test_series_validate():

@@ -50,8 +50,8 @@ class TestConfig:
             PadConfig(**kw)
 
     def test_band_search_steps_down_onto_the_bin_at_min_freq(self):
-        # min_freq_hz over the 26.04 Hz bin width is 11.000000000000002, so the
-        # search starts at bin 12 and steps down to bin 11, which sits on min_freq_hz
+        # min_freq_hz over the 26.04 Hz bin width is 11.000000000000002, yet bin
+        # 11 sits on min_freq_hz: a ceil of that ratio would start the band at 12
         kw = dict(
             sample_interval_ns=300_000, window=1024, segments=8, min_freq_hz=286.45833333333337
         )

@@ -90,6 +90,13 @@ def test_poisson_determinism():
     assert not (a == c)
 
 
+def test_trace_equals_only_a_trace():
+    trace = gen_poisson(PoissonConfig(mean_gap_ns=5_000.0, duration_ns=MS, seed=1))
+    columns = (trace.t_ns, trace.size_bytes, trace.label)
+    assert trace.__eq__(columns) is NotImplemented
+    assert trace != columns
+
+
 @pytest.mark.parametrize(
     "duration_ns, mean_gap_ns, size_mix",
     [
@@ -100,6 +107,9 @@ def test_poisson_determinism():
         (MS, 19_000.0, ()),
         (MS, 3.0, ((64, 0.25), (1500, 0.75))),
         (20 * S, 19_000.0, ()),
+        # the last chunk's draws run past int64, so the cut must come before the cast
+        (2**62, 2.0**60, ()),
+        (2**63 - 1, 1e17, ()),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 7])
