@@ -12,9 +12,9 @@ from dataclasses import replace
 
 from icmeas import (
     COALESCENCE_PRESETS,
-    PAD_PRESET,
-    PDMM_PRESET,
     TRAFFIC_PRESETS,
+    PadConfig,
+    PdmmConfig,
     TransferConfig,
     detect_psd,
     detect_stream,
@@ -46,16 +46,17 @@ def main(seed: int = 7) -> None:
           f"gap variance {stats.var_gap_us2:,.0f} us^2, "
           f"mean group size {stats.mean_count:.2f}")
 
-    report = detect_stream(series, PDMM_PRESET)
+    report = detect_stream(series, PdmmConfig())
     if report.detected:
         print(f"histogram detector: fired at {report.detection_time_ns / SECOND:.2f}s "
               f"after {report.blocks_processed} blocks")
     else:
         print(f"histogram detector: no detection in {report.blocks_processed} blocks")
 
-    samples = rasterize(series, PAD_PRESET.sample_interval_ns,
-                        int(duration_ns // PAD_PRESET.sample_interval_ns))
-    report = detect_psd(samples, PAD_PRESET)
+    pad = PadConfig()
+    samples = rasterize(series, pad.sample_interval_ns,
+                        int(duration_ns // pad.sample_interval_ns))
+    report = detect_psd(samples, pad)
     if report.detected:
         print(f"spectral detector: fired at {report.detection_time_ns / SECOND:.2f}s")
     else:

@@ -23,8 +23,6 @@ from .analytic import (
 from .errors import ConfigError, IcmeasError, InsufficientDataError, PreconditionError
 from .harness import (
     COALESCENCE_PRESETS,
-    PAD_PRESET,
-    PDMM_PRESET,
     TRAFFIC_PRESETS,
     ExperimentConfig,
     ExperimentResult,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, require_finite
 
 METHOD_SINGLE_PAIR = "single_pair_shift_corrected"
 METHOD_ERLANG_RATIO = "erlang_ratio"
@@ -32,6 +32,7 @@ class GapDistParams:
     bound_ns: float = 0.0
 
     def __post_init__(self):
+        require_finite(lambda_ns=self.lambda_ns, bound_ns=self.bound_ns)
         if self.lambda_ns <= 0:
             raise ConfigError("lambda_ns must be positive")
         if self.bound_ns < 0:
@@ -135,6 +136,7 @@ def estimate_lambda_single_pairs(ms, packet_timer_ns: float) -> LambdaEstimate:
     measurement gap equals the true packet gap plus a shift that the timer
     subtraction removes.
     """
+    require_finite(packet_timer_ns=packet_timer_ns)
     if len(ms) < 2:
         raise InsufficientDataError("need at least 2 measurements")
     single = ms.count == 1

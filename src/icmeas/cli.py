@@ -48,7 +48,7 @@ from .trafficgen import AttackConfig, PoissonConfig, load_trace, save_trace
 
 # defaults of the experiment flags that only a preset run takes
 _PRESET_RUN = {
-    "systems": "hicv1,hicv2",
+    "systems": ",".join(COALESCENCE_PRESETS),
     "detectors": ",".join(DETECTOR_NAMES),
     "no_attack": False,
     "window_s": ExperimentConfig.detection_window_ns / SECOND,
@@ -58,7 +58,7 @@ _CUSTOM_TRACE = {
     "mean_gap_us": None,
     "size_bytes": 500,
     "attack_period_us": None,
-    "attack_size_bytes": 1500,
+    "attack_size_bytes": AttackConfig.size_bytes,
 }
 # each detector's threshold flag, named as its config key
 _DETECTOR_FLAG = {"pdmm": "threshold", "pad": "peak_factor"}

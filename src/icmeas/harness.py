@@ -52,12 +52,6 @@ TRAFFIC_PRESETS = {
     ),
 }
 
-# the detector classes default to parameters calibrated on the presets above
-# (false-positive rate and detection-time measurements over seeded
-# background/attack ensembles)
-PDMM_PRESET = PdmmConfig()
-PAD_PRESET = PadConfig()
-
 
 @dataclass(frozen=True)
 class MeasurementStats:
@@ -78,8 +72,8 @@ class ExperimentConfig:
     transfer: TransferConfig = TransferConfig()
     coalescence: CoalescenceConfig = COALESCENCE_PRESETS["hicv1"]
     detectors: tuple[str, ...] = DETECTOR_NAMES
-    pdmm: PdmmConfig = PDMM_PRESET
-    pad: PadConfig = PAD_PRESET
+    pdmm: PdmmConfig = PdmmConfig()
+    pad: PadConfig = PadConfig()
     detection_window_ns: int = 20 * SECOND
     trials: int = 1
     seed_base: int = 0
@@ -386,7 +380,7 @@ def _decode_section(classes, value, where):
     for name, f in fields.items():
         if value.get(name) is not None:
             kwargs[name] = _decode(f.type, value[name], f"{where}.{name}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        elif f.default is dataclasses.MISSING:
             raise ConfigError(f"{where}: {kind} needs {name}")
     return cls(**kwargs)
 

@@ -25,7 +25,8 @@ class PadConfig:
     sought; peak_factor is the detection multiplier over the in-band median
     floor.  Each analysis window is split into `segments` equal parts whose
     periodograms are averaged (more segments: steadier floor, wider bins).
-    The defaults are the preset calibrated on the built-in traffic presets.
+    The defaults are calibrated on the built-in traffic presets by seeded
+    false-positive and detection-time ensembles.
     """
 
     sample_interval_ns: int = 100_000

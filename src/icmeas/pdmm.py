@@ -27,8 +27,8 @@ class PdmmConfig:
     equal-width cells.  threshold is the false-alarm control: a block
     detects when the chi-square CDF value exceeds 1 - threshold.
     window_blocks, when set, keeps only that many trailing blocks in the
-    histogram instead of accumulating forever.  The defaults are the preset
-    calibrated on the built-in traffic presets.
+    histogram instead of accumulating forever.  The defaults are calibrated
+    on the built-in traffic presets (seeded false-positive/detection ensembles).
     """
 
     low_cutoff_ns: int = 1_000_000

@@ -272,23 +272,24 @@ _LOADTXT_ROW = re.compile(
 )
 
 
-def _at_file_line(message: str, body: str) -> str:
+def _at_file_line(message: str, text: str) -> str:
     """np.loadtxt's error message with its row replaced by the line of the file.
 
-    np.loadtxt counts only the body's non-empty lines as rows: from 0 in a
-    value error, from 1 in a width error.  Lines count from 1, the header's.
+    text is the whole file.  np.loadtxt counts only the body's non-empty
+    rows: from 0 in a value error, from 1 in a width error.
     """
     match = _LOADTXT_ROW.search(message)
     if match is None:
         return message
     width_error = match[2].startswith(";")
-    line = _row_line(body, int(match[1]) - width_error)
+    line = _row_line(text, int(match[1]) + (not width_error))
     return f"{message[: match.start()]} at line {line}{'' if width_error else match[2]}"
 
 
-def _row_line(body: str, row: int) -> int:
-    """The file line of the body's row (from 0; a row is a non-empty line; the header is line 1)."""
-    return [i for i, text in enumerate(body.split("\n"), 2) if text][row]
+def _row_line(text: str, row: int) -> int:
+    """The LF-counted line of file text's row (from 0, the header's), split as np.loadtxt does."""
+    start = [m.start() for m in re.finditer(r"[^\r\n]+", text)][row]  # a row ends at CR or LF
+    return text.count("\n", 0, start) + 1
 
 
 def _read_int_csv(path, header: str) -> np.ndarray:
@@ -313,8 +314,10 @@ def _read_int_csv(path, header: str) -> np.ndarray:
         isinstance(name, str) and not name.endswith(_COMPRESSED_SUFFIXES) and "://" not in name
     )
     try:
-        with open(name, "r", encoding="utf-8") as f:
-            got = f.readline().strip()
+        # newline="" keeps each CR, so an error's line counts LFs only
+        with open(name, "r", encoding="utf-8", newline="") as f:
+            head = f.readline()
+            got = head.strip()
             if got != header:
                 raise PreconditionError(f"{path}: unexpected header {got!r}, want {header!r}")
             # raises io.UnsupportedOperation on a pipe: a second open would
@@ -338,11 +341,12 @@ def _read_int_csv(path, header: str) -> np.ndarray:
                 f.seek(body_start)
                 body = f.read()
                 if body.strip():
-                    raise PreconditionError(f"{path}: {_at_file_line(str(exc), body)}") from None
+                    message = _at_file_line(str(exc), head + body)
+                    raise PreconditionError(f"{path}: {message}") from None
                 data = np.empty((0, width), np.int64)  # a body of only whitespace
             if len(data) and data.shape[1] != width:  # every row has the same wrong width
                 f.seek(body_start)
-                found = f"found {data.shape[1]} at line {_row_line(f.read(), 0)}"
+                found = f"found {data.shape[1]} at line {_row_line(head + f.read(), 1)}"
                 raise PreconditionError(f"{path}: rows must have {width} columns, {found}")
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"{path}: not UTF-8 text: {exc.reason}") from None

@@ -50,6 +50,20 @@ class TestParams:
         with pytest.raises(ConfigError):
             GapDistParams(lambda_ns=10.0, bound_ns=-1.0)
 
+    @pytest.mark.parametrize(
+        "lambda_ns, bound_ns, field",
+        [
+            (math.nan, 5.0, "lambda_ns"),
+            (math.inf, 0.0, "lambda_ns"),
+            (1000.0, math.nan, "bound_ns"),
+            (1000.0, math.inf, "bound_ns"),
+        ],
+    )
+    def test_non_finite_rejected(self, lambda_ns, bound_ns, field):
+        # NaN passes every range check; pdf_shifted_exp then returned nan or 0.0
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            GapDistParams(lambda_ns, bound_ns)
+
     def test_bound_ratio(self):
         p = GapDistParams(lambda_ns=10.0 * US, bound_ns=30.0 * US)
         assert p.bound_ratio == 3.0
@@ -228,6 +242,13 @@ class TestSinglePairEstimator:
         ms = _series([100, 130, 160], [1, 1, 1])
         with pytest.raises(InsufficientDataError):
             estimate_lambda_single_pairs(ms, 30 * US)
+
+    @pytest.mark.parametrize("timer", [math.nan, math.inf, -math.inf])
+    def test_non_finite_packet_timer(self, timer):
+        # a NaN timer gave value_ns=nan, and -inf gave value_ns=inf
+        ms = _series([100, 140, 180, 220], [1, 1, 1, 1])
+        with pytest.raises(ConfigError, match="^packet_timer_ns must be finite"):
+            estimate_lambda_single_pairs(ms, timer)
 
     def test_recovers_poisson_rate(self):
         lam = 50.0 * US

@@ -14,9 +14,10 @@ import pytest
 
 from icmeas import cli, harness
 from icmeas.cli import main
-from icmeas.harness import PAD_PRESET, PDMM_PRESET, trial_seeds
+from icmeas.harness import trial_seeds
 from icmeas.meassim import load_measurements
-from icmeas.pdmm import DetectionReport
+from icmeas.pad import PadConfig
+from icmeas.pdmm import DetectionReport, PdmmConfig
 from icmeas.trafficgen import load_trace
 
 US = 1000
@@ -432,7 +433,7 @@ class TestDetect:
         )
         flags = [a for k, v in flag.items() for a in ("--" + k.replace("_", "-"), str(v))]
         assert self._detect_with_config(tmp_path, {detector: section}, detector, *flags) == 0
-        preset = {"pdmm": PDMM_PRESET, "pad": PAD_PRESET}[detector]
+        preset = {"pdmm": PdmmConfig(), "pad": PadConfig()}[detector]
         assert used == [dataclasses.replace(preset, **section, **flag)]
 
     def test_config_section_with_misspelled_key(self, tmp_path, capsys):

@@ -15,8 +15,6 @@ from icmeas import harness
 from icmeas.errors import ConfigError, InsufficientDataError
 from icmeas.harness import (
     COALESCENCE_PRESETS,
-    PAD_PRESET,
-    PDMM_PRESET,
     TRAFFIC_PRESETS,
     ExperimentConfig,
     MeasurementStats,
@@ -46,7 +44,7 @@ from icmeas.meassim import (
     coalesce,
     measure,
 )
-from icmeas.pad import detect_psd, rasterize
+from icmeas.pad import PadConfig, detect_psd, rasterize
 from icmeas.pdmm import PdmmConfig, detect_stream
 from icmeas.trafficgen import (
     AttackConfig,
@@ -90,7 +88,7 @@ class TestPresets:
 
     def test_harmonic_period_is_below_histogram_range(self):
         period = TRAFFIC_PRESETS["harmonic"][1].period_ns
-        assert period < PDMM_PRESET.low_cutoff_ns
+        assert period < PdmmConfig().low_cutoff_ns
 
     def test_traffic_presets_are_configs_that_preset_traffic_places(self):
         gaps = {"high-rate": 19_000.0, "low-rate": 27_000.0, "harmonic": 19_000.0}
@@ -106,18 +104,19 @@ class TestPresets:
             assert preset_traffic(name, SHORT, attack=False)[1] is None
 
     def test_detector_presets(self):
-        assert PDMM_PRESET.low_cutoff_ns == 1000 * US
-        assert PDMM_PRESET.high_cutoff_ns == 5000 * US
-        assert PDMM_PRESET.max_order == 80
-        assert PDMM_PRESET.block_len == 2000
-        assert PDMM_PRESET.sub_bins == 200
-        assert PDMM_PRESET.threshold == 0.05
-        assert PDMM_PRESET.bin_width_ns == 1 * US
-        assert PAD_PRESET.sample_interval_ns == 100 * US
-        assert PAD_PRESET.window == 8192
-        assert PAD_PRESET.segments == 8
-        assert PAD_PRESET.peak_factor == 8.0
-        assert (PAD_PRESET.min_freq_hz, PAD_PRESET.max_freq_hz) == (200.0, 3000.0)
+        pdmm, pad = PdmmConfig(), PadConfig()
+        assert pdmm.low_cutoff_ns == 1000 * US
+        assert pdmm.high_cutoff_ns == 5000 * US
+        assert pdmm.max_order == 80
+        assert pdmm.block_len == 2000
+        assert pdmm.sub_bins == 200
+        assert pdmm.threshold == 0.05
+        assert pdmm.bin_width_ns == 1 * US
+        assert pad.sample_interval_ns == 100 * US
+        assert pad.window == 8192
+        assert pad.segments == 8
+        assert pad.peak_factor == 8.0
+        assert (pad.min_freq_hz, pad.max_freq_hz) == (200.0, 3000.0)
 
     def test_preset_experiment_unknown_names(self):
         with pytest.raises(ConfigError):
@@ -317,7 +316,7 @@ class TestBuildTrace:
             measured = measure(trace, transfer, hic)
             delayed = coalesce(apply_transfer(trace, transfer), hic)
             merged = merge(trace, gen_periodic(dataclasses.replace(attack, start_offset_ns=7)))
-            detectors = (("pdmm", PDMM_PRESET), ("pad", PAD_PRESET))
+            detectors = (("pdmm", PdmmConfig()), ("pad", PadConfig()))
             reports = [run_detector(name, measured, cfg) for name, cfg in detectors]
             p = tmp_path / f"{writable}.csv"
             save_trace(trace, p)
@@ -356,21 +355,21 @@ class TestRunDetector:
     )
 
     def test_pad_window_cut(self):
-        window_ns, si = SECOND, PAD_PRESET.sample_interval_ns
-        cut = run_detector("pad", self.MS, PAD_PRESET, window_ns)
-        assert cut == detect_psd(rasterize(self.MS, si, window_ns // si), PAD_PRESET)
+        window_ns, si = SECOND, PadConfig().sample_interval_ns
+        cut = run_detector("pad", self.MS, PadConfig(), window_ns)
+        assert cut == detect_psd(rasterize(self.MS, si, window_ns // si), PadConfig())
         inside = self.MS.m_ns < window_ns
         head = MeasurementSeries(self.MS.m_ns[inside], self.MS.count[inside])
-        assert run_detector("pad", head, PAD_PRESET, window_ns) == cut
-        whole = run_detector("pad", self.MS, PAD_PRESET)
-        assert whole == detect_psd(rasterize(self.MS, si), PAD_PRESET)
+        assert run_detector("pad", head, PadConfig(), window_ns) == cut
+        whole = run_detector("pad", self.MS, PadConfig())
+        assert whole == detect_psd(rasterize(self.MS, si), PadConfig())
         assert (cut.blocks_processed, whole.blocks_processed) == (1, 3)
 
     def test_pdmm_reads_past_the_window(self):
-        report = run_detector("pdmm", self.MS, PDMM_PRESET, SECOND)
-        assert report == detect_stream(self.MS, PDMM_PRESET)
+        report = run_detector("pdmm", self.MS, PdmmConfig(), SECOND)
+        assert report == detect_stream(self.MS, PdmmConfig())
         inside = int(np.count_nonzero(self.MS.m_ns < SECOND))
-        assert report.blocks_processed * PDMM_PRESET.block_len > inside
+        assert report.blocks_processed * PdmmConfig().block_len > inside
 
 
 class TestRunExperiment:
@@ -584,7 +583,7 @@ class TestConfigFiles:
         assert cfg.coalescence == COALESCENCE_PRESETS["hicv1"]
         assert cfg.attack is None
         assert cfg.detectors == ("pdmm", "pad")
-        assert cfg.pdmm == PDMM_PRESET and cfg.pad == PAD_PRESET
+        assert cfg.pdmm == PdmmConfig() and cfg.pad == PadConfig()
 
     @pytest.mark.parametrize(
         "name, section",
@@ -596,7 +595,7 @@ class TestConfigFiles:
         ],
     )
     def test_partial_detector_section_starts_from_the_preset(self, name, section):
-        preset = {"pdmm": PDMM_PRESET, "pad": PAD_PRESET}[name]
+        preset = {"pdmm": PdmmConfig(), "pad": PadConfig()}[name]
         want = dataclasses.replace(preset, **section)
         assert config_from_dict(section, type(preset)) == want
         d = config_to_dict(preset_experiment("high-rate", "hicv1"))
@@ -678,7 +677,7 @@ class TestConfigFiles:
                     size_mix=((500, 0.25), (1500, 0.75)),
                 )
             },
-            {"pdmm": dataclasses.replace(PDMM_PRESET, window_blocks=4)},
+            {"pdmm": PdmmConfig(window_blocks=4)},
             {"attack": None},
         ],
     )
@@ -692,7 +691,7 @@ class TestConfigFiles:
         assert d["coalescence"]["type"] == "HicConfig"
         assert d["background"]["type"] == "PoissonConfig"
         assert d["detectors"] == ["pdmm", "pad"]
-        assert config_to_dict(PDMM_PRESET)["type"] == "PdmmConfig"
+        assert config_to_dict(PdmmConfig())["type"] == "PdmmConfig"
 
     def test_echo_is_the_codec_output_without_unused_detectors(self):
         cfg = preset_experiment(
@@ -708,11 +707,11 @@ class TestConfigFiles:
         d["pdmm"] = None
         d["background"]["size_bytes"] = None
         cfg = config_from_dict(d)
-        assert cfg.trials == 1 and cfg.pdmm == PDMM_PRESET
+        assert cfg.trials == 1 and cfg.pdmm == PdmmConfig()
         assert cfg.background.size_bytes == 1500
 
     def test_int_accepted_for_float(self):
-        d = config_to_dict(PDMM_PRESET)
+        d = config_to_dict(PdmmConfig())
         d["threshold"] = 0
         with pytest.raises(ConfigError, match="threshold must be in"):
             config_from_dict(d, PdmmConfig)

@@ -1,7 +1,5 @@
 """Spectral detector: rasterization, transform correctness, peak test."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from icmeas import pad
 from icmeas.errors import ConfigError
-from icmeas.harness import COALESCENCE_PRESETS, PAD_PRESET, build_trace, preset_traffic
+from icmeas.harness import COALESCENCE_PRESETS, build_trace, preset_traffic
 from icmeas.meassim import MeasurementSeries, TransferConfig, measure
 from icmeas.pad import PadConfig, detect_psd, periodogram, rasterize
 from oracles import pad_scan_reference
@@ -217,7 +215,7 @@ class TestScanMatchesLoopOracle:
     """detect_psd's one-pass scan equals the per-window, per-segment loop exactly."""
 
     # a peak factor no window reaches: the scan runs to the end of the series
-    NO_STOP = dataclasses.replace(PAD_PRESET, peak_factor=1e300)
+    NO_STOP = PadConfig(peak_factor=1e300)
 
     @pytest.mark.parametrize("system", sorted(COALESCENCE_PRESETS))
     @pytest.mark.parametrize("attack", [True, False], ids=["attack", "no-attack"])
@@ -226,9 +224,9 @@ class TestScanMatchesLoopOracle:
         window_ns = 20 * SECOND
         trace = build_trace(*preset_traffic("high-rate", window_ns, seed=seed, attack=attack))
         ms = measure(trace, TransferConfig(), COALESCENCE_PRESETS[system])
-        si = PAD_PRESET.sample_interval_ns
+        si = PadConfig().sample_interval_ns
         series = rasterize(ms, si, window_ns // si)
-        for cfg in (PAD_PRESET, self.NO_STOP):
+        for cfg in (PadConfig(), self.NO_STOP):
             assert _report_tuple(detect_psd(series, cfg)) == pad_scan_reference(series, cfg)
         assert len(pad_scan_reference(series, self.NO_STOP)[3]) == 47
 

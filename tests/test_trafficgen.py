@@ -614,19 +614,41 @@ def test_loaders_accept_loose_forms_as_the_plain_file(tmp_path, kind, form):
         "long-row-after-blanks",
         "every-row-short",
         "every-row-long-after-blanks",
+        "value-after-blank-line-crlf",
+        "value-after-lone-cr",
+        "width-change-after-lone-cr",
+        "every-row-short-after-lone-crs",
     ],
 )
 def test_loader_errors_name_the_file_line(tmp_path, kind, name, case):
-    # the header is line 1; np.loadtxt's own row skips blank lines and counts
-    # from 0 for a bad value but from 1 for a width change; when every row
-    # has the same wrong width, the first row's line is named
+    # the header is line 1 and lines end at LF; np.loadtxt's own row also
+    # ends at a lone CR, skips blank lines and counts from 0 for a bad value
+    # but from 1 for a width change; when every row has the same wrong
+    # width, the first row's line is named
     load, header, rows, _ = _LOADERS[kind]
     width = header.count(",") + 1
     bad_value = "100,x" + ",0" * (width - 2)
+    short = [r.rsplit(",", 1)[0] for r in rows]
     lines, message = {
         "value-after-blank-line": (
             [rows[0], "", bad_value],
             "could not convert string 'x' to int64 at line 4, column 2.",
+        ),
+        "value-after-blank-line-crlf": (
+            [rows[0] + "\r", "\r", bad_value + "\r"],
+            "could not convert string 'x' to int64 at line 4, column 2.",
+        ),
+        "value-after-lone-cr": (
+            [rows[0] + "\r," + ",".join(["0"] * (width - 1))],
+            "could not convert string '' to int64 at line 2, column 1.",
+        ),
+        "width-change-after-lone-cr": (
+            ["1\r" + ",2" * (width - 1), bad_value],
+            f"the number of columns changed from 1 to {width} at line 2",
+        ),
+        "every-row-short-after-lone-crs": (
+            ["\r" + short[0] + "\r" + short[1]],
+            f"rows must have {width} columns, found {width - 1} at line 2",
         ),
         "short-row": (
             [rows[0], rows[1].rsplit(",", 1)[0]],
@@ -637,7 +659,7 @@ def test_loader_errors_name_the_file_line(tmp_path, kind, name, case):
             f"the number of columns changed from {width} to {width + 1} at line 6",
         ),
         "every-row-short": (
-            [r.rsplit(",", 1)[0] for r in rows],
+            short,
             f"rows must have {width} columns, found {width - 1} at line 2",
         ),
         "every-row-long-after-blanks": (
