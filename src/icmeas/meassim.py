@@ -14,22 +14,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, require_finite
-from .trafficgen import PacketTrace, _read_int_csv, _stored, _write_int_csv
+from .trafficgen import PacketTrace, _int_column, _read_int_csv, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """Column-oriented measurement sequence with simulation flags."""
+    """Column-oriented measurement sequence with simulation flags.
+
+    A float column must hold whole numbers (PreconditionError).
+    """
 
     m_ns: np.ndarray
     count: np.ndarray
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "m_ns", np.asarray(self.m_ns, dtype=np.int64))
-        object.__setattr__(self, "count", np.asarray(self.count, dtype=np.int64))
+        object.__setattr__(self, "m_ns", _int_column(self.m_ns, "m_ns"))
+        object.__setattr__(self, "count", _int_column(self.count, "count"))
         if len(self.m_ns) != len(self.count):
             raise ConfigError("measurement columns must have equal length")
 
@@ -134,8 +137,7 @@ def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
     the order.  The trace must not be empty.
     """
     size = trace.size_bytes
-    sizes = _stored(size)
-    delay = (size[:1] if sizes.min() == sizes.max() else size) * (8e9 / cfg.bit_rate_bps)
+    delay = (size[:1] if trace._one_size else size) * (8e9 / cfg.bit_rate_bps)
     np.rint(delay, out=delay)
     # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
     _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
@@ -160,8 +162,14 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
 
 # measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16
 _WALK_BELOW_RUNS = 16
-# keys the walk searches at once; 2,048-8,192 timed alike on that 2M-packet trace
+# keys the walk searches at once, and its first stride check; on a 2-core Xeon
+# 2,048 was ~6% slower on a 20 s Poisson trace (19 us mean gap) under a 125 us
+# TIC, and 8,192 3.6x slower than 4,096 on 2M keys at 10 us spacing with one
+# key in 8,192 moved by 1 ns, under hicv2
 _WALK_BLOCK = 4096
+# most keys one stride check covers, doubling from _WALK_BLOCK while checks
+# pass; 16,384-65,536 timed alike on the 2M-key traces above
+_WALK_CHECK_MAX = 32_768
 # gaps compared with the packet timer at once, so no diff the length of the trace is built
 _CUT_BLOCK = 65_536
 
@@ -185,11 +193,14 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     the next group).  Runs advance together as a vectorized frontier while
     many are open; only a run whose last arrival reaches its group's expiry
     searches for its next start, the rest being one group.  The last few are
-    walked a block of keys at a time: a block in which a group from any key
+    walked a block of keys at a time.  A block in which a group from any key
     would hold the same number of arrivals (a constant stride) is checked by
-    two shifted comparisons and written in one strided assignment; any other
-    searches each key's next start and steps group by group.  Without a
-    packet timer (TIC) the whole trace is one run.
+    two shifted comparisons and written in one strided assignment, and the
+    next check covers twice the keys, up to _WALK_CHECK_MAX.  A longer check
+    that fails keeps the keys before the first one off the stride, and the
+    check drops back to _WALK_BLOCK keys; a check of _WALK_BLOCK keys that
+    fails searches each key's next start and steps group by group.  Without
+    a packet timer (TIC) the whole trace is one run.
     """
     n = len(t)
     cut = np.empty(0, np.int64) if packet_ns is None else _packet_timer_cuts(t, packet_ns)
@@ -202,18 +213,25 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
         cur, end = np.searchsorted(t, expiry[open_], side="left"), end[open_]
     for i, e in zip(cur.tolist(), end.tolist()):
         run = t[:e]  # slices of it stop at the run's end
+        check = _WALK_BLOCK
         while i < e:
-            stop = min(i + _WALK_BLOCK, e)
+            stop = min(i + check, e)
             keys = t[i:stop] + absolute_ns
             # if every key hops `stride` on (or past the run), the block's starts are i::stride
-            stride = int(np.searchsorted(run[i:], keys[0], side="left"))
+            stride = int(run[i:].searchsorted(keys[0]))
             below, above = run[i + stride - 1 : stop + stride - 1], run[i + stride : stop + stride]
-            if np.all(below < keys[: len(below)]) and np.all(keys[: len(above)] <= above):
+            ok = below < keys[: len(below)]
+            ok[: len(above)] &= keys[: len(above)] <= above
+            passed = bool(ok.all())
+            if passed or check > _WALK_BLOCK:
+                if not passed:  # the keys before the first one off the stride still hop by it
+                    stop = i + int(ok.argmin())
                 is_first[i:stop:stride] = True
                 i += -((i - stop) // stride) * stride  # the first multiple of stride past stop
+                check = min(2 * check, _WALK_CHECK_MAX) if passed else _WALK_BLOCK
                 continue
             # keys are sorted, so every key's next start lies in t[i:ub], ub being the last key's
-            ub = i + int(np.searchsorted(run[i:], keys[-1], side="left"))
+            ub = i + int(run[i:].searchsorted(keys[-1]))
             hop = memoryview(np.searchsorted(t[i:ub], keys, side="left"))
             j, block_len = 0, stop - i
             while j < block_len:

@@ -10,6 +10,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,28 @@ def _stored(col: np.ndarray) -> np.ndarray:
     return col[:1] if col.strides == (0,) else col
 
 
+def _int_column(values, name: str, dtype=np.int64) -> np.ndarray:
+    """values as an array of dtype.
+
+    PreconditionError if the values are floats and one is not a whole number
+    (a fraction, NaN or inf); an int or bool column is not scanned.
+    """
+    col = np.asarray(values)
+    if col.dtype.kind == "f":
+        stored = _stored(col)
+        if not (np.isfinite(stored).all() and (np.trunc(stored) == stored).all()):
+            raise PreconditionError(f"{name} must hold whole numbers")
+    return np.asarray(values, dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class PacketTrace:
     """Column-oriented packet sequence.
 
     PreconditionError unless t_ns >= 0, size_bytes >= 1, every label is 0 or
-    1, and t_ns is sorted.  A column may be a read-only view, such as a
-    broadcast of one value; nothing in the package writes into a trace column.
+    1, and t_ns is sorted; a float column must hold whole numbers.  A column
+    may be a read-only view, such as a broadcast of one value; nothing in the
+    package writes into a trace column.
     """
 
     t_ns: np.ndarray
@@ -40,8 +56,8 @@ class PacketTrace:
     label: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_ns, dtype=np.int64)
-        size = np.asarray(self.size_bytes, dtype=np.int64)
+        t = _int_column(self.t_ns, "t_ns")
+        size = _int_column(self.size_bytes, "size_bytes")
         label = np.asarray(self.label)  # checked before the uint8 cast could wrap it
         if not (len(t) == len(size) == len(label)):
             raise ConfigError("trace columns must have equal length")
@@ -57,10 +73,16 @@ class PacketTrace:
             raise PreconditionError("trace is not sorted by t_ns")
         object.__setattr__(self, "t_ns", t)
         object.__setattr__(self, "size_bytes", size)
-        object.__setattr__(self, "label", label.astype(np.uint8, copy=False))
+        object.__setattr__(self, "label", _int_column(label, "label", np.uint8))
 
     def __len__(self):
         return len(self.t_ns)
+
+    @cached_property
+    def _one_size(self) -> bool:
+        """Whether every packet of the (non-empty) trace has one size; no column is ever written."""
+        sizes = _stored(self.size_bytes)
+        return bool(sizes.min() == sizes.max())
 
     def __eq__(self, other):
         if not isinstance(other, PacketTrace):

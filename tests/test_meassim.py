@@ -11,6 +11,7 @@ from icmeas.meassim import (
     _CUT_BLOCK,
     _WALK_BELOW_RUNS,
     _WALK_BLOCK,
+    _WALK_CHECK_MAX,
     HicConfig,
     MeasurementSeries,
     PicConfig,
@@ -305,6 +306,50 @@ def test_measure_equals_transfer_then_coalesce(rate_bps, kind, data):
     assert np.array_equal(trace.t_ns, t_before)  # m is shifted in place, the trace is not
 
 
+def _one_size_case_trace(kind):
+    """A 3,000-packet trace for the one-size fact.
+
+    At 1 Gbps 64, 576 and 1500 B take 512, 4,608 and 12,000 ns, so gaps of
+    their differences tie mixed sizes after the delays and shorter ones
+    reorder them.
+    """
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.choice([0, 4_096, 7_392, 11_488, 20 * US], 3_000))
+    sizes = {
+        "broadcast": np.broadcast_to(np.int64(500), t.shape),
+        "contiguous": np.full(len(t), 500),
+        "mixed": rng.choice([64, 576, 1500], len(t)),
+    }
+    if kind == "one-packet":
+        return PacketTrace(t[:1], [1500], [1])
+    return PacketTrace(t, sizes[kind], rng.integers(0, 2, len(t)).astype(np.uint8))
+
+
+@pytest.mark.parametrize("kind", ["broadcast", "contiguous", "mixed", "one-packet"])
+def test_one_size_fact_is_kept_across_measure_calls(kind):
+    trace = _one_size_case_trace(kind)
+    assert "_one_size" not in vars(trace)  # computed on the first ask, not at construction
+    one_size = kind != "mixed"
+    assert trace._one_size is one_size
+    transfer = TransferConfig()
+    for cfg in (TicConfig(125 * US), PicConfig(10), *COALESCENCE_PRESETS.values()):
+        want = coalesce(apply_transfer(trace, transfer), cfg)
+        for _ in range(2):
+            got = measure(trace, transfer, cfg)
+            assert got == want and got.flags == want.flags
+    assert vars(trace)["_one_size"] is one_size
+
+
+def test_mixed_trace_is_stable_sorted_after_its_delays():
+    trace = _one_size_case_trace("mixed")
+    assert trace._one_size is False  # cached before the delays
+    delayed = apply_transfer(trace, TransferConfig())
+    assert delayed == transfer_reference(trace, 1e9)
+    shifted = trace.t_ns + np.rint(trace.size_bytes * 8.0).astype(np.int64)
+    assert np.any(np.diff(shifted) < 0)  # the delays reorder packets, so the sort is needed
+    assert np.any(np.diff(delayed.t_ns) == 0)  # and ties leave their order to the stable sort
+
+
 def _error_text(fn):
     with pytest.raises(PreconditionError) as info:
         fn()
@@ -524,11 +569,11 @@ def test_walk_block_edges_on_tied_small_gaps(n, pack, hard):
 
 
 def test_walk_group_longer_than_a_block():
-    # 1 ns spacing under a 10 us absolute timer: 10,000 keys per group
-    assert 10 * US > 2 * _B
-    t = np.arange(3 * 10 * US + 7)
-    _assert_walk_matches_references(t, 5, 10 * US)
-    _assert_walk_matches_references(t, 10 * US + 1, 10 * US)  # inverted
+    # 1 ns spacing: a group holds `hard` keys, more than twice the largest check
+    hard = 2 * _WALK_CHECK_MAX + 7
+    t = np.arange(3 * hard + 7)
+    _assert_walk_matches_references(t, 5, hard)
+    _assert_walk_matches_references(t, hard + 1, hard)  # inverted
 
 
 @pytest.mark.parametrize("hard", [1, 2, 5, _B - 1])
@@ -573,10 +618,8 @@ def test_walk_run_ends_within_a_stride_of_a_block(past):
     _assert_walk_matches_references(100 + 10 * np.arange(_B + past), 11, 10 * _STRIDE)
 
 
-@pytest.mark.parametrize("cfg", [TicConfig(125 * US), *COALESCENCE_PRESETS.values()])
-def test_walk_on_constant_spacing_searches_no_block_of_keys(monkeypatch, cfg):
-    # every group of a constant-spacing run holds the same number of arrivals,
-    # so each block is one strided write: only single keys are searched
+def _counting_multi_key_searches(monkeypatch):
+    """The sizes of the multi-key np.searchsorted calls made from now on."""
     multi_key = []
     searchsorted = np.searchsorted
 
@@ -586,10 +629,50 @@ def test_walk_on_constant_spacing_searches_no_block_of_keys(monkeypatch, cfg):
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
+    return multi_key
+
+
+@pytest.mark.parametrize("cfg", [TicConfig(125 * US), *COALESCENCE_PRESETS.values()])
+def test_walk_on_constant_spacing_searches_no_block_of_keys(monkeypatch, cfg):
+    # every group of a constant-spacing run holds the same number of arrivals,
+    # so each block is one strided write: only single keys are searched
+    multi_key = _counting_multi_key_searches(monkeypatch)
     trace = make_trace(10 * US * np.arange(200_000))
     series = coalesce(trace, cfg)
     assert series.total_packets() == len(trace)
     assert multi_key == []
+
+
+# checks of B, 2B, ... keys reach the cap after cap - B keys (plus the
+# stride's rounding at each check's end), so a lattice key near 1.5 cap lies
+# inside the first check at the cap; key n - 20 lies in the last check
+_CAP = _WALK_CHECK_MAX
+_CAPPED_LATTICE = 2 * _CAP + _CAP - _B + 7
+_IN_CAPPED_CHECK = (_CAP + _CAP // 2) // _STRIDE * _STRIDE
+
+
+@pytest.mark.parametrize("spacing", [1, 10])
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("offset", [0, 5], ids=["start", "inside-a-group"])
+def test_walk_capped_check_on_a_lattice_with_keys_moved(monkeypatch, offset, delta, spacing):
+    # until the first move the group starts are the multiples of 13; a capped
+    # check that fails keeps its keys before the first one off the stride,
+    # the check drops back to B keys, and only a check of B keys that fails
+    # searches its keys one by one
+    multi_key = _counting_multi_key_searches(monkeypatch)
+    n = _CAPPED_LATTICE
+    assert n > 2 * _CAP
+    t = 100 + spacing * np.arange(n)
+    for moved in (_IN_CAPPED_CHECK + offset, n - 20):
+        t[moved] += delta
+    hard = spacing * _STRIDE
+    _assert_walk_matches_references(t, 2 * spacing + 1, hard)
+    _assert_walk_matches_references(t, hard + 2, hard)  # inverted
+    assert max(multi_key, default=0) <= _B
+    # on the 10 ns lattice a move breaks the hop of a start only when it moves
+    # a start (1 ns late) or the key a stride past one (1 ns early); on the
+    # 1 ns lattice it also shortens or stretches the hops of its neighbours
+    assert bool(multi_key) == (spacing == 1 or offset == 0)
 
 
 @st.composite
@@ -780,6 +863,22 @@ def test_series_equals_only_a_series():
     columns = (series.m_ns, series.count)
     assert series.__eq__(columns) is NotImplemented
     assert series != columns
+
+
+@pytest.mark.parametrize(
+    "m_ns, count, name",
+    [([0.5, 1.7], [1.9, 1], "m_ns"), ([10, 20], [1.5, 1], "count"), ([10, np.nan], [1, 1], "m_ns")],
+    ids=["fractions", "fractional-count", "nan"],
+)
+def test_series_refuses_floats_that_are_not_whole(m_ns, count, name):
+    with pytest.raises(PreconditionError, match=f"^{name} must hold whole numbers$"):
+        MeasurementSeries(m_ns, count)
+
+
+def test_series_takes_whole_floats_as_ints():
+    series = MeasurementSeries(np.array([10.0, 20.0]), [1.0, 3.0])
+    assert series.m_ns.dtype == series.count.dtype == np.int64
+    assert series == MeasurementSeries([10, 20], [1, 3])
 
 
 def test_series_validate():

@@ -365,6 +365,30 @@ def test_trace_refuses_broadcast_columns_as_their_copies(size, label, message):
             PacketTrace([0, 1, 2], size_col, label_col)
 
 
+@pytest.mark.parametrize(
+    "cols, name",
+    [
+        (([0], [1], [0.5]), "label"),
+        (([0.7, 1.2], [1.9, 2], [0, 1]), "t_ns"),
+        (([0, 1], [1.9, 2], [0, 1]), "size_bytes"),
+        (([0.0, np.inf], [1, 1], [0, 0]), "t_ns"),
+        (([0.0, np.nan], [1, 1], [0, 0]), "t_ns"),
+        (([0, 1, 2], np.broadcast_to(1.5, (3,)), np.zeros(3)), "size_bytes"),
+    ],
+    ids=["half-label", "fractional-times", "fractional-size", "inf-time", "nan-time", "broadcast"],
+)
+def test_trace_refuses_floats_that_are_not_whole(cols, name):
+    # the int casts would truncate a fraction (0.5 -> 0) instead of refusing it
+    with pytest.raises(PreconditionError, match=f"^{name} must hold whole numbers$"):
+        PacketTrace(*cols)
+
+
+def test_trace_takes_whole_floats_as_ints():
+    trace = PacketTrace([0.0, 2.0, 2.0], np.broadcast_to(1500.0, (3,)), np.array([0.0, 1.0, 1.0]))
+    assert trace.t_ns.dtype == trace.size_bytes.dtype == np.int64 and trace.label.dtype == np.uint8
+    assert trace == PacketTrace([0, 2, 2], [1500] * 3, [0, 1, 1])
+
+
 def test_trace_roundtrip(tmp_path):
     cfg = PoissonConfig(mean_gap_ns=5_000.0, duration_ns=10 * MS, seed=11)
     trace = merge(
