@@ -190,27 +190,36 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     A gap of at least packet_ns always ends a group, so the trace splits into
     independent runs.  Inside a run a group ends at the first arrival at or
     past its start plus absolute_ns (half-open: an arrival at the expiry opens
-    the next group).  Runs advance together as a vectorized frontier while
-    many are open; only a run whose last arrival reaches its group's expiry
-    searches for its next start, the rest being one group.  The last few are
-    walked a block of keys at a time.  A block in which a group from any key
-    would hold the same number of arrivals (a constant stride) is checked by
-    two shifted comparisons and written in one strided assignment, and the
-    next check covers twice the keys, up to _WALK_CHECK_MAX.  A longer check
-    that fails keeps the keys before the first one off the stride, and the
-    check drops back to _WALK_BLOCK keys; a check of _WALK_BLOCK keys that
-    fails searches each key's next start and steps group by group.  Without
-    a packet timer (TIC) the whole trace is one run.
+    the next group).  A run too short to span absolute_ns at gaps below
+    packet_ns is one group and is left out at once.  The other runs advance
+    together as a vectorized frontier while many are open; only a run whose
+    last arrival reaches its group's expiry searches for its next start, the
+    rest being one group.  The last few are walked a block of keys at a
+    time.  A block in which a group from any key would hold the same number
+    of arrivals (a constant stride) is checked by two shifted comparisons
+    and written in one strided assignment, and the next check covers twice
+    the keys, up to _WALK_CHECK_MAX.  A longer check that fails keeps the
+    keys before the first one off the stride, and the check drops back to
+    _WALK_BLOCK keys; a check of _WALK_BLOCK keys that fails searches each
+    key's next start and steps group by group.  Without a packet timer
+    (TIC) the whole trace is one run.
     """
     n = len(t)
     cut = np.empty(0, np.int64) if packet_ns is None else _packet_timer_cuts(t, packet_ns)
     cur, end = np.concatenate(([0], cut)), np.concatenate((cut, [n]))
     is_first = np.zeros(n, bool)
+    is_first[cur] = True
+    if packet_ns is not None:
+        # every gap inside a run is below packet_ns, so a run of k arrivals
+        # with (k - 1) * packet_ns <= absolute_ns ends before its expiry
+        keep = np.flatnonzero(end - cur > absolute_ns // packet_ns + 1)
+        cur, end = cur[keep], end[keep]
     while len(cur) >= _WALK_BELOW_RUNS:
-        is_first[cur] = True
         expiry = t[cur] + absolute_ns
-        open_ = t[end - 1] >= expiry
-        cur, end = np.searchsorted(t, expiry[open_], side="left"), end[open_]
+        # runs are kept by index: a boolean mask this irregular gathers several times slower
+        keep = np.flatnonzero(t[end - 1] >= expiry)
+        cur, end = np.searchsorted(t, expiry[keep], side="left"), end[keep]
+        is_first[cur] = True
     for i, e in zip(cur.tolist(), end.tolist()):
         run = t[:e]  # slices of it stop at the run's end
         check = _WALK_BLOCK

@@ -22,13 +22,15 @@ from .errors import ConfigError, InsufficientDataError
 class PdmmConfig:
     """Histogram range, blocking, and test parameters.
 
-    Differences d with low_cutoff_ns <= d < high_cutoff_ns are counted at
-    resolution bin_width_ns; the test aggregates the raw bins into sub_bins
-    equal-width cells.  threshold is the false-alarm control: a block
-    detects when the chi-square CDF value exceeds 1 - threshold.
-    window_blocks, when set, keeps only that many trailing blocks in the
-    histogram instead of accumulating forever.  The defaults are calibrated
-    on the built-in traffic presets (seeded false-positive/detection ensembles).
+    Differences d with low_cutoff_ns <= d < high_cutoff_ns are counted in
+    sub_bins equal-width cells, the cells the test reads.  bin_width_ns
+    only has to divide the cell width: it changes no count and no result.
+    threshold bounds each block's test, not a trial's false-alarm rate: a
+    block detects when the chi-square CDF value exceeds 1 - threshold, and
+    a 20 s window at the defaults looks about 107 times.  window_blocks,
+    when set, keeps only that many trailing blocks in the histogram instead
+    of accumulating forever.  The defaults are calibrated on the built-in
+    traffic presets (seeded false-positive/detection ensembles).
     """
 
     low_cutoff_ns: int = 1_000_000
@@ -60,22 +62,19 @@ class PdmmConfig:
             raise ConfigError("histogram span must divide evenly into sub-bins")
         if self.window_blocks is not None and self.window_blocks < 1:
             raise ConfigError("window_blocks must be >= 1 when set")
-        # a chunk keys its differences below _CHUNK_BLOCKS * span and counts
-        # them in a (_CHUNK_BLOCKS, n_bins) float64 array
+        # a chunk keys its differences below _CHUNK_BLOCKS * span, divides
+        # them into cells and counts them in a (_CHUNK_BLOCKS, sub_bins)
+        # float64 array
         if _CHUNK_BLOCKS * span > np.iinfo(np.int64).max:
             raise ConfigError(
-                f"n_bins = {self.n_bins} is too large: the keys of a "
+                f"histogram span {span} ns is too large: the keys of a "
                 f"{_CHUNK_BLOCKS}-block chunk would overflow int64"
             )
-        if _CHUNK_BLOCKS * self.n_bins * 8 > np.iinfo(np.intp).max:
+        if _CHUNK_BLOCKS * self.sub_bins * 8 > np.iinfo(np.intp).max:
             raise ConfigError(
-                f"n_bins = {self.n_bins} is too large: the float64 counts of a "
+                f"sub_bins = {self.sub_bins} is too large: the float64 counts of a "
                 f"{_CHUNK_BLOCKS}-block chunk would exceed the addressable size"
             )
-
-    @property
-    def n_bins(self) -> int:
-        return (self.high_cutoff_ns - self.low_cutoff_ns) // self.bin_width_ns
 
 
 @dataclass(frozen=True)
@@ -146,26 +145,27 @@ def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
 
 
 def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig):
-    """Raw-bin counts (float64, (n_blocks, n_bins)) of consecutive blocks of m.
+    """Cell counts (float64, (n_blocks, sub_bins)) of consecutive blocks of m.
 
     Block k holds m[first + k*block_len : first + (k+1)*block_len]; m[:first]
-    is history.  For each order, the difference ending at every block entry
-    is keyed k * n_bins + raw_bin, so one bincount per group of orders counts
-    all blocks.  low_cutoff_ns is folded into a shifted copy of m, so one
+    is history.  For each order, the difference d ending at every block
+    entry is keyed k * span + d and floor-divided by the cell width to
+    k * sub_bins + cell, so one bincount per group of orders counts all
+    blocks.  low_cutoff_ns is folded into a shifted copy of m, so one
     unsigned compare of m[i] - (m[j] + low) against the span keeps exactly
     the differences in [low, high).  Entries whose earlier endpoint would lie
     before m[0] are set to -1, which that compare rejects.  _order_ranges
     leaves out the orders with no difference in range and marks those with
     every difference in range, which skip the compare.
     """
-    n_bins = cfg.n_bins
     span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
+    n_cells = n_blocks * cfg.sub_bins
     length = n_blocks * block_len
     end = first + length
-    counts = np.zeros(n_blocks * n_bins)
+    counts = np.zeros(n_cells)
     top = min(cfg.max_order, end - 1)
     shifted = m[:end] + cfg.low_cutoff_ns
-    # span = n_bins * bin_width_ns, so block k's keys floor-divide to k * n_bins + raw_bin
+    # span = sub_bins cell widths, so block k's keys floor-divide to k * sub_bins + cell
     offset = np.repeat(np.arange(0, n_blocks * span, span, dtype=np.int64), block_len)
     keyed = m[first:end] + offset  # an unmasked row's keys come out of one subtraction
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
@@ -186,15 +186,16 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
                 keys = rows[in_range]
             else:
                 keys = rows.ravel()
-            keys //= cfg.bin_width_ns
-            counts += np.bincount(keys, minlength=n_blocks * n_bins)
-    return counts.reshape(n_blocks, n_bins)
+            keys //= span // cfg.sub_bins
+            counts += np.bincount(keys, minlength=n_cells)
+    return counts.reshape(n_blocks, cfg.sub_bins)
 
 
 def pearson_chi_square(counts, sub_bins: int):
     """Uniformity statistic over equal-width sub-bins and its CDF value.
 
-    Aggregates the raw-bin counts into sub_bins cells, computes
+    Aggregates the counts (sub_bins cells, or a multiple of them in finer
+    equal-width bins) into sub_bins cells, computes
     sum((observed - expected)^2 / expected) against the uniform expectation,
     and returns (chi_square, p) where p is the chi-square CDF with
     sub_bins - 1 degrees of freedom, evaluated via the regularized lower
@@ -234,7 +235,7 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     n_blocks = len(m) // cfg.block_len
     if n_blocks < 2:
         return DetectionReport(None, n_blocks)
-    counts = np.zeros(cfg.n_bins)
+    counts = np.zeros(cfg.sub_bins)
     window = deque() if cfg.window_blocks is not None else None
     trajectory = []
     for b in range(n_blocks):

@@ -509,6 +509,36 @@ def test_frontier_closes_runs_at_the_absolute_expiry():
     assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
 
 
+@pytest.mark.parametrize("pack, hard", [(10, 40), (10, 45), (10, 10), (7, 5)])
+@pytest.mark.parametrize("n_runs", [_WALK_BELOW_RUNS - 1, 6 * _WALK_BELOW_RUNS])
+def test_runs_too_short_to_reach_the_absolute_expiry(pack, hard, n_runs):
+    # a run of k arrivals with (k - 1) * pack <= hard is one group whatever
+    # its gaps, and is left out before the frontier; runs one and two
+    # arrivals longer, at the widest gaps (pack - 1), reach their expiry
+    short = hard // pack + 1  # the longest such run
+    rng = np.random.default_rng(pack * hard + n_runs)
+    runs, start = [], 0
+    for r in range(n_runs):
+        k = short + r % 3
+        widest = r % 2 == 0
+        gaps = np.full(k - 1, pack - 1) if widest else rng.integers(0, pack, k - 1)
+        runs.append(start + np.concatenate(([0], np.cumsum(gaps))))
+        start = int(runs[-1][-1]) + pack + int(rng.integers(0, 3 * pack))
+    t = np.concatenate(runs).astype(np.int64)
+    lengths = [len(run) for run in runs]
+    assert (short - 1) * pack <= hard < short * pack
+    assert ((short - 1) * pack == hard) == (hard % pack == 0)  # runs exactly at the bound
+    assert max(lengths) == short + 2
+    assert 1 + np.count_nonzero(np.diff(t) >= pack) == n_runs
+    series = coalesce(make_trace(t), HicConfig(pack, hard, allow_inverted_timers=True))
+    m, c = hic_reference(t, pack, hard)
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    assert len(c) > n_runs  # some run longer than `short` splits
+    abs_fired = _abs_fired_by_oracle(t, m, c, hard)
+    assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+
+
 # --- the packet timer's cuts, a block of gaps at a time ---
 
 

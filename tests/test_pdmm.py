@@ -4,6 +4,8 @@ Chi-square CDF values are cross-checked against the scipy.stats distribution
 object; hand-counted histograms pin the accumulation rules.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,7 +69,7 @@ CAL = dict(
 class TestConfig:
     def test_valid(self):
         cfg = _cfg()
-        assert cfg.n_bins == 450
+        assert _count_blocks(np.zeros(2, np.int64), 0, 2, 1, cfg).shape == (1, 45)
 
     @pytest.mark.parametrize(
         "kw",
@@ -91,39 +93,38 @@ class TestConfig:
     # Each case sits one step either side of a chunk-size limit; a config
     # allocates nothing, and no accepted one here is run.
     @pytest.mark.parametrize(
-        "bin_width_ns, n_bins, too_large",
+        "span, sub_bins, too_large",
         [
-            # keys of a chunk stay below _CHUNK_BLOCKS * span: int64 holds 4 * (2**61 - 2**41)
-            (2**40, 2**21 - 2, None),
-            (2**40, 2**21, "overflow int64"),
-            # a chunk's float64 counts take 4 * n_bins * 8 bytes
-            (1, 2**58 - 2, None),
-            (1, 2**58, "exceed the addressable size"),
+            # keys of a chunk stay below _CHUNK_BLOCKS * span: int64 holds 4 * (2**61 - 2)
+            (2**61 - 2, 2, None),
+            (2**61, 2, "histogram span 2305843009213693952 ns is too large: .*overflow int64"),
+            # a chunk's float64 counts take 4 * sub_bins * 8 bytes
+            (2**58 - 1, 2**58 - 1, None),
+            (2**58, 2**58, "sub_bins = 288230376151711744 is too large: .*exceed the addressable size"),
         ],
     )
-    def test_chunk_size_limits(self, bin_width_ns, n_bins, too_large):
-        kw = dict(low_cutoff_ns=0, high_cutoff_ns=n_bins * bin_width_ns, sub_bins=2)
-        kw["bin_width_ns"] = bin_width_ns
+    def test_chunk_size_limits(self, span, sub_bins, too_large):
+        kw = dict(low_cutoff_ns=0, high_cutoff_ns=span, sub_bins=sub_bins, bin_width_ns=1)
         assert _CHUNK_BLOCKS == 4  # the bounds above are worked out for 4-block chunks
         if too_large is None:
-            assert PdmmConfig(**kw).n_bins == n_bins
+            assert PdmmConfig(**kw).sub_bins == sub_bins
         else:
-            with pytest.raises(ConfigError, match=f"^n_bins = {n_bins} is too large: .*{too_large}"):
+            with pytest.raises(ConfigError, match=f"^{too_large}"):
                 PdmmConfig(**kw)
 
 
 class TestAccumulateBlock:
     def test_hand_counted_orders(self):
         # three timestamps, two orders: gaps 100 and 150 at order one, 250
-        # at order two, all inside [50, 500) us
+        # at order two, all inside [50, 500) us, whose 45 cells are 10 us wide
         cfg = _cfg()
         m = np.array([0, 100 * US, 250 * US], np.int64)
         counts = _count_blocks(m, 0, len(m), 1, cfg)[0]
-        assert counts.shape == (450,)
+        assert counts.shape == (45,)
         assert counts.sum() == 3
-        assert counts[(100 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
-        assert counts[(150 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
-        assert counts[(250 * US - cfg.low_cutoff_ns) // cfg.bin_width_ns] == 1
+        assert counts[(100 - 50) // 10] == 1
+        assert counts[(150 - 50) // 10] == 1
+        assert counts[(250 - 50) // 10] == 1
 
     def test_upper_boundary_discarded(self):
         cfg = _cfg()
@@ -390,7 +391,7 @@ class TestDetectStream:
             atk = gen_periodic(AttackConfig(period_ns=400 * US, duration_ns=8 * 1000 * MS))
             ms = measure(merge(bg, atk), TransferConfig(), HicConfig(30 * US, 300 * US))
             cfg = PdmmConfig(**CAL)
-            counts = np.zeros(cfg.n_bins)
+            counts = np.zeros(cfg.sub_bins)
             m = ms.m_ns
             n_blocks = len(m) // cfg.block_len
             chis = {}
@@ -570,15 +571,20 @@ def test_chunked_report_equals_oracle_report(case):
 
 
 def _assert_blocks_match_oracle(m, first, n_blocks, cfg):
-    """_count_blocks over n_blocks blocks after m[:first] equals the oracle block by block."""
+    """_count_blocks over n_blocks blocks after m[:first] equals the oracle block by block.
+
+    The oracle counts raw bins of bin_width_ns; they are summed into the
+    sub_bins cells that _count_blocks returns.
+    """
     counts = _count_blocks(m, first, cfg.block_len, n_blocks, cfg)
+    assert counts.shape == (n_blocks, cfg.sub_bins)
     for k in range(n_blocks):
         lo = first + k * cfg.block_len
         want = pdmm_counts_reference(
             m, lo, lo + cfg.block_len, cfg.max_order,
             cfg.low_cutoff_ns, cfg.high_cutoff_ns, cfg.bin_width_ns,
         )
-        np.testing.assert_array_equal(counts[k], want)
+        np.testing.assert_array_equal(counts[k], np.reshape(want, (cfg.sub_bins, -1)).sum(axis=1))
 
 
 def _assert_chunks_match_oracle(m, cfg):
@@ -669,3 +675,60 @@ def test_order_ranges_shuffled_series_is_counted_masked(seed):
     m = np.random.default_rng(seed).permutation(m)
     _assert_blocks_match_oracle(m, cfg.max_order, CHUNK, cfg)
     _assert_chunks_match_oracle(m, cfg)
+
+
+# --- cells at the int64 edges of the keys, against the pair-loop oracle ---
+
+
+def _offset_2_62(seed, n):
+    return 2**62 + _fuzz_stream(seed, n)
+
+
+def _ending_at_int64_max(seed, n):
+    # the last stamp is 2**63 - 1, so m + low_cutoff_ns wraps
+    m = _fuzz_stream(seed, n)
+    return 2**63 - 1 - (m[-1] - m)
+
+
+def _shuffled_both_signs(seed, n):
+    m = _fuzz_stream(seed, n)
+    return np.random.default_rng(seed).permutation(m - m[n // 2])
+
+
+@pytest.mark.parametrize("stamps", [_offset_2_62, _ending_at_int64_max, _shuffled_both_signs])
+@pytest.mark.parametrize(
+    "cell_ns, bin_width_ns",
+    [(8, 1), (8, 4), (9, 1), (9, 3)],
+    ids=["cell-2**3", "cell-2**3-raw-4", "cell-2**3+1", "cell-2**3+1-raw-3"],
+)
+def test_cells_at_int64_edges_match_oracle(stamps, cell_ns, bin_width_ns):
+    cfg = _fuzz_cfg(
+        low_cutoff_ns=40,
+        high_cutoff_ns=40 + 45 * cell_ns,
+        sub_bins=45,
+        bin_width_ns=bin_width_ns,
+        threshold=1e-9,
+    )
+    for seed in range(3):
+        m = stamps(seed, (2 * CHUNK + 1) * cfg.block_len + 3)
+        assert m.dtype == np.int64
+        _assert_chunks_match_oracle(m, cfg)
+        _assert_matches_oracle(m, cfg)
+
+
+def test_cells_of_stamps_more_than_2_63_apart_match_oracle():
+    # a = 2**62 + 2**60: the entry -a after a is a difference of -(2**63 + 2**61)
+    # = -2**61 cells of 5 ns, so a key coded as (x // 5) * 8 + x % 5 lands
+    # less than 8 above -2**64 and would wrap into cell 0; none of these
+    # differences is in range
+    a = 2**62 + 2**60
+    cfg = PdmmConfig(
+        low_cutoff_ns=0, high_cutoff_ns=10, max_order=2, block_len=3, sub_bins=2, bin_width_ns=5
+    )
+    for m in ([0, a, -a], [-a, 0, a], [-(2**63), 2**63 - 8, 2**63 - 1]):
+        m = np.array(m, np.int64)
+        _assert_blocks_match_oracle(m, 0, 1, cfg)
+    m = np.array([0, a, -a, -a + 3, -a + 9, 2**63 - 1], np.int64)
+    _assert_blocks_match_oracle(m, 0, 1, dataclasses.replace(cfg, block_len=6))
+    # only -a, -a + 3, -a + 9 lie in range of each other: 3 in cell 0, 6 and 9 in cell 1
+    assert _count_blocks(m, 0, 6, 1, cfg)[0].tolist() == [1, 2]
