@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, require_finite
 
-METHOD_SINGLE_PAIR = "single_pair_shift_corrected"
-METHOD_ERLANG_RATIO = "erlang_ratio"
-
 
 @dataclass(frozen=True)
 class GapDistParams:
@@ -45,10 +42,9 @@ class GapDistParams:
 
 @dataclass(frozen=True)
 class LambdaEstimate:
-    """Recovered mean packet gap plus the method and sample size behind it."""
+    """Recovered mean packet gap plus the sample size behind it."""
 
     value_ns: float
-    method: str
     sample_count: int
 
     def __post_init__(self):
@@ -148,7 +144,7 @@ def estimate_lambda_single_pairs(ms, packet_timer_ns: float) -> LambdaEstimate:
     value = float(gaps.mean()) - packet_timer_ns
     if value <= 0:
         raise InsufficientDataError("qualifying gaps do not exceed the packet timer")
-    return LambdaEstimate(value, METHOD_SINGLE_PAIR, n)
+    return LambdaEstimate(value, n)
 
 
 def estimate_lambda_ratio(ms) -> LambdaEstimate:
@@ -165,4 +161,4 @@ def estimate_lambda_ratio(ms) -> LambdaEstimate:
     value = mean_gap / mean_count
     if value <= 0:
         raise InsufficientDataError("measurement timestamps are not increasing")
-    return LambdaEstimate(value, METHOD_ERLANG_RATIO, len(ms))
+    return LambdaEstimate(value, len(ms))

@@ -171,6 +171,7 @@ def _cmd_gen(args) -> int:
                 period_ns=_ns(opts["attack_period_us"], US, "--attack-period-us"),
                 duration_ns=duration_ns,
                 size_bytes=opts["attack_size_bytes"],
+                seed=args.seed,
             )
             if opts["attack_period_us"] is not None
             else None

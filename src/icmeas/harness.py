@@ -116,12 +116,13 @@ class ExperimentResult:
 
 
 def preset_traffic(traffic: str, duration_ns: int, seed: int = 0, attack: bool = True):
-    """(background, attack or None) configs of a named traffic preset."""
+    """(background, attack or None) configs of a named traffic preset, both seeded with seed."""
     if traffic not in TRAFFIC_PRESETS:
         raise ConfigError(f"unknown traffic preset: {traffic!r}")
     background, attack_cfg = TRAFFIC_PRESETS[traffic]
-    background = dataclasses.replace(background, duration_ns=duration_ns, seed=seed)
-    return background, dataclasses.replace(attack_cfg, duration_ns=duration_ns) if attack else None
+    run = {"duration_ns": duration_ns, "seed": seed}
+    attack_cfg = dataclasses.replace(attack_cfg, **run) if attack else None
+    return dataclasses.replace(background, **run), attack_cfg
 
 
 def preset_experiment(
@@ -206,8 +207,9 @@ def run_detector(name: str, ms, cfg, window_ns: int | None = None):
 
 def _run_trial(cfg: ExperimentConfig, seed: int, systems: dict) -> dict:
     window_ns = cfg.detection_window_ns
-    background = dataclasses.replace(cfg.background, duration_ns=window_ns, seed=seed)
-    attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, duration_ns=window_ns)
+    run = {"duration_ns": window_ns, "seed": seed}
+    background = dataclasses.replace(cfg.background, **run)
+    attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, **run)
     trace = build_trace(background, attack, cfg.transfer)
     series = {system: coalesce(trace, c) for system, c in systems.items()}
     del trace  # released before the detectors run
@@ -248,7 +250,8 @@ def run_systems(cfg: ExperimentConfig, systems: dict) -> dict:
     """Run cfg's trials under each {name: coalescence config}; {name: ExperimentResult}.
 
     Each trial seed's trace is built once, measured under every system and
-    released before the detectors run.  Trial seeds derive from seed_base.
+    released before the detectors run.  Trial seeds derive from seed_base;
+    a trial's seed replaces the background's and the attack's own seeds.
     Medians rank timeouts last: timing out in half the trials gives None.
     """
     if not systems:

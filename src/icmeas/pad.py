@@ -22,9 +22,11 @@ class PadConfig:
     """Rasterization, windowing, and peak-test parameters.
 
     The search band [min_freq_hz, max_freq_hz] bounds where peaks are
-    sought; peak_factor is the detection multiplier over the in-band median
-    floor.  Each analysis window is split into `segments` equal parts whose
-    periodograms are averaged (more segments: steadier floor, wider bins).
+    sought; `band` holds the indices of its segment-spectrum bins, and a
+    band without bins is rejected.  peak_factor is the detection
+    multiplier over the in-band median floor.  Each analysis window is
+    split into `segments` equal parts whose periodograms are averaged (more
+    segments: steadier floor, wider bins).
     The defaults are calibrated on the built-in traffic presets by seeded
     false-positive and detection-time ensembles.
     """
@@ -53,17 +55,25 @@ class PadConfig:
         nyquist = 0.5e9 / self.sample_interval_ns
         if self.max_freq_hz > nyquist:
             raise ConfigError(f"max_freq_hz exceeds the Nyquist frequency {nyquist:.1f}")
-        # the first bin at or above min_freq_hz, found without materializing
-        # the bins: bin k sits at k * hz as rfftfreq forms it
-        hz = 1.0 / (self.segment_len * (self.sample_interval_ns / 1e9))
-        bins = range(self.segment_len // 2 + 1)
-        k = bisect_left(bins, True, key=lambda i: i * hz >= self.min_freq_hz)
-        if k == len(bins) or k * hz > self.max_freq_hz:
+        if not self.band:
             raise ConfigError("search band contains no frequency bins")
 
     @property
     def segment_len(self) -> int:
         return self.window // self.segments
+
+    @property
+    def bin_hz(self) -> float:
+        """Bin spacing of a segment spectrum: bin k sits at k * bin_hz, as rfftfreq forms it."""
+        return 1.0 / (self.segment_len * (self.sample_interval_ns / 1e9))
+
+    @property
+    def band(self) -> range:
+        """Indices of the segment spectrum's bins in [min_freq_hz, max_freq_hz], by bisection."""
+        hz, bins = self.bin_hz, range(self.segment_len // 2 + 1)
+        start = bisect_left(bins, True, key=lambda k: k * hz >= self.min_freq_hz)
+        stop = bisect_left(bins, True, start, key=lambda k: k * hz > self.max_freq_hz)
+        return range(start, stop)
 
 
 def rasterize(ms, sample_interval_ns: int, n_samples: int | None = None) -> np.ndarray:
@@ -118,7 +128,7 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     report.  Segment k starts at k * min(segment_len, hop), so a window's
     segments are consecutive; every segment is transformed once, in one
     call, and every window is scored before the scan is cut at the first
-    flagged one.
+    flagged one.  Every segment spectrum is sliced to the bins of cfg.band.
     """
     x = np.asarray(series, dtype=float)
     if len(x) < cfg.window:
@@ -128,10 +138,9 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     stride = hop // step  # segments between consecutive window starts
     n = (len(x) - cfg.window) // hop + 1
     last = (n - 1) * stride + 1
-    freqs = np.fft.rfftfreq(seg, d=cfg.sample_interval_ns / 1e9)
-    band = (freqs >= cfg.min_freq_hz) & (freqs <= cfg.max_freq_hz)
+    band = cfg.band
     segs = np.lib.stride_tricks.sliding_window_view(x, seg)[::step][: last - 1 + cfg.segments]
-    specs = periodogram(segs)[:, band]
+    specs = periodogram(segs)[:, band.start : band.stop]
     # each window's segment spectra added in order, then divided: the same
     # floats as their mean(axis=0)
     psd = sum(specs[j : j + last : stride] for j in range(cfg.segments)) / cfg.segments
@@ -139,7 +148,7 @@ def detect_psd(series, cfg: PadConfig) -> DetectionReport:
     k = np.argmax(psd, axis=1)
     live = floor > 0.0
     ratio = np.divide(psd[np.arange(n), k], floor, out=np.zeros(n), where=live)
-    peak_freq = np.where(live, freqs[band][k], 0.0)
+    peak_freq = np.where(live, (band.start + k) * cfg.bin_hz, 0.0)
     hits = np.flatnonzero(ratio > cfg.peak_factor)
     windows = int(hits[0]) + 1 if len(hits) else n
     trajectory = tuple(zip(range(windows), ratio[:windows].tolist(), peak_freq[:windows].tolist()))

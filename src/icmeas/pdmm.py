@@ -9,7 +9,6 @@ sub-bins turns that concentration into a detection verdict.
 """
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -23,8 +22,9 @@ class PdmmConfig:
     """Histogram range, blocking, and test parameters.
 
     Differences d with low_cutoff_ns <= d < high_cutoff_ns are counted in
-    sub_bins equal-width cells, the cells the test reads.  bin_width_ns
-    only has to divide the cell width: it changes no count and no result.
+    sub_bins equal-width cells, exactly the cells pearson_chi_square reads.
+    bin_width_ns only has to divide the cell width and changes no result;
+    it stays a field because result files echo it.
     threshold bounds each block's test, not a trial's false-alarm rate: a
     block detects when the chi-square CDF value exceeds 1 - threshold, and
     a 20 s window at the defaults looks about 107 times.  window_blocks,
@@ -191,32 +191,26 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     return counts.reshape(n_blocks, cfg.sub_bins)
 
 
-def pearson_chi_square(counts, sub_bins: int):
-    """Uniformity statistic over equal-width sub-bins and its CDF value.
+def pearson_chi_square(cells):
+    """Uniformity statistic over equal-width cells and its CDF value.
 
-    Aggregates the counts (sub_bins cells, or a multiple of them in finer
-    equal-width bins) into sub_bins cells, computes
-    sum((observed - expected)^2 / expected) against the uniform expectation,
-    and returns (chi_square, p) where p is the chi-square CDF with
-    sub_bins - 1 degrees of freedom, evaluated via the regularized lower
-    incomplete gamma function.
+    Computes sum((observed - expected)^2 / expected) against the uniform
+    expectation and returns (chi_square, p), where p is the chi-square CDF
+    with len(cells) - 1 degrees of freedom, evaluated via the regularized
+    lower incomplete gamma function.
     """
     from scipy.special import gammainc
 
-    if sub_bins < 2:
-        raise ConfigError("sub_bins must be >= 2")
-    counts = np.asarray(counts, dtype=np.float64)
-    if len(counts) % sub_bins != 0:
-        raise ConfigError("raw bin count must be a multiple of sub_bins")
-    total = float(counts.sum())
-    if total < 5.0 * sub_bins:
-        raise InsufficientDataError(
-            f"need at least {5 * sub_bins} counted differences, have {total:.0f}"
-        )
-    observed = counts.reshape(sub_bins, -1).sum(axis=1)
-    expected = total / sub_bins
+    observed = np.asarray(cells, dtype=np.float64)
+    n = len(observed)
+    if n < 2:
+        raise ConfigError(f"need at least 2 cells, have {n}")
+    total = float(observed.sum())
+    if total < 5.0 * n:
+        raise InsufficientDataError(f"need at least {5 * n} counted differences, have {total:.0f}")
+    expected = total / n
     chi_square = float(((observed - expected) ** 2 / expected).sum())
-    p = float(gammainc((sub_bins - 1) / 2.0, chi_square / 2.0))
+    p = float(gammainc((n - 1) / 2.0, chi_square / 2.0))
     return chi_square, p
 
 
@@ -236,30 +230,26 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     if n_blocks < 2:
         return DetectionReport(None, n_blocks)
     counts = np.zeros(cfg.sub_bins)
-    window = deque() if cfg.window_blocks is not None else None
+    rows = []  # the cell counts of every block counted so far
     trajectory = []
     for b in range(n_blocks):
         lo = b * cfg.block_len
-        hi = lo + cfg.block_len
         if b % _CHUNK_BLOCKS == 0:
-            hist_start = max(0, lo - cfg.max_order)
+            start = max(0, lo - cfg.max_order)
             chunk_blocks = min(_CHUNK_BLOCKS, n_blocks - b)
-            chunk = _count_blocks(m[hist_start:], lo - hist_start, cfg.block_len, chunk_blocks, cfg)
-        inc = chunk[b % _CHUNK_BLOCKS]
-        counts += inc
-        if window is not None:
-            window.append(inc)
-            if len(window) > cfg.window_blocks:
-                counts -= window.popleft()
+            rows.extend(_count_blocks(m[start:], lo - start, cfg.block_len, chunk_blocks, cfg))
+        counts += rows[b]
+        if cfg.window_blocks is not None and b >= cfg.window_blocks:
+            counts -= rows[b - cfg.window_blocks]  # the block leaving the window
         if b == 0:
             continue
         try:
-            chi_square, p = pearson_chi_square(counts, cfg.sub_bins)
+            chi_square, p = pearson_chi_square(counts)
         except InsufficientDataError:
             continue
         trajectory.append((b, chi_square, p))
         if p > 1.0 - cfg.threshold:
-            return DetectionReport(int(m[hi - 1]), b + 1, tuple(trajectory))
+            return DetectionReport(int(m[lo + cfg.block_len - 1]), b + 1, tuple(trajectory))
     return DetectionReport(None, n_blocks, tuple(trajectory))
 
 

@@ -135,7 +135,7 @@ class PoissonConfig:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Strictly periodic packet train, optional truncated Gaussian jitter."""
+    """Strictly periodic packet train, optional truncated Gaussian jitter drawn from seed."""
 
     period_ns: int
     duration_ns: int

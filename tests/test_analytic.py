@@ -13,8 +13,6 @@ from scipy import stats
 from scipy.integrate import quad
 
 from icmeas.analytic import (
-    METHOD_ERLANG_RATIO,
-    METHOD_SINGLE_PAIR,
     GapDistParams,
     LambdaEstimate,
     estimate_lambda_ratio,
@@ -70,9 +68,9 @@ class TestParams:
 
     def test_estimate_validation(self):
         with pytest.raises(ConfigError):
-            LambdaEstimate(0.0, METHOD_SINGLE_PAIR, 1)
+            LambdaEstimate(0.0, 1)
         with pytest.raises(ConfigError):
-            LambdaEstimate(1.0, METHOD_ERLANG_RATIO, 0)
+            LambdaEstimate(1.0, 0)
 
 
 class TestShiftedExp:
@@ -226,7 +224,6 @@ class TestSinglePairEstimator:
         est = estimate_lambda_single_pairs(ms, 30 * US)
         assert est.value_ns == pytest.approx(10.0 * US)
         assert est.sample_count == 3
-        assert est.method == METHOD_SINGLE_PAIR
 
     def test_no_qualifying_pairs(self):
         ms = _series([100, 200, 300], [1, 2, 1])
@@ -267,7 +264,6 @@ class TestRatioEstimator:
         ms = _series([0, 100, 200], [4, 4, 4])
         est = estimate_lambda_ratio(ms)
         assert est.value_ns == pytest.approx(25.0 * US)
-        assert est.method == METHOD_ERLANG_RATIO
         assert est.sample_count == 3
 
     def test_shift_invariance_exact(self):

@@ -102,6 +102,24 @@ class TestGen:
         period_ns = harness.TRAFFIC_PRESETS["high-rate"][1].period_ns
         assert moved.min() >= 1 and moved.max() <= period_ns // 2 - 1
 
+    @pytest.mark.parametrize(
+        "traffic",
+        [["--preset", "high-rate"], ["--mean-gap-us", "50", "--attack-period-us", "500"]],
+        ids=["preset", "custom"],
+    )
+    def test_attack_jitter_draws_from_the_seed(self, tmp_path, traffic):
+        # --seed seeds the attack jitter as well as the background
+        argv = ["gen", *traffic, "--attack-jitter-us", "3", "--duration-s", "0.1", "--out"]
+        attack = []
+        for seed in ("1", "2", "2"):
+            out = tmp_path / f"s{seed}.csv"
+            assert main(argv + [str(out), "--seed", seed]) == 0
+            trace = load_trace(out)
+            attack.append(trace.t_ns[trace.label == 1])
+        assert len(attack[0]) == len(attack[1]) > 0
+        assert not np.array_equal(attack[0], attack[1])
+        assert np.array_equal(attack[1], attack[2])
+
     def test_requires_preset_or_mean_gap(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t.csv")]) == 1
 
@@ -757,15 +775,16 @@ class TestExperiment:
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     # SHA-256 of the .json and .csv result files; changing how trials are
-    # scheduled across systems must not move them
+    # scheduled across systems must not move them.  The tic-config run's
+    # attack is jittered, and each trial draws its jitter from the trial seed
     PINNED = {
         "preset": (
             "7e64c110e2d58a8afd3c5d98f770025761eda628a5846451403ae4c1b8e39ae7",
             "c249bdec6f04490f9dbda9493d2a6e2cf467bfe68ea851afdf2f3c7727c6d2e5",
         ),
         "tic-config": (
-            "9f9b21bc0a60db536348f59573e56f2dac03039dbdb916f280981fe809757ddf",
-            "ad08ce739a1876656e5366852592741ed920f98963cc7ba80d265f6a868e6579",
+            "632af5a66a3207439e1733b1c83d7b2d8313ce7ad7580b8a9287fdefa44c4295",
+            "c15342226fde5431f5e36d05391bd9f82f5ad6f50d7114543d621f1c4ebba424",
         ),
     }
 

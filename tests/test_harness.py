@@ -99,9 +99,12 @@ class TestPresets:
             assert attack == AttackConfig(period_ns=attack.period_ns, duration_ns=0, size_bytes=1500)
             assert preset_traffic(name, SHORT, seed=3) == (
                 dataclasses.replace(background, duration_ns=SHORT, seed=3),
-                dataclasses.replace(attack, duration_ns=SHORT),
+                dataclasses.replace(attack, duration_ns=SHORT, seed=3),
             )
             assert preset_traffic(name, SHORT, attack=False)[1] is None
+            # an experiment's config echoes seed 0: its trials draw their own seeds
+            echoed = preset_experiment(name, "hicv1", detection_window_ns=SHORT)
+            assert (echoed.background.seed, echoed.attack.seed) == (0, 0)
 
     def test_detector_presets(self):
         pdmm, pad = PdmmConfig(), PadConfig()
@@ -481,6 +484,7 @@ class TestRunSystems:
 
         def counting_build_trace(*args):
             built.append(args[0].seed)
+            assert args[1].seed == args[0].seed  # the attack jitter draws from the trial seed
             return build_trace(*args)
 
         monkeypatch.setattr(harness, "build_trace", counting_build_trace)

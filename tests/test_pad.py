@@ -55,8 +55,9 @@ class TestConfig:
         )
         freqs = np.fft.rfftfreq(1024 // 8, d=300_000 / 1e9)
         assert np.flatnonzero(freqs >= kw["min_freq_hz"])[0] == 11
-        PadConfig(**kw, max_freq_hz=1000.0)
-        PadConfig(**kw, max_freq_hz=300.0)  # bin 11 is the only one in this band
+        assert PadConfig(**kw, max_freq_hz=1000.0).band.start == 11
+        # bin 11 is the only one in this band
+        assert PadConfig(**kw, max_freq_hz=300.0).band == range(11, 12)
 
     @pytest.mark.parametrize("sample_interval_ns", [1_000, 100_000, 123_457])
     @pytest.mark.parametrize("window,segments", [(64, 1), (1024, 4), (8192, 8)])
@@ -74,14 +75,18 @@ class TestConfig:
         decisions = set()
         for lo in edges:
             for hi in (e for e in edges if e > lo):
-                expected = bool(((freqs >= lo) & (freqs <= hi)).any())
+                expected = np.flatnonzero((freqs >= lo) & (freqs <= hi))
                 try:
-                    PadConfig(sample_interval_ns, window, segments, min_freq_hz=lo, max_freq_hz=hi)
-                    accepted = True
+                    cfg = PadConfig(
+                        sample_interval_ns, window, segments, min_freq_hz=lo, max_freq_hz=hi
+                    )
                 except ConfigError:
-                    accepted = False
-                assert accepted == expected, (lo, hi)
-                decisions.add(accepted)
+                    assert len(expected) == 0, (lo, hi)
+                    decisions.add(False)
+                    continue
+                assert list(cfg.band) == expected.tolist(), (lo, hi)
+                assert [k * cfg.bin_hz for k in cfg.band] == freqs[expected].tolist(), (lo, hi)
+                decisions.add(True)
         assert decisions == {True, False}
 
 

@@ -167,18 +167,18 @@ class TestAccumulateBlock:
 
 class TestPearsonChiSquare:
     def test_uniform_is_zero(self):
-        chi, p = pearson_chi_square(np.full(10, 50.0), 10)
+        chi, p = pearson_chi_square(np.full(10, 50.0))
         assert chi == 0.0
         assert p == 0.0
 
     def test_two_equal_cells(self):
-        chi, _ = pearson_chi_square(np.array([5.0, 5.0]), 2)
+        chi, _ = pearson_chi_square(np.array([5.0, 5.0]))
         assert chi == 0.0
 
     def test_hand_example_ninety(self):
         counts = np.full(10, 90.0)
         counts[0] = 190.0
-        chi, p = pearson_chi_square(counts, 10)
+        chi, p = pearson_chi_square(counts)
         assert chi == pytest.approx(90.0, abs=1e-12)
         assert p > 0.9999999
         assert p == pytest.approx(stats.chi2.cdf(90.0, 9), abs=1e-12)
@@ -186,24 +186,17 @@ class TestPearsonChiSquare:
     def test_cdf_matches_reference_distribution(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(80, 120, 20).astype(float)
-        chi, p = pearson_chi_square(counts, 20)
+        chi, p = pearson_chi_square(counts)
         assert p == pytest.approx(stats.chi2.cdf(chi, 19), abs=1e-12)
-
-    def test_raw_bin_aggregation(self):
-        chi, _ = pearson_chi_square(np.array([10, 20, 30, 40, 50, 60], float), 3)
-        grouped = np.array([30.0, 70.0, 110.0])
-        expected = ((grouped - 70.0) ** 2 / 70.0).sum()
-        assert chi == pytest.approx(expected, rel=1e-12)
 
     def test_not_ready_below_floor(self):
         with pytest.raises(InsufficientDataError):
-            pearson_chi_square(np.full(10, 4.9), 10)
+            pearson_chi_square(np.full(10, 4.9))
 
-    def test_divisibility_required(self):
-        with pytest.raises(ConfigError):
-            pearson_chi_square(np.full(10, 100.0), 3)
-        with pytest.raises(ConfigError, match="^sub_bins must be >= 2$"):
-            pearson_chi_square(np.full(10, 100.0), 1)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_cells(self, n):
+        with pytest.raises(ConfigError, match=f"^need at least 2 cells, have {n}$"):
+            pearson_chi_square(np.full(n, 100.0))
 
 
 class TestClosedForm:
@@ -218,7 +211,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("total", [1e3, 1e6])
     def test_matches_constructed_histogram(self, sub_bins, deviation, total):
         h = deviation_histogram(sub_bins, total, deviation)
-        chi, _ = pearson_chi_square(h, sub_bins)
+        chi, _ = pearson_chi_square(h)
         ref = closed_form_chi_square(deviation, sub_bins, total)
         assert abs(chi - ref) / ref < 1e-9
 
@@ -247,10 +240,10 @@ class TestMinDetectableDeviation:
         s_min = min_detectable_deviation(sub_bins, total, threshold)
         for scale in (1.000001, 1.1, 2.0):
             h = deviation_histogram(sub_bins, total, s_min * scale)
-            _, p = pearson_chi_square(h, sub_bins)
+            _, p = pearson_chi_square(h)
             assert p > 1.0 - threshold
         h = deviation_histogram(sub_bins, total, s_min * 0.999)
-        _, p = pearson_chi_square(h, sub_bins)
+        _, p = pearson_chi_square(h)
         assert p < 1.0 - threshold
 
     def test_validation(self):
@@ -335,7 +328,7 @@ class TestDetectStream:
             if b == 0:
                 continue
             try:
-                ref.append((b,) + pearson_chi_square(np.sum(blocks, axis=0), cfg.sub_bins))
+                ref.append((b,) + pearson_chi_square(np.sum(blocks, axis=0)))
             except InsufficientDataError:
                 continue
             if ref[-1][2] > 1.0 - cfg.threshold:
@@ -400,7 +393,7 @@ class TestDetectStream:
                 start = max(0, lo - cfg.max_order)
                 counts += _count_blocks(m[start:hi], lo - start, hi - lo, 1, cfg)[0]
                 if b + 1 in (n_blocks // 2, n_blocks):
-                    chis[b + 1], _ = pearson_chi_square(counts, cfg.sub_bins)
+                    chis[b + 1], _ = pearson_chi_square(counts)
             ratios.append(chis[n_blocks] / chis[n_blocks // 2])
         assert 1.4 < float(np.mean(ratios)) < 2.8
 
@@ -440,7 +433,8 @@ def _oracle_report(m, cfg):
         if b == 0:
             continue
         try:
-            chi, p = pearson_chi_square(np.sum(kept, axis=0, dtype=np.float64), cfg.sub_bins)
+            raw = np.sum(kept, axis=0, dtype=np.float64)
+            chi, p = pearson_chi_square(raw.reshape(cfg.sub_bins, -1).sum(axis=1))
         except InsufficientDataError:
             continue
         trajectory.append((b, chi, p))
