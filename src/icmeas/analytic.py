@@ -47,12 +47,6 @@ class LambdaEstimate:
     value_ns: float
     sample_count: int
 
-    def __post_init__(self):
-        if self.value_ns <= 0:
-            raise ConfigError("value_ns must be positive")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count must be >= 1")
-
 
 def pdf_shifted_exp(y_ns, p: GapDistParams):
     """Exponential density shifted to start at bound_ns; zero below it."""

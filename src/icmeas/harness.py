@@ -100,11 +100,6 @@ class TrialResult:
     stats: MeasurementStats
     detections: dict
 
-    def __post_init__(self):
-        for name, ttd in self.detections.items():
-            if ttd is not None and ttd < 0:
-                raise ConfigError(f"negative detection time for {name}")
-
 
 @dataclass(frozen=True)
 class ExperimentResult:

@@ -144,20 +144,16 @@ def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
     return delay.astype(np.int64)
 
 
-def _delayed(trace: PacketTrace, delay: np.ndarray) -> PacketTrace:
-    """The trace plus _transfer_delay's delays (summed into that array), re-sorted if mixed."""
+def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
+    """Shift each arrival by its serialization delay; mixed sizes are stable-sorted after."""
+    if len(trace) == 0:
+        return trace
+    delay = _transfer_delay(trace, cfg)
     if len(delay) == 1:
         return PacketTrace(trace.t_ns + delay, trace.size_bytes, trace.label)
     delay += trace.t_ns
     order = np.argsort(delay, kind="stable")
     return PacketTrace(delay[order], trace.size_bytes[order], trace.label[order])
-
-
-def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
-    """Shift each arrival by its serialization delay; mixed sizes are stable-sorted after."""
-    if len(trace) == 0:
-        return trace
-    return _delayed(trace, _transfer_delay(trace, cfg))
 
 
 # measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16
@@ -269,13 +265,15 @@ def _coalesce_pic(t: np.ndarray, cfg: PicConfig):
 
 
 def _check_timer_reach(last_ns: int, cfg: CoalescenceConfig) -> None:
-    """Raise PreconditionError when a timer started at the last arrival passes int64."""
+    """Raise ConfigError on an unknown kind; PreconditionError if last_ns + timer passes int64."""
+    if isinstance(cfg, PicConfig):
+        return  # count-based coalescing starts no timer
     if isinstance(cfg, TicConfig):
         reach = cfg.timer_ns
     elif isinstance(cfg, HicConfig):
         reach = max(cfg.absolute_timer_ns, cfg.packet_timer_ns)
     else:
-        return  # count-based coalescing starts no timer
+        raise ConfigError(f"unknown coalescence config: {cfg!r}")
     _require_int64(last_ns + reach, "the last arrival plus a timer")
 
 
@@ -293,28 +291,24 @@ def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
         m, c, flags = _coalesce_timers(trace.t_ns, cfg.timer_ns)
     elif isinstance(cfg, PicConfig):
         m, c, flags = _coalesce_pic(trace.t_ns, cfg)
-    elif isinstance(cfg, HicConfig):
+    else:  # HicConfig: _check_timer_reach rejected every other kind
         m, c, flags = _coalesce_timers(trace.t_ns, cfg.absolute_timer_ns, cfg.packet_timer_ns)
-    else:
-        raise ConfigError(f"unknown coalescence config: {cfg!r}")
     return MeasurementSeries(m, c, flags)
 
 
 def measure(
     trace: PacketTrace, transfer: TransferConfig, cfg: CoalescenceConfig
 ) -> MeasurementSeries:
-    """Full measurement pipeline: transfer delay, then coalescence.
+    """Full measurement pipeline: coalesce(apply_transfer(trace, transfer), cfg).
 
     Coalescing commutes with one shift of every arrival: the timers group on
     arrival differences and count-based coalescing on counts.  So a one-size
-    trace is coalesced as given and its m shifted after, and no shifted copy
-    of the trace is made; errors are those of the shifted trace.
+    trace is coalesced as given and its m shifted after, with no shifted copy
+    made; its output and errors are still those of the pipeline.
     """
-    if len(trace) == 0:
-        return coalesce(trace, cfg)
+    if len(trace) == 0 or not trace._one_size:
+        return coalesce(apply_transfer(trace, transfer), cfg)
     delay = _transfer_delay(trace, transfer)
-    if len(delay) > 1:
-        return coalesce(_delayed(trace, delay), cfg)
     _check_timer_reach(int(trace.t_ns[-1]) + int(delay[0]), cfg)
     series = coalesce(trace, cfg)
     np.add(series.m_ns, delay, out=series.m_ns)  # coalesce builds m afresh, never as a view of t_ns

@@ -135,7 +135,10 @@ class PoissonConfig:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Strictly periodic packet train, optional truncated Gaussian jitter drawn from seed."""
+    """Strictly periodic packet train, optional truncated Gaussian jitter drawn from seed.
+
+    The jitter is clamped to +-max(period_ns // 2 - 1, 0), so periods 1-3 draw none.
+    """
 
     period_ns: int
     duration_ns: int
@@ -203,10 +206,9 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
     if cfg.jitter_stddev_ns > 0:
         rng = np.random.default_rng(cfg.seed)
         jitter = np.rint(rng.normal(0.0, cfg.jitter_stddev_ns, n)).astype(np.int64)
-        # clamp so consecutive packets cannot reorder, then clip at t=0
-        bound = cfg.period_ns // 2 - 1
+        bound = max(cfg.period_ns // 2 - 1, 0)  # consecutive packets stay strictly apart
         np.clip(jitter, -bound, bound, out=jitter)
-        t_ns = np.maximum(t_ns + jitter, 0)
+        t_ns = np.maximum(t_ns + jitter, 0)  # then clip at t=0
     t_ns = t_ns[t_ns < cfg.duration_ns]
     sizes = np.broadcast_to(np.int64(cfg.size_bytes), t_ns.shape)
     return PacketTrace(t_ns, sizes, np.broadcast_to(np.uint8(ATTACK), t_ns.shape))

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from icmeas.analytic import (
     GapDistParams,
-    LambdaEstimate,
     estimate_lambda_ratio,
     estimate_lambda_single_pairs,
     mean_shifted_exp,
@@ -65,12 +64,6 @@ class TestParams:
     def test_bound_ratio(self):
         p = GapDistParams(lambda_ns=10.0 * US, bound_ns=30.0 * US)
         assert p.bound_ratio == 3.0
-
-    def test_estimate_validation(self):
-        with pytest.raises(ConfigError):
-            LambdaEstimate(0.0, 1)
-        with pytest.raises(ConfigError):
-            LambdaEstimate(1.0, 0)
 
 
 class TestShiftedExp:

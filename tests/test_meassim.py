@@ -56,6 +56,11 @@ def test_config_validation():
     with pytest.raises(ConfigError) as info:
         coalesce(make_trace([0, 100]), TransferConfig())
     assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
+    # measure names the same kind error on the one-size path and the per-packet one
+    for sizes in ([1500, 1500], [64, 1500]):
+        with pytest.raises(ConfigError) as info:
+            measure(PacketTrace([0, 100], sizes, [0, 0]), TransferConfig(), TransferConfig())
+        assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
     with pytest.raises(ConfigError, match="^measurement columns must have equal length$"):
         MeasurementSeries([10, 20], [1])
 

@@ -211,6 +211,16 @@ def test_periodic_jitter_stays_near_grid():
     assert np.abs(dev).max() < 200 * US  # well inside half a period
     assert dev.std() == pytest.approx(1000.0, rel=0.1)
     assert np.all(np.diff(trace.t_ns) > 0)  # the clamp keeps neighbours apart
+    # small periods, stddev just under period / 4: the clamp is +-max(period // 2 - 1, 0)
+    for period_ns in range(1, 17):
+        for seed in range(4):
+            stddev = np.nextafter(period_ns / 4, 0)
+            n = 200  # the last grid point plus the clamp stays below duration_ns
+            cfg = AttackConfig(period_ns, n * period_ns, jitter_stddev_ns=stddev, seed=seed)
+            t = gen_periodic(cfg).t_ns
+            assert len(t) == n and np.all(np.diff(t) > 0)
+            dev = t - period_ns * np.arange(n)
+            assert np.abs(dev).max() <= max(period_ns // 2 - 1, 0)
 
 
 def test_periodic_rejects_large_jitter():
