@@ -248,6 +248,26 @@ class TestSinglePairEstimator:
         assert est.sample_count > 10_000
 
 
+def test_estimators_give_only_positive_estimates():
+    # the estimators own the estimate's rules: each either raises
+    # InsufficientDataError or returns value_ns > 0 from sample_count >= 1
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        n = int(rng.integers(0, 6))
+        m_us = np.sort(rng.integers(0, 200, n)) if rng.random() < 0.7 else rng.integers(0, 200, n)
+        ms = _series(m_us, rng.integers(1, 4, n))
+        timer_ns = float(rng.integers(0, 80)) * US
+        for estimate in (
+            lambda: estimate_lambda_single_pairs(ms, timer_ns),
+            lambda: estimate_lambda_ratio(ms),
+        ):
+            try:
+                est = estimate()
+            except InsufficientDataError:
+                continue
+            assert est.value_ns > 0 and est.sample_count >= 1
+
+
 class TestRatioEstimator:
     def test_constant_gap_singles(self):
         ms = _series([0, 70, 140, 210], [1, 1, 1, 1])

@@ -508,6 +508,20 @@ class TestRunSystems:
         )
         run_systems(cfg, SYSTEMS)
 
+    def test_detection_times_stay_inside_the_window(self):
+        # _run_trial owns the TrialResult rule: a detection time is a point
+        # of the trial's window, never negative, or None for a timeout
+        cfg = preset_experiment(
+            "high-rate", "hicv1", trials=2, seed_base=13, detection_window_ns=SHORT
+        )
+        fired = 0
+        for result in run_systems(cfg, SYSTEMS).values():
+            for trial in result.trials:
+                for ttd in trial.detections.values():
+                    assert ttd is None or 0 <= ttd <= SHORT
+                    fired += ttd is not None
+        assert fired > 0
+
     def test_needs_a_system(self):
         cfg = preset_experiment("high-rate", "hicv1", detection_window_ns=SHORT)
         with pytest.raises(ConfigError, match="at least one system"):
