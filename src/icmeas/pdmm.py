@@ -62,15 +62,12 @@ class PdmmConfig:
             raise ConfigError("histogram span must divide evenly into sub-bins")
         if self.window_blocks is not None and self.window_blocks < 1:
             raise ConfigError("window_blocks must be >= 1 when set")
-        # a chunk keys its differences below _CHUNK_BLOCKS * span, divides
-        # them into cells and counts them in a (_CHUNK_BLOCKS, sub_bins)
-        # float64 array
-        if _CHUNK_BLOCKS * span > np.iinfo(np.int64).max:
+        if not _keys_fit(span):
             raise ConfigError(
                 f"histogram span {span} ns is too large: the keys of a "
                 f"{_CHUNK_BLOCKS}-block chunk would overflow int64"
             )
-        if _CHUNK_BLOCKS * self.sub_bins * 8 > np.iinfo(np.intp).max:
+        if not _counts_fit(self.sub_bins):
             raise ConfigError(
                 f"sub_bins = {self.sub_bins} is too large: the float64 counts of a "
                 f"{_CHUNK_BLOCKS}-block chunk would exceed the addressable size"
@@ -110,22 +107,38 @@ _CHUNK_BLOCKS = 4
 # int64 differences the kernel holds at once (1 MB): orders are processed in
 # groups of rows sized to this, which keeps the buffer in cache
 _BUFFER_ELEMS = 1 << 17
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
+def _keys_fit(block_span: int) -> bool:
+    """Whether a chunk's keys, below _CHUNK_BLOCKS * block_span, fit int64."""
+    return _CHUNK_BLOCKS * block_span <= _INT64_MAX
+
+
+def _counts_fit(block_cells: int) -> bool:
+    """Whether a chunk's float64 counts, block_cells per block, are addressable."""
+    return _CHUNK_BLOCKS * block_cells * 8 <= np.iinfo(np.intp).max
+
+
+def _order_ranges(m, shifted, first: int, end: int, top: int, span: int, slack_ns: int):
     """(start, stop, masked) ranges of the orders 1..top worth counting.
 
     Row `order` holds d = m[i] - (m[i - order] + low) for first <= i < end.
     When m[:end] is nondecreasing, d grows with the order at every i, so
     the row minima and maxima grow with the order too, and bisections over
     them find the bounds.  Rows below lo (max < 0) or from hi on
-    (min >= span) hold no difference in range and are left out; rows in
-    [a, b) (min >= 0, max < span) hold only differences in range and need
-    no mask.  Rows past `first` hold the -1 sentinel and are always masked,
-    and so is every row of an m that is not nondecreasing.
+    (min >= span) hold no difference in range and are left out.  Rows in
+    [a, b) (min >= -slack_ns, max < span + slack_ns) hold only differences
+    that _count_blocks keys into its cells, slack included, and need no
+    mask.  Every d is at least -low, so when low <= slack_ns (the defaults)
+    no row is masked at the low edge, and [a, b) is all of [lo, hi) unless
+    a row's largest difference reaches span + slack_ns; that case is tried
+    before bisecting.  Rows past `first` hold the -1 sentinel and are
+    always masked, and so is every row of an m that is not nondecreasing or
+    whose stamps lie more than 2**63 - 1 apart (its differences would wrap).
     """
     k = min(top, first)
-    if k < 1 or np.any(m[1:end] < m[: end - 1]):
+    if k < 1 or np.any(m[1:end] < m[: end - 1]) or int(m[end - 1]) - int(m[0]) > _INT64_MAX:
         return [(1, top + 1, True)]
     row = np.empty(end - first, np.int64)
 
@@ -137,10 +150,13 @@ def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
     orders = range(k + 1)
     lo = bisect_left(orders, True, 1, key=lambda o: row_extrema(o)[1] >= 0)
     hi = bisect_left(orders, True, lo, key=lambda o: row_extrema(o)[0] >= span)
-    a = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[0] >= 0)
-    b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= span)
-    if a >= b:
-        a = b = hi
+    if lo == hi or (row_extrema(lo)[0] >= -slack_ns and row_extrema(hi - 1)[1] < span + slack_ns):
+        a, b = lo, hi  # the common case at the defaults, found without bisecting
+    else:
+        a = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[0] >= -slack_ns)
+        b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= span + slack_ns)
+        if a >= b:
+            a = b = hi
     return [(lo, a, True), (a, b, False), (b, hi, True), (k + 1, top + 1, True)]
 
 
@@ -148,28 +164,37 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     """Cell counts (float64, (n_blocks, sub_bins)) of consecutive blocks of m.
 
     Block k holds m[first + k*block_len : first + (k+1)*block_len]; m[:first]
-    is history.  For each order, the difference d ending at every block
-    entry is keyed k * span + d and floor-divided by the cell width to
-    k * sub_bins + cell, so one bincount per group of orders counts all
-    blocks.  low_cutoff_ns is folded into a shifted copy of m, so one
-    unsigned compare of m[i] - (m[j] + low) against the span keeps exactly
-    the differences in [low, high).  Entries whose earlier endpoint would lie
-    before m[0] are set to -1, which that compare rejects.  _order_ranges
-    leaves out the orders with no difference in range and marks those with
-    every difference in range, which skip the compare.
+    is history.  Each block has sub_bins cells below the range, the sub_bins
+    cells of [low, high) and sub_bins above it: together they key the
+    differences d in [-span, 2 * span), span = high - low, as
+    k * 3 * span + span + d, which floor-divides by the cell width to
+    k * 3 * sub_bins + sub_bins + cell.  So one bincount per group of
+    orders counts all blocks, and only the middle cells are returned.
+    Where the wider keys or counts would not fit (_keys_fit, _counts_fit),
+    a block has no slack cells and keys d in [0, span) as k * span + d.
+    low_cutoff_ns is folded into a shifted copy of m and the key offset
+    into a keyed copy, so an unmasked row's keys come out of one
+    subtraction.  A masked row keeps only the d that one unsigned compare
+    against the span finds in range; entries whose earlier endpoint would
+    lie before m[0] are set to -1, which that compare rejects.
+    _order_ranges leaves out the orders with no difference in range and
+    marks those whose every difference the layout keys as unmasked.
     """
     span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
-    n_cells = n_blocks * cfg.sub_bins
+    width = span // cfg.sub_bins
+    slack = cfg.sub_bins if _keys_fit(3 * span) and _counts_fit(3 * cfg.sub_bins) else 0
+    block_cells = cfg.sub_bins + 2 * slack
+    block_span = block_cells * width
+    n_cells = n_blocks * block_cells
     length = n_blocks * block_len
     end = first + length
     counts = np.zeros(n_cells)
     top = min(cfg.max_order, end - 1)
     shifted = m[:end] + cfg.low_cutoff_ns
-    # span = sub_bins cell widths, so block k's keys floor-divide to k * sub_bins + cell
-    offset = np.repeat(np.arange(0, n_blocks * span, span, dtype=np.int64), block_len)
-    keyed = m[first:end] + offset  # an unmasked row's keys come out of one subtraction
+    offset = np.repeat(slack * width + block_span * np.arange(n_blocks, dtype=np.int64), block_len)
+    keyed = m[first:end] + offset
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
-    for start, stop, masked in _order_ranges(m, shifted, first, end, top, span):
+    for start, stop, masked in _order_ranges(m, shifted, first, end, top, span, slack * width):
         for group in range(start, stop, len(diffs)):
             rows = diffs[: min(len(diffs), stop - group)]
             for row, order in zip(rows, range(group, group + len(rows))):
@@ -186,9 +211,10 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
                 keys = rows[in_range]
             else:
                 keys = rows.ravel()
-            keys //= span // cfg.sub_bins
+            unsigned = keys.view(np.uint64)  # every key is >= 0: a cheaper division
+            unsigned //= width
             counts += np.bincount(keys, minlength=n_cells)
-    return counts.reshape(n_blocks, cfg.sub_bins)
+    return counts.reshape(n_blocks, block_cells)[:, slack : slack + cfg.sub_bins]
 
 
 def pearson_chi_square(cells):

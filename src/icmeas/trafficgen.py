@@ -184,7 +184,8 @@ def gen_poisson(cfg: PoissonConfig) -> PacketTrace:
     while acc < cfg.duration_ns:
         expect = (cfg.duration_ns - acc) / cfg.mean_gap_ns
         n = int(expect * 1.05) + int(4.0 * math.sqrt(expect)) + 16
-        gaps = rng.exponential(cfg.mean_gap_ns, n)
+        gaps = rng.standard_exponential(n)
+        gaps *= cfg.mean_gap_ns  # the doubles and generator state of rng.exponential(mean_gap_ns, n)
         chunks.append(gaps)
         acc += float(gaps.sum())
     t = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

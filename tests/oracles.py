@@ -154,7 +154,8 @@ def gen_poisson_reference(cfg):
 
     Draws the gap chunks in the same order, cumsums their concatenation,
     then keeps the times below duration_ns before and after rounding with
-    boolean masks over the whole array.
+    boolean masks over the whole array.  Each chunk is drawn as
+    rng.exponential(mean_gap_ns, n), not as standard draws scaled in place.
     """
     if cfg.duration_ns == 0:
         return PacketTrace.empty()

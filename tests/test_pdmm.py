@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from icmeas import pdmm
 from icmeas.errors import ConfigError, InsufficientDataError
+from icmeas.harness import COALESCENCE_PRESETS, build_trace, preset_traffic
 from icmeas.meassim import HicConfig, MeasurementSeries, TransferConfig, measure
 from icmeas.pdmm import (
     _CHUNK_BLOCKS,
     DetectionReport,
     PdmmConfig,
     _count_blocks,
+    _order_ranges,
     closed_form_chi_square,
     detect_stream,
     deviation_histogram,
@@ -671,6 +674,25 @@ def test_order_ranges_shuffled_series_is_counted_masked(seed):
     _assert_chunks_match_oracle(m, cfg)
 
 
+def test_order_ranges_stamps_more_than_2_63_apart_are_counted_masked(monkeypatch):
+    # a nondecreasing series with a jump of 1.5 * 2**63 ns in the history: the
+    # rows that reach back across it hold wrapped differences, which neither
+    # the bisections nor the keys allow for
+    cfg = _fuzz_cfg()
+    first = cfg.max_order
+    rng = np.random.default_rng(0)
+    m = np.concatenate(
+        [
+            -(3 * 2**61) + np.cumsum(rng.integers(25, 35, first - 6)),
+            3 * 2**61 + np.cumsum(rng.integers(25, 35, 6 + CHUNK * cfg.block_len)),
+        ]
+    )
+    assert np.all(m[1:] >= m[:-1]) and int(m[-1]) - int(m[0]) > 2**63
+    calls = _spy_ranges(monkeypatch)
+    _assert_blocks_match_oracle(m, first, CHUNK, cfg)
+    assert calls == [[(1, first + 1, True)]]
+
+
 # --- cells at the int64 edges of the keys, against the pair-loop oracle ---
 
 
@@ -726,3 +748,144 @@ def test_cells_of_stamps_more_than_2_63_apart_match_oracle():
     _assert_blocks_match_oracle(m, 0, 1, dataclasses.replace(cfg, block_len=6))
     # only -a, -a + 3, -a + 9 lie in range of each other: 3 in cell 0, 6 and 9 in cell 1
     assert _count_blocks(m, 0, 6, 1, cfg)[0].tolist() == [1, 2]
+
+
+# --- slack cells: the edges of the keyed layout against the pair-loop oracle ---
+
+
+def _spy_ranges(monkeypatch):
+    """Record the non-empty (start, stop, masked) order ranges of each _count_blocks call."""
+    calls = []
+
+    def spy(*args):
+        ranges = _order_ranges(*args)
+        calls.append([r for r in ranges if r[0] < r[1]])
+        return ranges
+
+    monkeypatch.setattr(pdmm, "_order_ranges", spy)
+    return calls
+
+
+def _gaps_stream(gaps, start=1_000):
+    return start + np.concatenate([[0], np.cumsum(gaps)]).astype(np.int64)
+
+
+# span 40 ns in 4 cells of 10 ns and low = span: order 1, the only order,
+# holds d = gap - span, so a zero gap is d = -span and a gap of 3 * span is
+# d = 2 * span; gaps of 40-79 ns put d in range
+_SLACK_CFG = dict(low_cutoff_ns=40, high_cutoff_ns=80, max_order=1, block_len=5, sub_bins=4, bin_width_ns=5)
+
+
+@pytest.mark.parametrize(
+    "edge_d, masked",
+    [
+        ((-40,), False),  # min d = -span: the first lower slack cell
+        ((79,), False),  # max d = 2 * span - 1: the last upper slack cell
+        ((-40, 79), False),
+        ((80,), True),  # max d = 2 * span: past the layout
+        ((-40, 80), True),
+    ],
+)
+def test_slack_edges_match_oracle(monkeypatch, edge_d, masked):
+    cfg = _fuzz_cfg(**_SLACK_CFG)
+    for seed in range(3):
+        gaps = np.random.default_rng(seed).integers(40, 80, CHUNK * cfg.block_len)
+        gaps[-len(edge_d) - 1 : -1] = np.add(edge_d, cfg.low_cutoff_ns)  # in the last block
+        m = _gaps_stream(gaps)
+        assert set(edge_d) <= set((np.diff(m) - cfg.low_cutoff_ns).tolist())
+        calls = _spy_ranges(monkeypatch)
+        _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
+        assert calls == [[(1, 2, masked)]]
+
+
+def test_slack_row_one_below_minus_span_is_masked(monkeypatch):
+    # low = span + 1: a zero gap is d = -span - 1, one below the lower slack
+    cfg = _fuzz_cfg(**{**_SLACK_CFG, "low_cutoff_ns": 41, "high_cutoff_ns": 81})
+    for seed in range(3):
+        gaps = np.random.default_rng(seed).integers(41, 81, CHUNK * cfg.block_len)
+        gaps[1] = 0  # in the first block
+        m = _gaps_stream(gaps)
+        assert _row_extrema(m, 1, len(m), 1, cfg.low_cutoff_ns)[0] == -41
+        calls = _spy_ranges(monkeypatch)
+        _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
+        assert calls == [[(1, 2, True)]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slack_low_cutoff_above_span_masks_rows_below_the_slack(monkeypatch, seed):
+    # low 200 ns, span 100 ns, gaps of 0-60 ns: a row whose smallest d is
+    # below -span and whose largest is in range straddles the layout's low
+    # end and stays masked; a row wholly in [-span, 2 * span) does not
+    cfg = _fuzz_cfg(low_cutoff_ns=200, high_cutoff_ns=300, sub_bins=4, bin_width_ns=5)
+    first, end = cfg.max_order, cfg.max_order + CHUNK * cfg.block_len
+    m = _fuzz_stream(seed, end)
+    extrema = {o: _row_extrema(m, first, end, o, cfg.low_cutoff_ns) for o in range(1, first + 1)}
+    below = {o for o, (lo, hi) in extrema.items() if lo < -100 and hi >= 0}
+    keyed = {o for o, (lo, hi) in extrema.items() if -100 <= lo and hi < 200 and (lo < 0 or hi >= 100)}
+    assert below and keyed
+    calls = _spy_ranges(monkeypatch)
+    _assert_blocks_match_oracle(m, first, CHUNK, cfg)
+    [ranges] = calls
+    assert below <= {o for a, b, masked in ranges if masked for o in range(a, b)}
+    assert keyed <= {o for a, b, masked in ranges if not masked for o in range(a, b)}
+
+
+# span = 3 * 2**58 ns: four blocks of keys fit int64, four blocks of three
+# spans do not, so a block has no slack and keys d in [0, span) only
+_W = 2**58
+
+
+@pytest.mark.parametrize(
+    "edge_d, masked",
+    [(0, False), (3 * _W - 1, False), (-1, True), (3 * _W, True)],
+    ids=["min-0", "max-span-1", "min-minus-1", "max-span"],
+)
+def test_slack_is_zero_where_the_wider_keys_would_overflow(monkeypatch, edge_d, masked):
+    cfg = PdmmConfig(
+        low_cutoff_ns=_W, high_cutoff_ns=4 * _W, max_order=1, block_len=2, sub_bins=3, bin_width_ns=_W
+    )
+    span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
+    assert pdmm._keys_fit(span) and not pdmm._keys_fit(3 * span)
+    for seed in range(3):
+        gaps = np.random.default_rng(seed).integers(_W + 1, 4 * _W - 1, CHUNK * cfg.block_len)
+        gaps[2] = edge_d + cfg.low_cutoff_ns  # in the second block
+        m = _gaps_stream(gaps, start=-(2**62))
+        calls = _spy_ranges(monkeypatch)
+        _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
+        assert calls == [[(1, 2, masked)]]
+
+
+def test_slack_sentinel_rows_in_chunk_0(monkeypatch):
+    # chunk 0 has no history, so all its rows are masked, -1 sentinels and
+    # all; the later chunks key differences in both slacks unmasked
+    cfg = _fuzz_cfg(**{**_SLACK_CFG, "max_order": 3})
+    for seed in range(3):
+        gaps = np.random.default_rng(seed).integers(14, 40, (3 * CHUNK + 1) * cfg.block_len - 1)
+        m = _gaps_stream(gaps)
+        assert _row_extrema(m, 3, len(m), 2, cfg.low_cutoff_ns)[0] < 0  # the lower slack
+        assert _row_extrema(m, 3, len(m), 3, cfg.low_cutoff_ns)[1] >= 40  # the upper slack
+        calls = _spy_ranges(monkeypatch)
+        _assert_chunks_match_oracle(m, cfg)
+        assert calls[0] == [(1, 4, True)]
+        assert len(calls) == 4 and all(not masked for ranges in calls[1:] for _, _, masked in ranges)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_default_config_counts_sorted_high_rate_series_unmasked(monkeypatch, seed):
+    # every d is at least -low_cutoff_ns = -span / 4, so no row is masked at
+    # the low edge; at the preset's ~11k measurements/s a row reaches
+    # d = 2 * span (a 9 ms difference) only across gaps of several ms, which
+    # no chunk of these 5 s series holds (two rows of one chunk did, in six
+    # seeded 20 s series)
+    background, _ = preset_traffic("high-rate", 5_000 * MS, seed=seed, attack=False)
+    ms = measure(build_trace(background), TransferConfig(), COALESCENCE_PRESETS["hicv1"])
+    m, cfg = ms.m_ns, PdmmConfig()
+    calls = _spy_ranges(monkeypatch)
+    n_blocks = len(m) // cfg.block_len
+    for b in range(0, n_blocks, CHUNK):
+        lo = b * cfg.block_len
+        start = max(0, lo - cfg.max_order)
+        _count_blocks(m[start:], lo - start, cfg.block_len, min(CHUNK, n_blocks - b), cfg)
+    assert len(calls) > 2 and calls[0] == [(1, cfg.max_order + 1, True)]
+    for ranges in calls[1:]:
+        assert [masked for _, _, masked in ranges] == [False]

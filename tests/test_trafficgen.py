@@ -118,6 +118,22 @@ def test_poisson_matches_mask_cut_reference(duration_ns, mean_gap_ns, size_mix, 
     assert gen_poisson(cfg) == gen_poisson_reference(cfg)
 
 
+@pytest.mark.parametrize(
+    "duration_ns, mean_gap_ns",
+    [(1_000, 0.5), (MS, 3.0), (100 * MS, 19_000.0), (2 * S, 19_000.0), (20 * S, 1e9)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+def test_poisson_scaled_standard_draws_match_exponential_reference(duration_ns, mean_gap_ns, seed):
+    # gen_poisson scales standard exponential draws in place; the reference
+    # draws rng.exponential(mean_gap_ns, n).  The size draws that follow come
+    # from the same generator, so they compare its state after the gaps too.
+    mix = ((64, 0.3), (576, 0.2), (1500, 0.5))
+    cfg = PoissonConfig(mean_gap_ns=mean_gap_ns, duration_ns=duration_ns, seed=seed, size_mix=mix)
+    trace = gen_poisson(cfg)
+    assert len(trace) > 0
+    assert trace == gen_poisson_reference(cfg)
+
+
 def test_poisson_size_mix():
     cfg = PoissonConfig(
         mean_gap_ns=2_000.0,
