@@ -146,11 +146,15 @@ def estimate_lambda_ratio(ms) -> LambdaEstimate:
 
     Works on any coalesced stream: the expected measurement gap is the mean
     packet gap times the expected group size, so the ratio cancels the
-    grouping without distribution corrections.
+    grouping without distribution corrections.  The gaps telescope, so their
+    mean is the span over their number, exact in Python integers: the float
+    np.diff(m_ns).mean() gives wherever its sum is exact (every strictly
+    increasing series spanning under 2**53 ns), and correctly rounded where
+    that sum would round or wrap int64.
     """
     if len(ms) < 2:
         raise InsufficientDataError("need at least 2 measurements")
-    mean_gap = float(np.diff(ms.m_ns).mean())
+    mean_gap = (int(ms.m_ns[-1]) - int(ms.m_ns[0])) / (len(ms) - 1)
     mean_count = float(ms.count.mean())
     value = mean_gap / mean_count
     if value <= 0:

@@ -11,6 +11,7 @@ failure, 4 invalid input file.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -82,6 +83,7 @@ def _int64(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="icmeas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

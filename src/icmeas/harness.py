@@ -148,13 +148,24 @@ def measurement_stats(ms) -> MeasurementStats:
     """First-order gap mean/variance (us, us^2), mean group size, rate."""
     if len(ms) < 2:
         raise InsufficientDataError("need at least 2 measurements for stats")
-    gaps_us = np.diff(ms.m_ns) / US
     span_s = (int(ms.m_ns[-1]) - int(ms.m_ns[0])) / SECOND
     if span_s <= 0:
         raise InsufficientDataError("measurement span must be positive")
-    var = float(gaps_us.var(ddof=1)) if len(gaps_us) > 1 else 0.0
+    m = ms.m_ns
+    n = len(m) - 1
+    # int64 gaps cast into a float array as they are subtracted, so no int64 copy is made
+    gaps_us = np.subtract(m[1:], m[:-1], out=np.empty(n))
+    gaps_us /= US
+    # the floats of gaps_us.mean() and .var(ddof=1): each sum is taken once,
+    # and the deviations are squared in place
+    mean = float(np.add.reduce(gaps_us)) / n
+    var = 0.0
+    if n > 1:
+        gaps_us -= mean
+        gaps_us *= gaps_us
+        var = float(np.add.reduce(gaps_us)) / (n - 1)
     return MeasurementStats(
-        mean_gap_us=float(gaps_us.mean()),
+        mean_gap_us=mean,
         var_gap_us2=var,
         mean_count=float(ms.count.mean()),
         rate_per_s=(len(ms) - 1) / span_s,

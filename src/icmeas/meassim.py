@@ -244,14 +244,24 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
                 j = hop[j]
             i += j
     first = np.flatnonzero(is_first)
-    count = np.diff(first, append=n)
-    m = t[first] + absolute_ns
+    del is_first
+    count = np.empty(len(first), np.int64)
+    np.subtract(first[1:], first[:-1], out=count[:-1])
+    count[-1] = n - first[-1]
+    m = np.take(t, first)  # a new array, never a view of t: measure shifts it in place
+    m += absolute_ns
     if packet_ns is None:
         return m, count, {}
-    m_pack = t[first + count - 1] + packet_ns
+    m_pack = first  # each group's last arrival plus packet_ns, in first's buffer
+    m_pack += count
+    m_pack -= 1
+    # every index is in range, so clip never clips; unlike "raise" it takes
+    # into out unbuffered, reading each index before it writes that entry
+    np.take(t, m_pack, out=m_pack, mode="clip")
+    m_pack += packet_ns
     abs_fired = int(np.count_nonzero(m <= m_pack))  # a tie counts as abs
-    flags = {"hic_abs_fired": abs_fired, "hic_pack_fired": len(first) - abs_fired}
-    return np.minimum(m, m_pack), count, flags
+    flags = {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+    return np.minimum(m, m_pack, out=m), count, flags
 
 
 def _coalesce_pic(t: np.ndarray, cfg: PicConfig):

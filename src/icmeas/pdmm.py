@@ -120,7 +120,9 @@ def _counts_fit(block_cells: int) -> bool:
     return _CHUNK_BLOCKS * block_cells * 8 <= np.iinfo(np.intp).max
 
 
-def _order_ranges(m, shifted, first: int, end: int, top: int, span: int, slack_ns: int):
+def _order_ranges(
+    m, shifted, first: int, end: int, top: int, span: int, slack_ns: int, wraps: bool
+):
     """(start, stop, masked) ranges of the orders 1..top worth counting.
 
     Row `order` holds d = m[i] - (m[i - order] + low) for first <= i < end.
@@ -135,10 +137,10 @@ def _order_ranges(m, shifted, first: int, end: int, top: int, span: int, slack_n
     a row's largest difference reaches span + slack_ns; that case is tried
     before bisecting.  Rows past `first` hold the -1 sentinel and are
     always masked, and so is every row of an m that is not nondecreasing or
-    whose stamps lie more than 2**63 - 1 apart (its differences would wrap).
+    whose stamps wrap (they lie more than 2**63 - 1 apart).
     """
     k = min(top, first)
-    if k < 1 or np.any(m[1:end] < m[: end - 1]) or int(m[end - 1]) - int(m[0]) > _INT64_MAX:
+    if k < 1 or wraps or np.any(m[1:end] < m[: end - 1]):
         return [(1, top + 1, True)]
     row = np.empty(end - first, np.int64)
 
@@ -176,7 +178,10 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     into a keyed copy, so an unmasked row's keys come out of one
     subtraction.  A masked row keeps only the d that one unsigned compare
     against the span finds in range; entries whose earlier endpoint would
-    lie before m[0] are set to -1, which that compare rejects.
+    lie before m[0] are set to -1, which that compare rejects.  Where the
+    chunk's stamps lie more than 2**63 - 1 apart, a difference can wrap
+    into the range; it then has m[i] < m[j], which no d >= low >= 0 has,
+    so those entries are set to -1 too.
     _order_ranges leaves out the orders with no difference in range and
     marks those whose every difference the layout keys as unmasked.
     """
@@ -194,7 +199,9 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     offset = np.repeat(slack * width + block_span * np.arange(n_blocks, dtype=np.int64), block_len)
     keyed = m[first:end] + offset
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
-    for start, stop, masked in _order_ranges(m, shifted, first, end, top, span, slack * width):
+    wraps = int(m[:end].max()) - int(m[:end].min()) > _INT64_MAX
+    ranges = _order_ranges(m, shifted, first, end, top, span, slack * width, wraps)
+    for start, stop, masked in ranges:
         for group in range(start, stop, len(diffs)):
             rows = diffs[: min(len(diffs), stop - group)]
             for row, order in zip(rows, range(group, group + len(rows))):
@@ -203,6 +210,8 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
                     row[:skip] = -1
                     i = first + skip
                     np.subtract(m[i:end], shifted[i - order : end - order], out=row[skip:])
+                    if wraps:
+                        row[skip:][m[i:end] < m[i - order : end - order]] = -1
                 else:
                     np.subtract(keyed, shifted[first - order : end - order], out=row)
             if masked:

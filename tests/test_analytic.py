@@ -6,6 +6,7 @@ shapes, and seeded end-to-end simulation for the estimators.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +284,41 @@ class TestRatioEstimator:
         ms = _series([0, 130, 247, 391], [2, 1, 3, 2])
         shifted = MeasurementSeries(ms.m_ns + 987_654_321, ms.count, {})
         assert estimate_lambda_ratio(ms).value_ns == estimate_lambda_ratio(shifted).value_ns
+
+    def test_equals_the_float_mean_of_the_gaps_on_increasing_series(self):
+        # the span over n - 1 is the float np.diff(m).mean() gives wherever that
+        # float sum is exact: every strictly increasing series spanning < 2**53 ns
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 5001))
+            gaps = 1 + rng.integers(0, int(2 ** rng.uniform(0, 53 - math.log2(n))), n - 1)
+            m = int(rng.integers(0, 2**62)) + np.concatenate([[0], np.cumsum(gaps)])
+            assert int(m[-1]) - int(m[0]) < 2**53
+            c = rng.integers(1, 30, n)
+            est = estimate_lambda_ratio(MeasurementSeries(m, c, {}))
+            assert est.value_ns == float(np.diff(m).mean()) / float(c.mean())
+            assert est.sample_count == n
+
+    def test_span_past_2_53_gives_the_correctly_rounded_mean(self):
+        # gaps 2**53 + 1 and 1: a float sum rounds 2**53 + 1 to 2**53 (ties to
+        # even) and the mean of np.diff to 2**52, while the exact mean 2**52 + 1 is a float
+        m = np.array([0, 2**53 + 1, 2**53 + 2], np.int64)
+        ones = np.ones(3, np.int64)
+        assert float(np.diff(m).mean()) == 2**52
+        assert estimate_lambda_ratio(MeasurementSeries(m, ones, {})).value_ns == 2**52 + 1
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(2, 50))
+            m = np.sort(rng.integers(-(2**62), 2**62, n))
+            c = rng.integers(1, 30, n)
+            est = estimate_lambda_ratio(MeasurementSeries(m, c, {}))
+            span = int(m[-1]) - int(m[0])
+            assert est.value_ns == float(Fraction(span, n - 1)) / float(c.mean())
+        # a gap past int64 wraps np.diff negative; the span does not wrap
+        m = np.array([-(2**62), 2**62 + 2**61], np.int64)
+        assert np.diff(m)[0] < 0
+        est = estimate_lambda_ratio(MeasurementSeries(m, ones[:2], {}))
+        assert est.value_ns == 2**63 + 2**61
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):

@@ -985,3 +985,15 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert main(["gen", "--bogus"]) == 1
+
+    def test_parser_is_built_once_and_parses_each_argv_afresh(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        args = cli._build_parser().parse_args(["gen", "--preset", "high-rate", "--out", "a.csv"])
+        assert (args.preset, args.mean_gap_us, args.seed) == ("high-rate", None, 0)
+        # a failed parse leaves no state behind for the next one
+        assert main(["gen", "--preset", "high-rate", "--out", "a.csv", "--bogus"]) == 1
+        assert capsys.readouterr().err == "config error: unrecognized arguments: --bogus\n"
+        args = cli._build_parser().parse_args(["gen", "--mean-gap-us", "5", "--out", "b.csv"])
+        assert (args.preset, args.mean_gap_us, args.seed, args.out) == (None, 5.0, 0, "b.csv")
+        args = cli._build_parser().parse_args(["stats", "--measurements", "m.csv"])
+        assert vars(args) == {"command": "stats", "measurements": "m.csv"}

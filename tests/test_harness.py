@@ -198,14 +198,21 @@ class TestMeasurementStats:
         assert stats.rate_per_s == pytest.approx(4000.0, rel=1e-12)
 
     def test_matches_numpy_on_random_series(self):
+        # the very floats numpy gives for the gaps' mean and var(ddof=1), over
+        # lengths 2-5,000, spans up to 2**52 ns and stamps up to ~2**62 ns
         rng = np.random.default_rng(77)
-        m = np.cumsum(rng.integers(1, 200_000, 500))
-        c = rng.integers(1, 30, 500)
-        stats = measurement_stats(MeasurementSeries(m, c, {}))
-        gaps = np.diff(m) / US
-        assert stats.mean_gap_us == pytest.approx(gaps.mean(), rel=1e-12)
-        assert stats.var_gap_us2 == pytest.approx(gaps.var(ddof=1), rel=1e-12)
-        assert stats.mean_count == pytest.approx(c.mean(), rel=1e-12)
+        for _ in range(200):
+            n = int(rng.integers(2, 5001))
+            gaps = 1 + rng.integers(0, int(2 ** rng.uniform(0, 52 - math.log2(n))), n - 1)
+            m = int(rng.integers(0, 2**62)) + np.concatenate([[0], np.cumsum(gaps)])
+            assert int(m[-1]) - int(m[0]) <= 2**52
+            c = rng.integers(1, 30, n)
+            stats = measurement_stats(MeasurementSeries(m, c, {}))
+            gaps_us = np.diff(m) / US
+            assert stats.mean_gap_us == float(gaps_us.mean())
+            assert stats.var_gap_us2 == (float(gaps_us.var(ddof=1)) if n > 2 else 0.0)
+            assert stats.mean_count == float(c.mean())
+            assert stats.rate_per_s == (n - 1) / ((int(m[-1]) - int(m[0])) / SECOND)
 
     def test_single_measurement_is_insufficient(self):
         with pytest.raises(InsufficientDataError):

@@ -559,6 +559,92 @@ def test_packet_timer_cuts_at_block_edges(n):
         assert _packet_timer_cuts(t, pack).tolist() == want.tolist()
 
 
+# --- the coalescing tail: counts, interrupts and flags from the group starts ---
+
+
+def _assert_tail_matches_references(t, cfg):
+    """coalesce and measure of t under cfg against the references; m_ns is never t_ns's memory."""
+    trace = make_trace(t)
+    t = trace.t_ns
+    series = coalesce(trace, cfg)
+    if isinstance(cfg, TicConfig):
+        m, c = tic_reference(t, cfg.timer_ns)
+    elif isinstance(cfg, PicConfig):
+        m, c = pic_reference(t, cfg.count)
+    else:
+        m, c = hic_reference(t, cfg.packet_timer_ns, cfg.absolute_timer_ns)
+        abs_fired = _abs_fired_by_oracle(t, m, c, cfg.absolute_timer_ns)
+        assert series.flags == {"hic_abs_fired": abs_fired, "hic_pack_fired": len(m) - abs_fired}
+    assert series.m_ns.tolist() == m
+    assert series.count.tolist() == c
+    assert not np.shares_memory(series.m_ns, t)
+    # the one-size path shifts m in place, so a view of t_ns would move the trace
+    before = t.copy()
+    shifted = measure(trace, TransferConfig(), cfg)
+    assert not np.shares_memory(shifted.m_ns, t)
+    np.testing.assert_array_equal(t, before)
+    assert shifted.m_ns.tolist() == (np.asarray(m) + 12 * US).tolist()  # 1500 B at 1 Gb/s
+    return series
+
+
+_TIC = TicConfig(100)
+_HIC = HicConfig(packet_timer_ns=30, absolute_timer_ns=100)
+
+
+@pytest.mark.parametrize("cfg", [_TIC, PicConfig(1), PicConfig(3), _HIC], ids=repr)
+@pytest.mark.parametrize("t", [[0], [500]])
+def test_tail_of_one_packet(t, cfg):
+    series = _assert_tail_matches_references(t, cfg)
+    assert series.count.tolist() == [1]
+
+
+@pytest.mark.parametrize("n", [2, 3, _WALK_BLOCK + 1])
+@pytest.mark.parametrize("spacing", [100, 137])
+@pytest.mark.parametrize("cfg", [_TIC, PicConfig(1), _HIC], ids=repr)
+def test_tail_every_packet_its_own_group(cfg, spacing, n):
+    # gaps at or past the TIC timer and the packet timer: each arrival opens a group
+    series = _assert_tail_matches_references(spacing * np.arange(n), cfg)
+    assert series.count.tolist() == [1] * n
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_tail_whole_trace_in_one_group(n):
+    # 10 ns gaps: under the packet timer, and the span stays under the absolute timer
+    t = 10 * np.arange(n)
+    for cfg in [_TIC, _HIC, PicConfig(n)]:
+        series = _assert_tail_matches_references(t, cfg)
+        assert series.count.tolist() == [n]
+    # the last arrival's packet timer (80 + 30) outlasts the absolute timer at 100
+    hic = _assert_tail_matches_references(t, _HIC)
+    assert hic.flags == {"hic_abs_fired": int(n == 9), "hic_pack_fired": int(n < 9)}
+
+
+@pytest.mark.parametrize("cfg", [_TIC, _HIC], ids=repr)
+def test_tail_arrival_exactly_at_the_expiry(cfg):
+    # the arrival at 100 is the first group's expiry, so it opens the second group
+    series = _assert_tail_matches_references(10 * np.arange(11), cfg)
+    assert series.count.tolist() == [10, 1]
+    if isinstance(cfg, HicConfig):
+        assert series.m_ns.tolist() == [100, 130]
+        assert series.flags == {"hic_abs_fired": 1, "hic_pack_fired": 1}
+    else:
+        assert series.m_ns.tolist() == [100, 200]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tail_hic_flags_with_tied_timers(seed):
+    # gaps in 5 ns steps tie the timers (first + 100 == last + 30) in many
+    # groups; a gap of 30 or 35 ns ends a run, and 10,000 arrivals run past a walk block
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(5 * rng.integers(0, 8, 10_000))
+    m, c = hic_reference(t, _HIC.packet_timer_ns, _HIC.absolute_timer_ns)
+    first = np.cumsum(c) - np.asarray(c)
+    last = np.cumsum(c) - 1
+    assert np.count_nonzero(t[first] + 100 == t[last] + 30) > 50
+    series = _assert_tail_matches_references(t, _HIC)
+    assert 0 < series.flags["hic_abs_fired"] < len(series)
+
+
 # --- the walk's search blocks ---
 #
 # One run (every gap below the packet timer) is walked a block of

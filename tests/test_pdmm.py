@@ -750,6 +750,39 @@ def test_cells_of_stamps_more_than_2_63_apart_match_oracle():
     assert _count_blocks(m, 0, 6, 1, cfg)[0].tolist() == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "m, low",
+    [
+        ([2**63 - 1, -(2**63)], 0),  # -(2**64 - 1) wraps to 1
+        ([2**63 - 3, -(2**63) + 2], 4),  # m[0] + low wraps, and the difference to 1
+        ([2**63 - 12, -(2**63) + 2], 4),  # wraps to 10, one past the range
+    ],
+)
+def test_wrapped_differences_are_not_counted(m, low):
+    cfg = PdmmConfig(
+        low_cutoff_ns=low, high_cutoff_ns=low + 10, max_order=1, block_len=2, sub_bins=2,
+        bin_width_ns=5,
+    )
+    m = np.array(m, np.int64)
+    assert _count_blocks(m, 0, 2, 1, cfg).tolist() == [[0, 0]]
+    _assert_blocks_match_oracle(m, 0, 1, cfg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wrapped_differences_in_shuffled_extreme_stamps_match_oracle(seed):
+    # stamps near both ends of int64, shuffled: pairs from opposite ends wrap to
+    # small differences, and m + low_cutoff_ns wraps at the top
+    cfg = _fuzz_cfg(low_cutoff_ns=0, high_cutoff_ns=360, max_order=6, block_len=8)
+    rng = np.random.default_rng(seed)
+    n = (2 * CHUNK + 1) * cfg.block_len
+    top = 2**63 - 1 - rng.integers(0, 400, n // 2)
+    bottom = -(2**63) + rng.integers(0, 400, n - n // 2)
+    m = rng.permutation(np.concatenate([top, bottom]))
+    assert m.dtype == np.int64
+    _assert_blocks_match_oracle(m, cfg.max_order, 1, cfg)
+    _assert_chunks_match_oracle(m, cfg)
+
+
 # --- slack cells: the edges of the keyed layout against the pair-loop oracle ---
 
 
