@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ class PdmmConfig:
             raise ConfigError("histogram span must divide evenly into sub-bins")
         if self.window_blocks is not None and self.window_blocks < 1:
             raise ConfigError("window_blocks must be >= 1 when set")
-        if not _keys_fit(span):
+        if not _keys_fit(3 * span):
             raise ConfigError(
                 f"histogram span {span} ns is too large: the keys of a "
                 f"{_CHUNK_BLOCKS}-block chunk would overflow int64"
             )
-        if not _counts_fit(self.sub_bins):
+        if not _counts_fit(3 * self.sub_bins):
             raise ConfigError(
                 f"sub_bins = {self.sub_bins} is too large: the float64 counts of a "
                 f"{_CHUNK_BLOCKS}-block chunk would exceed the addressable size"
@@ -120,27 +120,24 @@ def _counts_fit(block_cells: int) -> bool:
     return _CHUNK_BLOCKS * block_cells * 8 <= np.iinfo(np.intp).max
 
 
-def _order_ranges(
-    m, shifted, first: int, end: int, top: int, span: int, slack_ns: int, wraps: bool
-):
+def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
     """(start, stop, masked) ranges of the orders 1..top worth counting.
 
     Row `order` holds d = m[i] - (m[i - order] + low) for first <= i < end.
-    When m[:end] is nondecreasing, d grows with the order at every i, so
-    the row minima and maxima grow with the order too, and bisections over
-    them find the bounds.  Rows below lo (max < 0) or from hi on
-    (min >= span) hold no difference in range and are left out.  Rows in
-    [a, b) (min >= -slack_ns, max < span + slack_ns) hold only differences
-    that _count_blocks keys into its cells, slack included, and need no
-    mask.  Every d is at least -low, so when low <= slack_ns (the defaults)
-    no row is masked at the low edge, and [a, b) is all of [lo, hi) unless
-    a row's largest difference reaches span + slack_ns; that case is tried
-    before bisecting.  Rows past `first` hold the -1 sentinel and are
-    always masked, and so is every row of an m that is not nondecreasing or
-    whose stamps wrap (they lie more than 2**63 - 1 apart).
+    m is nondecreasing (detect_stream's rule), so d grows with the order at
+    every i, the row minima and maxima grow with the order too, and
+    bisections over them find the bounds.  Rows below lo (max < 0) or from
+    hi on (min >= span) hold no difference in range and are left out.  Rows
+    in [a, b) (min >= -span, max < 2 * span) hold only differences that
+    _count_blocks keys into its cells, slack included, and need no mask.
+    Every d is at least -low, so when low <= span (the defaults) no row is
+    masked at the low edge, and [a, b) is all of [lo, hi) unless a row's
+    largest difference reaches 2 * span; that case is tried before
+    bisecting.  Rows past `first` hold the -1 sentinel and are always
+    masked: all of them in a chunk without history (first = 0).
     """
     k = min(top, first)
-    if k < 1 or wraps or np.any(m[1:end] < m[: end - 1]):
+    if k < 1:
         return [(1, top + 1, True)]
     row = np.empty(end - first, np.int64)
 
@@ -152,11 +149,11 @@ def _order_ranges(
     orders = range(k + 1)
     lo = bisect_left(orders, True, 1, key=lambda o: row_extrema(o)[1] >= 0)
     hi = bisect_left(orders, True, lo, key=lambda o: row_extrema(o)[0] >= span)
-    if lo == hi or (row_extrema(lo)[0] >= -slack_ns and row_extrema(hi - 1)[1] < span + slack_ns):
+    if lo == hi or (row_extrema(lo)[0] >= -span and row_extrema(hi - 1)[1] < 2 * span):
         a, b = lo, hi  # the common case at the defaults, found without bisecting
     else:
-        a = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[0] >= -slack_ns)
-        b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= span + slack_ns)
+        a = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[0] >= -span)
+        b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= 2 * span)
         if a >= b:
             a = b = hi
     return [(lo, a, True), (a, b, False), (b, hi, True), (k + 1, top + 1, True)]
@@ -171,36 +168,33 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     differences d in [-span, 2 * span), span = high - low, as
     k * 3 * span + span + d, which floor-divides by the cell width to
     k * 3 * sub_bins + sub_bins + cell.  So one bincount per group of
-    orders counts all blocks, and only the middle cells are returned.
-    Where the wider keys or counts would not fit (_keys_fit, _counts_fit),
-    a block has no slack cells and keys d in [0, span) as k * span + d.
+    orders counts all blocks, and only the middle cells are returned;
+    PdmmConfig checks that a chunk's keys and counts fit.
     low_cutoff_ns is folded into a shifted copy of m and the key offset
     into a keyed copy, so an unmasked row's keys come out of one
     subtraction.  A masked row keeps only the d that one unsigned compare
     against the span finds in range; entries whose earlier endpoint would
-    lie before m[0] are set to -1, which that compare rejects.  Where the
-    chunk's stamps lie more than 2**63 - 1 apart, a difference can wrap
-    into the range; it then has m[i] < m[j], which no d >= low >= 0 has,
-    so those entries are set to -1 too.
+    lie before m[0] are set to -1, which that compare rejects.
+    m is non-negative and nondecreasing (detect_stream's rule), so every
+    m[i] - m[j] with j <= i lies in [0, 2**63 - 1] and no d wraps; where
+    m + low_cutoff_ns or m + offset wraps past int64, the subtraction still
+    gives the exact difference modulo 2**64.
     _order_ranges leaves out the orders with no difference in range and
     marks those whose every difference the layout keys as unmasked.
     """
     span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
     width = span // cfg.sub_bins
-    slack = cfg.sub_bins if _keys_fit(3 * span) and _counts_fit(3 * cfg.sub_bins) else 0
-    block_cells = cfg.sub_bins + 2 * slack
-    block_span = block_cells * width
+    block_cells = 3 * cfg.sub_bins
     n_cells = n_blocks * block_cells
     length = n_blocks * block_len
     end = first + length
     counts = np.zeros(n_cells)
     top = min(cfg.max_order, end - 1)
     shifted = m[:end] + cfg.low_cutoff_ns
-    offset = np.repeat(slack * width + block_span * np.arange(n_blocks, dtype=np.int64), block_len)
+    offset = np.repeat(span + 3 * span * np.arange(n_blocks, dtype=np.int64), block_len)
     keyed = m[first:end] + offset
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
-    wraps = int(m[:end].max()) - int(m[:end].min()) > _INT64_MAX
-    ranges = _order_ranges(m, shifted, first, end, top, span, slack * width, wraps)
+    ranges = _order_ranges(m, shifted, first, end, top, span)
     for start, stop, masked in ranges:
         for group in range(start, stop, len(diffs)):
             rows = diffs[: min(len(diffs), stop - group)]
@@ -210,8 +204,6 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
                     row[:skip] = -1
                     i = first + skip
                     np.subtract(m[i:end], shifted[i - order : end - order], out=row[skip:])
-                    if wraps:
-                        row[skip:][m[i:end] < m[i - order : end - order]] = -1
                 else:
                     np.subtract(keyed, shifted[first - order : end - order], out=row)
             if masked:
@@ -223,7 +215,7 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
             unsigned = keys.view(np.uint64)  # every key is >= 0: a cheaper division
             unsigned //= width
             counts += np.bincount(keys, minlength=n_cells)
-    return counts.reshape(n_blocks, block_cells)[:, slack : slack + cfg.sub_bins]
+    return counts.reshape(n_blocks, block_cells)[:, cfg.sub_bins : 2 * cfg.sub_bins]
 
 
 def pearson_chi_square(cells):
@@ -259,8 +251,13 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     than two full blocks yields an insufficient-data report.  Blocks are
     counted _CHUNK_BLOCKS at a time, each chunk when its first block is
     reached, so an early stop leaves the later chunks uncounted.
+    The stamps must be non-negative and nondecreasing, as coalesce makes
+    them; ties are counted.  Any other series raises PreconditionError
+    before a block is counted.
     """
     m = np.asarray(ms.m_ns, dtype=np.int64)
+    if len(m) and (m[0] < 0 or np.any(m[1:] < m[:-1])):
+        raise PreconditionError("m_ns must be non-negative and nondecreasing")
     n_blocks = len(m) // cfg.block_len
     if n_blocks < 2:
         return DetectionReport(None, n_blocks)

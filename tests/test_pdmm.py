@@ -4,8 +4,6 @@ Chi-square CDF values are cross-checked against the scipy.stats distribution
 object; hand-counted histograms pin the accumulation rules.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from icmeas import pdmm
-from icmeas.errors import ConfigError, InsufficientDataError
+from icmeas.errors import ConfigError, InsufficientDataError, PreconditionError
 from icmeas.harness import COALESCENCE_PRESETS, build_trace, preset_traffic
-from icmeas.meassim import HicConfig, MeasurementSeries, TransferConfig, measure
+from icmeas.meassim import HicConfig, MeasurementSeries, PicConfig, TransferConfig, coalesce, measure
 from icmeas.pdmm import (
     _CHUNK_BLOCKS,
     DetectionReport,
@@ -28,7 +26,14 @@ from icmeas.pdmm import (
     min_detectable_deviation,
     pearson_chi_square,
 )
-from icmeas.trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
+from icmeas.trafficgen import (
+    AttackConfig,
+    PacketTrace,
+    PoissonConfig,
+    gen_periodic,
+    gen_poisson,
+    merge,
+)
 
 from oracles import pdmm_counts_reference
 
@@ -93,17 +98,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(**kw)
 
-    # Each case sits one step either side of a chunk-size limit; a config
-    # allocates nothing, and no accepted one here is run.
+    # The pairs sit one step either side of a chunk-size limit, sized on
+    # blocks of 3 * sub_bins cells (slack on each side); a config allocates
+    # nothing, and no accepted one here is run.
     @pytest.mark.parametrize(
         "span, sub_bins, too_large",
         [
-            # keys of a chunk stay below _CHUNK_BLOCKS * span: int64 holds 4 * (2**61 - 2)
-            (2**61 - 2, 2, None),
-            (2**61, 2, "histogram span 2305843009213693952 ns is too large: .*overflow int64"),
-            # a chunk's float64 counts take 4 * sub_bins * 8 bytes
-            (2**58 - 1, 2**58 - 1, None),
-            (2**58, 2**58, "sub_bins = 288230376151711744 is too large: .*exceed the addressable size"),
+            # keys of a chunk stay below _CHUNK_BLOCKS * 3 * span: int64 holds
+            # 12 * 768614336404564650, the largest even span below (2**63 - 1) / 12
+            (768614336404564650, 2, None),
+            (768614336404564652, 2, "histogram span 768614336404564652 ns is too large: .*overflow int64"),
+            # four blocks of span keys would fit int64, but every block has slack cells
+            (3 * 2**58, 3, "histogram span 864691128455135232 ns is too large: .*overflow int64"),
+            # a chunk's float64 counts take 4 * 3 * sub_bins * 8 bytes: (2**63 - 1) // 96
+            (96076792050570581, 96076792050570581, None),
+            (96076792050570582, 96076792050570582, "sub_bins = 96076792050570582 is too large: .*exceed the addressable size"),
         ],
     )
     def test_chunk_size_limits(self, span, sub_bins, too_large):
@@ -528,9 +537,9 @@ def test_chunked_zero_low_cutoff_counts_repeated_stamps():
 def pdmm_cases(draw):
     """(timestamps, config) for the chunked counter.
 
-    Timestamps come from a drawn numpy seed: non-decreasing by default, with
-    repeated stamps when the gap spread allows zero gaps, or shuffled so
-    that negative differences occur.  The config may put max_order above
+    Timestamps come from a drawn numpy seed: non-negative and
+    nondecreasing, as detect_stream requires, with repeated stamps when the
+    gap spread allows zero gaps.  The config may put max_order above
     block_len, window_blocks on either side of the chunk size, and
     low_cutoff_ns at 0.
     """
@@ -552,8 +561,6 @@ def pdmm_cases(draw):
     m = draw(st.sampled_from([0, 2**40])) + np.cumsum(
         rng.integers(0, draw(st.integers(0, 100)), n, endpoint=True)
     )
-    if draw(st.booleans()) and draw(st.booleans()):
-        m = rng.permutation(m)
     return m, cfg
 
 
@@ -562,6 +569,53 @@ def pdmm_cases(draw):
 def test_chunked_report_equals_oracle_report(case):
     m, cfg = case
     _assert_matches_oracle(m, cfg)
+
+
+# --- the input rule: non-negative, nondecreasing stamps, as coalesce makes them ---
+
+
+def _breaking_the_rule(m, how):
+    m = m.copy()
+    if how == "shuffled":
+        m = np.random.default_rng(0).permutation(m)
+    elif how == "negative-first":
+        m -= m[0] + 1
+    else:  # steps down once, at the last stamp
+        m[-1] = m[-2] - 1
+    return m
+
+
+@pytest.mark.parametrize("how", ["shuffled", "negative-first", "steps-down-at-end"])
+def test_detect_stream_refuses_a_series_breaking_the_rule_before_counting(monkeypatch, how):
+    cfg = _fuzz_cfg()
+    m = _fuzz_stream(0, (2 * CHUNK + 1) * cfg.block_len)
+    counted = []
+
+    def spy(*args):
+        counted.append(args[1])
+        return _count_blocks(*args)
+
+    monkeypatch.setattr(pdmm, "_count_blocks", spy)
+    detect_stream(_series(m), cfg)
+    assert counted  # the spy sees every chunk of an accepted series
+    counted.clear()
+    bad = _breaking_the_rule(m, how)
+    assert bad[0] < 0 or np.any(np.diff(bad) < 0)
+    with pytest.raises(PreconditionError, match="^m_ns must be non-negative and nondecreasing$"):
+        detect_stream(_series(bad), cfg)
+    assert counted == []
+
+
+def test_tied_series_from_coalesce_is_counted_like_the_oracle():
+    # count-based coalescing with count 1 stamps each arrival: tied arrivals
+    # give tied stamps, which low_cutoff_ns = 0 counts as zero differences
+    cfg = _fuzz_cfg(low_cutoff_ns=0, high_cutoff_ns=360, threshold=1e-9)
+    for seed in range(3):
+        t = _fuzz_stream(seed, (2 * CHUNK + 1) * cfg.block_len, spread=4)
+        trace = PacketTrace(t, np.full(len(t), 64), np.zeros(len(t), np.uint8))
+        ms = coalesce(trace, PicConfig(count=1))
+        assert ms.m_ns.tolist() == t.tolist() and np.any(np.diff(ms.m_ns) == 0)
+        assert detect_stream(ms, cfg) == _oracle_report(ms.m_ns, cfg)
 
 
 # --- order ranges: skipped, masked and unmasked rows against the pair-loop oracle ---
@@ -665,34 +719,6 @@ def test_order_ranges_repeated_stamps_with_zero_low_cutoff():
         _assert_chunks_match_oracle(m, cfg)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_order_ranges_shuffled_series_is_counted_masked(seed):
-    cfg = _fuzz_cfg(**_RANGES_CFG)
-    m = _ranges_stream(seed, cfg.max_order + CHUNK * cfg.block_len)
-    m = np.random.default_rng(seed).permutation(m)
-    _assert_blocks_match_oracle(m, cfg.max_order, CHUNK, cfg)
-    _assert_chunks_match_oracle(m, cfg)
-
-
-def test_order_ranges_stamps_more_than_2_63_apart_are_counted_masked(monkeypatch):
-    # a nondecreasing series with a jump of 1.5 * 2**63 ns in the history: the
-    # rows that reach back across it hold wrapped differences, which neither
-    # the bisections nor the keys allow for
-    cfg = _fuzz_cfg()
-    first = cfg.max_order
-    rng = np.random.default_rng(0)
-    m = np.concatenate(
-        [
-            -(3 * 2**61) + np.cumsum(rng.integers(25, 35, first - 6)),
-            3 * 2**61 + np.cumsum(rng.integers(25, 35, 6 + CHUNK * cfg.block_len)),
-        ]
-    )
-    assert np.all(m[1:] >= m[:-1]) and int(m[-1]) - int(m[0]) > 2**63
-    calls = _spy_ranges(monkeypatch)
-    _assert_blocks_match_oracle(m, first, CHUNK, cfg)
-    assert calls == [[(1, first + 1, True)]]
-
-
 # --- cells at the int64 edges of the keys, against the pair-loop oracle ---
 
 
@@ -706,12 +732,7 @@ def _ending_at_int64_max(seed, n):
     return 2**63 - 1 - (m[-1] - m)
 
 
-def _shuffled_both_signs(seed, n):
-    m = _fuzz_stream(seed, n)
-    return np.random.default_rng(seed).permutation(m - m[n // 2])
-
-
-@pytest.mark.parametrize("stamps", [_offset_2_62, _ending_at_int64_max, _shuffled_both_signs])
+@pytest.mark.parametrize("stamps", [_offset_2_62, _ending_at_int64_max])
 @pytest.mark.parametrize(
     "cell_ns, bin_width_ns",
     [(8, 1), (8, 4), (9, 1), (9, 3)],
@@ -730,57 +751,6 @@ def test_cells_at_int64_edges_match_oracle(stamps, cell_ns, bin_width_ns):
         assert m.dtype == np.int64
         _assert_chunks_match_oracle(m, cfg)
         _assert_matches_oracle(m, cfg)
-
-
-def test_cells_of_stamps_more_than_2_63_apart_match_oracle():
-    # a = 2**62 + 2**60: the entry -a after a is a difference of -(2**63 + 2**61)
-    # = -2**61 cells of 5 ns, so a key coded as (x // 5) * 8 + x % 5 lands
-    # less than 8 above -2**64 and would wrap into cell 0; none of these
-    # differences is in range
-    a = 2**62 + 2**60
-    cfg = PdmmConfig(
-        low_cutoff_ns=0, high_cutoff_ns=10, max_order=2, block_len=3, sub_bins=2, bin_width_ns=5
-    )
-    for m in ([0, a, -a], [-a, 0, a], [-(2**63), 2**63 - 8, 2**63 - 1]):
-        m = np.array(m, np.int64)
-        _assert_blocks_match_oracle(m, 0, 1, cfg)
-    m = np.array([0, a, -a, -a + 3, -a + 9, 2**63 - 1], np.int64)
-    _assert_blocks_match_oracle(m, 0, 1, dataclasses.replace(cfg, block_len=6))
-    # only -a, -a + 3, -a + 9 lie in range of each other: 3 in cell 0, 6 and 9 in cell 1
-    assert _count_blocks(m, 0, 6, 1, cfg)[0].tolist() == [1, 2]
-
-
-@pytest.mark.parametrize(
-    "m, low",
-    [
-        ([2**63 - 1, -(2**63)], 0),  # -(2**64 - 1) wraps to 1
-        ([2**63 - 3, -(2**63) + 2], 4),  # m[0] + low wraps, and the difference to 1
-        ([2**63 - 12, -(2**63) + 2], 4),  # wraps to 10, one past the range
-    ],
-)
-def test_wrapped_differences_are_not_counted(m, low):
-    cfg = PdmmConfig(
-        low_cutoff_ns=low, high_cutoff_ns=low + 10, max_order=1, block_len=2, sub_bins=2,
-        bin_width_ns=5,
-    )
-    m = np.array(m, np.int64)
-    assert _count_blocks(m, 0, 2, 1, cfg).tolist() == [[0, 0]]
-    _assert_blocks_match_oracle(m, 0, 1, cfg)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_wrapped_differences_in_shuffled_extreme_stamps_match_oracle(seed):
-    # stamps near both ends of int64, shuffled: pairs from opposite ends wrap to
-    # small differences, and m + low_cutoff_ns wraps at the top
-    cfg = _fuzz_cfg(low_cutoff_ns=0, high_cutoff_ns=360, max_order=6, block_len=8)
-    rng = np.random.default_rng(seed)
-    n = (2 * CHUNK + 1) * cfg.block_len
-    top = 2**63 - 1 - rng.integers(0, 400, n // 2)
-    bottom = -(2**63) + rng.integers(0, 400, n - n // 2)
-    m = rng.permutation(np.concatenate([top, bottom]))
-    assert m.dtype == np.int64
-    _assert_blocks_match_oracle(m, cfg.max_order, 1, cfg)
-    _assert_chunks_match_oracle(m, cfg)
 
 
 # --- slack cells: the edges of the keyed layout against the pair-loop oracle ---
@@ -861,31 +831,6 @@ def test_slack_low_cutoff_above_span_masks_rows_below_the_slack(monkeypatch, see
     [ranges] = calls
     assert below <= {o for a, b, masked in ranges if masked for o in range(a, b)}
     assert keyed <= {o for a, b, masked in ranges if not masked for o in range(a, b)}
-
-
-# span = 3 * 2**58 ns: four blocks of keys fit int64, four blocks of three
-# spans do not, so a block has no slack and keys d in [0, span) only
-_W = 2**58
-
-
-@pytest.mark.parametrize(
-    "edge_d, masked",
-    [(0, False), (3 * _W - 1, False), (-1, True), (3 * _W, True)],
-    ids=["min-0", "max-span-1", "min-minus-1", "max-span"],
-)
-def test_slack_is_zero_where_the_wider_keys_would_overflow(monkeypatch, edge_d, masked):
-    cfg = PdmmConfig(
-        low_cutoff_ns=_W, high_cutoff_ns=4 * _W, max_order=1, block_len=2, sub_bins=3, bin_width_ns=_W
-    )
-    span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
-    assert pdmm._keys_fit(span) and not pdmm._keys_fit(3 * span)
-    for seed in range(3):
-        gaps = np.random.default_rng(seed).integers(_W + 1, 4 * _W - 1, CHUNK * cfg.block_len)
-        gaps[2] = edge_d + cfg.low_cutoff_ns  # in the second block
-        m = _gaps_stream(gaps, start=-(2**62))
-        calls = _spy_ranges(monkeypatch)
-        _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
-        assert calls == [[(1, 2, masked)]]
 
 
 def test_slack_sentinel_rows_in_chunk_0(monkeypatch):
