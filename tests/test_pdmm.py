@@ -732,7 +732,17 @@ def _ending_at_int64_max(seed, n):
     return 2**63 - 1 - (m[-1] - m)
 
 
-@pytest.mark.parametrize("stamps", [_offset_2_62, _ending_at_int64_max])
+def _from_zero_to_int64_max(seed, n):
+    # the first stamp is 0 and the last 2**63 - 1, the ends the input rule
+    # allows: the orders reaching back across the jump hold differences of
+    # nearly 2**63 - 1, which no key may wrap into range
+    m = _fuzz_stream(seed, n)
+    m -= m[0]
+    m[n // 2 :] += 2**63 - 1 - m[-1]
+    return m
+
+
+@pytest.mark.parametrize("stamps", [_offset_2_62, _ending_at_int64_max, _from_zero_to_int64_max])
 @pytest.mark.parametrize(
     "cell_ns, bin_width_ns",
     [(8, 1), (8, 4), (9, 1), (9, 3)],
@@ -751,6 +761,29 @@ def test_cells_at_int64_edges_match_oracle(stamps, cell_ns, bin_width_ns):
         assert m.dtype == np.int64
         _assert_chunks_match_oracle(m, cfg)
         _assert_matches_oracle(m, cfg)
+
+
+@pytest.mark.parametrize(
+    "m, first, low, want",
+    [
+        ([0, 2**63 - 1], 0, 0, [0, 0]),  # the largest difference, far above the range
+        ([2**63 - 3, 2**63 - 1], 0, 4, [0, 0]),  # m[0] + low wraps; d = 2 - 4
+        # an unmasked row whose keyed and shifted stamps both wrap: d = 11 - 4
+        # lands in the second cell, the tie (d = 0 - 4) in the lower slack
+        ([2**63 - 12, 2**63 - 1, 2**63 - 1], 1, 4, [0, 1]),
+        ([0, 0, 2**63 - 1, 2**63 - 1], 1, 0, [2, 0]),  # ties at both ends of the rule
+    ],
+    ids=["largest-difference", "shifted-wraps", "keyed-wraps-unmasked", "ties-at-both-ends"],
+)
+def test_differences_up_to_2_63_minus_1_are_counted_exactly(m, first, low, want):
+    # cells of 5 ns in [low, low + 10); hand-counted, then against the oracle
+    m = np.array(m, np.int64)
+    cfg = PdmmConfig(
+        low_cutoff_ns=low, high_cutoff_ns=low + 10, max_order=1, block_len=len(m) - first,
+        sub_bins=2, bin_width_ns=5,
+    )
+    assert _count_blocks(m, first, cfg.block_len, 1, cfg).tolist() == [want]
+    _assert_blocks_match_oracle(m, first, 1, cfg)
 
 
 # --- slack cells: the edges of the keyed layout against the pair-loop oracle ---
@@ -846,6 +879,40 @@ def test_slack_sentinel_rows_in_chunk_0(monkeypatch):
         _assert_chunks_match_oracle(m, cfg)
         assert calls[0] == [(1, 4, True)]
         assert len(calls) == 4 and all(not masked for ranges in calls[1:] for _, _, masked in ranges)
+
+
+# the largest span PdmmConfig accepts: a chunk's keys reach 12 * _SPAN - 1,
+# which int64 holds; a chunk's eight gaps (one of 0, one of up to 3 * _SPAN
+# and six of up to 1.5 * _SPAN) end at most at 12 * _SPAN <= 2**63 - 1
+_SPAN = 768614336404564650
+
+
+@pytest.mark.parametrize(
+    "edge_d, masked",
+    [(-_SPAN, False), (_SPAN - 1, False), (2 * _SPAN - 1, False), (2 * _SPAN, True)],
+    ids=["min-minus-span", "max-span-1", "max-2span-1", "max-2span"],
+)
+def test_largest_span_keys_its_slack_edges_like_the_oracle(monkeypatch, edge_d, masked):
+    # low = span: a zero gap is d = -span, the first lower slack cell
+    cfg = PdmmConfig(
+        low_cutoff_ns=_SPAN, high_cutoff_ns=2 * _SPAN, max_order=1, block_len=2, sub_bins=2,
+        bin_width_ns=_SPAN // 2,
+    )
+    assert pdmm._keys_fit(3 * _SPAN) and not pdmm._keys_fit(3 * (_SPAN + 2))
+    for seed in range(3):
+        gaps = np.random.default_rng(seed).integers(
+            _SPAN, 3 * _SPAN // 2, CHUNK * cfg.block_len, endpoint=True
+        )
+        gaps[0] = 0  # in the first block
+        gaps[-2] = edge_d + cfg.low_cutoff_ns  # in the last block
+        m = _gaps_stream(gaps, start=0)
+        assert int(m[-1]) <= 2**63 - 1 and m[0] == 0 and np.all(np.diff(m) >= 0)
+        lo, hi = _row_extrema(m, 1, len(m), 1, cfg.low_cutoff_ns)
+        assert lo == -_SPAN and edge_d in (np.diff(m) - cfg.low_cutoff_ns).tolist()
+        assert (hi >= 2 * _SPAN) == masked
+        calls = _spy_ranges(monkeypatch)
+        _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
+        assert calls == [[(1, 2, masked)]]
 
 
 @pytest.mark.parametrize("seed", range(3))
