@@ -127,6 +127,8 @@ def estimate_lambda_single_pairs(ms, packet_timer_ns: float) -> LambdaEstimate:
     subtraction removes.
     """
     require_finite(packet_timer_ns=packet_timer_ns)
+    if packet_timer_ns < 0:
+        raise ConfigError("packet_timer_ns must be non-negative")
     if len(ms) < 2:
         raise InsufficientDataError("need at least 2 measurements")
     single = ms.count == 1
@@ -150,7 +152,7 @@ def estimate_lambda_ratio(ms) -> LambdaEstimate:
     mean is the span over their number, exact in Python integers: the float
     np.diff(m_ns).mean() gives wherever its sum is exact (every strictly
     increasing series spanning under 2**53 ns), and correctly rounded where
-    that sum would round or wrap int64.
+    that sum would round.
     """
     if len(ms) < 2:
         raise InsufficientDataError("need at least 2 measurements")

@@ -23,7 +23,9 @@ _MEAS_HEADER = "m_ns,count"
 class MeasurementSeries:
     """Column-oriented measurement sequence with simulation flags.
 
-    A float column must hold whole numbers (PreconditionError).
+    PreconditionError unless m_ns is non-negative and nondecreasing (ties
+    allowed) and every count is >= 1, as coalesce makes them; a float
+    column must hold whole numbers.
     """
 
     m_ns: np.ndarray
@@ -31,10 +33,19 @@ class MeasurementSeries:
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "m_ns", _int_column(self.m_ns, "m_ns"))
-        object.__setattr__(self, "count", _int_column(self.count, "count"))
-        if len(self.m_ns) != len(self.count):
+        m = _int_column(self.m_ns, "m_ns")
+        count = _int_column(self.count, "count")
+        if len(m) != len(count):
             raise ConfigError("measurement columns must have equal length")
+        if np.any(m[1:] < m[:-1]):
+            raise PreconditionError("m_ns must be nondecreasing")
+        if len(m):
+            if m[0] < 0:  # m is sorted, so m[0] is its least entry
+                raise PreconditionError("m_ns must be non-negative")
+            if count.min() < 1:
+                raise PreconditionError("measurement counts must be >= 1")
+        object.__setattr__(self, "m_ns", m)
+        object.__setattr__(self, "count", count)
 
     def __len__(self):
         return len(self.m_ns)
@@ -46,17 +57,6 @@ class MeasurementSeries:
 
     def total_packets(self) -> int:
         return int(self.count.sum())
-
-    def validate(self) -> None:
-        """Assert the series invariants: c >= 1 and strictly increasing m >= 0."""
-        if len(self) == 0:
-            return
-        if int(self.m_ns.min()) < 0:
-            raise PreconditionError("m_ns must be non-negative")
-        if int(self.count.min()) < 1:
-            raise PreconditionError("measurement counts must be >= 1")
-        if len(self) > 1 and int(np.diff(self.m_ns).min()) <= 0:
-            raise PreconditionError("measurement timestamps must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -321,17 +321,25 @@ def measure(
     delay = _transfer_delay(trace, transfer)
     _check_timer_reach(int(trace.t_ns[-1]) + int(delay[0]), cfg)
     series = coalesce(trace, cfg)
-    np.add(series.m_ns, delay, out=series.m_ns)  # coalesce builds m afresh, never as a view of t_ns
+    # coalesce builds m afresh, never as a view of t_ns; a delay >= 0 keeps m
+    # non-negative and nondecreasing, and _check_timer_reach keeps it in int64
+    np.add(series.m_ns, delay, out=series.m_ns)
     return series
+
+
+def _refuse_ties(series: MeasurementSeries) -> None:
+    """Raise PreconditionError on a repeated stamp: a file holds one interrupt per stamp."""
+    if np.any(series.m_ns[1:] == series.m_ns[:-1]):
+        raise PreconditionError("measurement timestamps must be strictly increasing")
 
 
 def save_measurements(series: MeasurementSeries, path, config: dict | None = None) -> None:
     """Write m/count CSV plus a JSON sidecar with config echo and flags.
 
-    A series that breaks the invariants load_measurements checks raises
+    A series with tied stamps, which load_measurements refuses, raises
     PreconditionError before any file is opened.
     """
-    series.validate()
+    _refuse_ties(series)
     path = str(path)
     _write_int_csv(path, _MEAS_HEADER, [series.m_ns, series.count])
     sidecar = {"config": config or {}, "flags": dict(series.flags)}
@@ -343,8 +351,7 @@ def save_measurements(series: MeasurementSeries, path, config: dict | None = Non
 def load_measurements(path) -> MeasurementSeries:
     """Read a measurement CSV (and its sidecar flags, when present).
 
-    The series must hold its invariants: counts >= 1, strictly increasing
-    m >= 0.
+    The rows must make a MeasurementSeries with strictly increasing m.
     """
     path = str(path)
     data = _read_int_csv(path, _MEAS_HEADER)
@@ -361,9 +368,9 @@ def load_measurements(path) -> MeasurementSeries:
     flags = sidecar.get("flags", {})
     if not isinstance(flags, dict):
         raise PreconditionError(f"{path}.json: flags must be a JSON object")
-    series = MeasurementSeries(data[:, 0], data[:, 1], flags)
     try:
-        series.validate()
-    except PreconditionError as exc:  # a negative m, a count below 1 or unsorted rows
+        series = MeasurementSeries(data[:, 0], data[:, 1], flags)
+        _refuse_ties(series)
+    except PreconditionError as exc:
         raise PreconditionError(f"{path}: {exc}") from None
     return series

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, require_finite
+from .errors import ConfigError, require_finite
 from .pdmm import DetectionReport
 
 
@@ -82,7 +82,6 @@ def rasterize(ms, sample_interval_ns: int, n_samples: int | None = None) -> np.n
     series[j] sums the counts of all measurements with timestamp in
     [j*interval, (j+1)*interval).  Without n_samples the grid extends just
     past the last measurement; with it, later measurements are dropped.
-    The grid starts at 0, so a negative stamp raises PreconditionError.
     """
     if sample_interval_ns <= 0:
         raise ConfigError("sample_interval_ns must be positive")
@@ -90,9 +89,6 @@ def rasterize(ms, sample_interval_ns: int, n_samples: int | None = None) -> np.n
         raise ConfigError("n_samples must be non-negative")
     if len(ms) == 0:
         return np.zeros(0 if n_samples is None else n_samples)
-    i = int(np.argmin(ms.m_ns))
-    if ms.m_ns[i] < 0:
-        raise PreconditionError(f"m_ns[{i}] = {ms.m_ns[i]} ns is negative: the raster starts at 0")
     idx = (ms.m_ns // sample_interval_ns).astype(np.int64, copy=False)
     weights = ms.count
     if n_samples is None:

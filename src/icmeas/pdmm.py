@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, PreconditionError
+from .errors import ConfigError, InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,14 @@ class PdmmConfig:
             raise ConfigError("histogram span must divide evenly into sub-bins")
         if self.window_blocks is not None and self.window_blocks < 1:
             raise ConfigError("window_blocks must be >= 1 when set")
-        if not _keys_fit(3 * span):
+        # a chunk's keys lie below _CHUNK_BLOCKS * 3 * span, and its float64
+        # counts take _CHUNK_BLOCKS * 3 * sub_bins * 8 bytes
+        if _CHUNK_BLOCKS * 3 * span > np.iinfo(np.int64).max:
             raise ConfigError(
                 f"histogram span {span} ns is too large: the keys of a "
                 f"{_CHUNK_BLOCKS}-block chunk would overflow int64"
             )
-        if not _counts_fit(3 * self.sub_bins):
+        if _CHUNK_BLOCKS * 3 * self.sub_bins * 8 > np.iinfo(np.intp).max:
             raise ConfigError(
                 f"sub_bins = {self.sub_bins} is too large: the float64 counts of a "
                 f"{_CHUNK_BLOCKS}-block chunk would exceed the addressable size"
@@ -107,25 +109,15 @@ _CHUNK_BLOCKS = 4
 # int64 differences the kernel holds at once (1 MB): orders are processed in
 # groups of rows sized to this, which keeps the buffer in cache
 _BUFFER_ELEMS = 1 << 17
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _keys_fit(block_span: int) -> bool:
-    """Whether a chunk's keys, below _CHUNK_BLOCKS * block_span, fit int64."""
-    return _CHUNK_BLOCKS * block_span <= _INT64_MAX
-
-
-def _counts_fit(block_cells: int) -> bool:
-    """Whether a chunk's float64 counts, block_cells per block, are addressable."""
-    return _CHUNK_BLOCKS * block_cells * 8 <= np.iinfo(np.intp).max
 
 
 def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
     """(start, stop, masked) ranges of the orders 1..top worth counting.
 
-    Row `order` holds d = m[i] - (m[i - order] + low) for first <= i < end.
-    m is nondecreasing (detect_stream's rule), so d grows with the order at
-    every i, the row minima and maxima grow with the order too, and
+    Row `order` holds d = m[i] - (m[i - order] + low) for max(first, order)
+    <= i < end.  m is nondecreasing (a MeasurementSeries' rule), so d grows
+    with the order at every i; the rows lose entries from the front as the
+    order grows, but the row minima and maxima still grow with it, and
     bisections over them find the bounds.  Rows below lo (max < 0) or from
     hi on (min >= span) hold no difference in range and are left out.  Rows
     in [a, b) (min >= -span, max < 2 * span) hold only differences that
@@ -133,20 +125,18 @@ def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
     Every d is at least -low, so when low <= span (the defaults) no row is
     masked at the low edge, and [a, b) is all of [lo, hi) unless a row's
     largest difference reaches 2 * span; that case is tried before
-    bisecting.  Rows past `first` hold the -1 sentinel and are always
-    masked: all of them in a chunk without history (first = 0).
+    bisecting.
     """
-    k = min(top, first)
-    if k < 1:
-        return [(1, top + 1, True)]
     row = np.empty(end - first, np.int64)
 
     @cache
     def row_extrema(order):
-        np.subtract(m[first:end], shifted[first - order : end - order], out=row)
-        return int(row.min()), int(row.max())
+        i = max(first, order)
+        d = row[: end - i]
+        np.subtract(m[i:end], shifted[i - order : end - order], out=d)
+        return int(d.min()), int(d.max())
 
-    orders = range(k + 1)
+    orders = range(top + 1)
     lo = bisect_left(orders, True, 1, key=lambda o: row_extrema(o)[1] >= 0)
     hi = bisect_left(orders, True, lo, key=lambda o: row_extrema(o)[0] >= span)
     if lo == hi or (row_extrema(lo)[0] >= -span and row_extrema(hi - 1)[1] < 2 * span):
@@ -156,7 +146,7 @@ def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
         b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= 2 * span)
         if a >= b:
             a = b = hi
-    return [(lo, a, True), (a, b, False), (b, hi, True), (k + 1, top + 1, True)]
+    return [(lo, a, True), (a, b, False), (b, hi, True)]
 
 
 def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig):
@@ -172,15 +162,14 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     PdmmConfig checks that a chunk's keys and counts fit.
     low_cutoff_ns is folded into a shifted copy of m and the key offset
     into a keyed copy, so an unmasked row's keys come out of one
-    subtraction.  A masked row keeps only the d that one unsigned compare
-    against the span finds in range; entries whose earlier endpoint would
-    lie before m[0] are set to -1, which that compare rejects.
-    m is non-negative and nondecreasing (detect_stream's rule), so every
-    m[i] - m[j] with j <= i lies in [0, 2**63 - 1] and no d wraps; where
-    m + low_cutoff_ns or m + offset wraps past int64, the subtraction still
-    gives the exact difference modulo 2**64.
-    _order_ranges leaves out the orders with no difference in range and
-    marks those whose every difference the layout keys as unmasked.
+    subtraction.  A masked row's d are clipped to [-span, 2 * span) before
+    the offset is added, so those past the layout land in the dropped slack
+    cells.  An entry whose earlier endpoint would lie before m[0] gets key
+    0, block 0's lowest slack cell.
+    m is non-negative and nondecreasing (a MeasurementSeries' rule), so
+    every m[i] - m[j] with j <= i lies in [0, 2**63 - 1] and no d wraps;
+    where m + low_cutoff_ns or m + offset wraps past int64, the subtraction
+    still gives the exact difference modulo 2**64.
     """
     span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
     width = span // cfg.sub_bins
@@ -194,24 +183,21 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     offset = np.repeat(span + 3 * span * np.arange(n_blocks, dtype=np.int64), block_len)
     keyed = m[first:end] + offset
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
-    ranges = _order_ranges(m, shifted, first, end, top, span)
-    for start, stop, masked in ranges:
+    for start, stop, masked in _order_ranges(m, shifted, first, end, top, span):
         for group in range(start, stop, len(diffs)):
             rows = diffs[: min(len(diffs), stop - group)]
             for row, order in zip(rows, range(group, group + len(rows))):
+                skip = max(order - first, 0)
+                i = first + skip
+                row[:skip] = 0
+                tail = row[skip:]
                 if masked:
-                    skip = max(order - first, 0)
-                    row[:skip] = -1
-                    i = first + skip
-                    np.subtract(m[i:end], shifted[i - order : end - order], out=row[skip:])
+                    np.subtract(m[i:end], shifted[i - order : end - order], out=tail)
+                    np.clip(tail, -span, 2 * span - 1, out=tail)
+                    tail += offset[skip:]
                 else:
-                    np.subtract(keyed, shifted[first - order : end - order], out=row)
-            if masked:
-                in_range = rows.view(np.uint64) < span
-                rows += offset
-                keys = rows[in_range]
-            else:
-                keys = rows.ravel()
+                    np.subtract(keyed[skip:], shifted[i - order : end - order], out=tail)
+            keys = rows.ravel()
             unsigned = keys.view(np.uint64)  # every key is >= 0: a cheaper division
             unsigned //= width
             counts += np.bincount(keys, minlength=n_cells)
@@ -251,13 +237,8 @@ def detect_stream(ms, cfg: PdmmConfig) -> DetectionReport:
     than two full blocks yields an insufficient-data report.  Blocks are
     counted _CHUNK_BLOCKS at a time, each chunk when its first block is
     reached, so an early stop leaves the later chunks uncounted.
-    The stamps must be non-negative and nondecreasing, as coalesce makes
-    them; ties are counted.  Any other series raises PreconditionError
-    before a block is counted.
     """
-    m = np.asarray(ms.m_ns, dtype=np.int64)
-    if len(m) and (m[0] < 0 or np.any(m[1:] < m[:-1])):
-        raise PreconditionError("m_ns must be non-negative and nondecreasing")
+    m = ms.m_ns
     n_blocks = len(m) // cfg.block_len
     if n_blocks < 2:
         return DetectionReport(None, n_blocks)

@@ -853,7 +853,7 @@ class TestStats:
         "rows, message",
         [
             ("100,1\n200,0\n", "measurement counts must be >= 1"),
-            ("200,1\n100,1\n", "measurement timestamps must be strictly increasing"),
+            ("200,1\n100,1\n", "m_ns must be nondecreasing"),
             ("100,1\n100,1\n", "measurement timestamps must be strictly increasing"),
             ("-5,1\n10,1\n", "m_ns must be non-negative"),
         ],
@@ -863,7 +863,11 @@ class TestStats:
         p = tmp_path / "m.csv"
         p.write_text("m_ns,count\n" + rows, encoding="utf-8")
         out = tmp_path / "r.json"
-        for command in (["stats"], ["detect", "--detector", "pdmm", "--out", str(out)]):
+        for command in (
+            ["stats"],
+            ["detect", "--detector", "pdmm", "--out", str(out)],
+            ["detect", "--detector", "pad", "--out", str(out)],
+        ):
             assert main(command + ["--measurements", str(p)]) == 4
             assert capsys.readouterr() == ("", f"invalid input file: {p}: {message}\n")
         assert not out.exists()

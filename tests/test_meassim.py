@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -973,10 +974,16 @@ def test_load_measurements_raises_on_a_sidecar_it_cannot_read(tmp_path):
 
 
 def test_save_measurements_refuses_what_load_refuses(tmp_path):
+    # a tied series builds, but a file holds one interrupt per stamp
     p = tmp_path / "m.csv"
-    with pytest.raises(PreconditionError, match="^m_ns must be non-negative$"):
-        save_measurements(MeasurementSeries([-5, 10], [1, 1]), p)
+    tied = MeasurementSeries([10, 10, 20], [1, 2, 1])
+    with pytest.raises(PreconditionError, match="^measurement timestamps must be strictly increasing$"):
+        save_measurements(tied, p)
     assert not p.exists() and not (tmp_path / "m.csv.json").exists()
+    p.write_text("m_ns,count\n10,1\n10,2\n20,1\n", encoding="utf-8")
+    message = f"^{re.escape(str(p))}: measurement timestamps must be strictly increasing$"
+    with pytest.raises(PreconditionError, match=message):
+        load_measurements(p)
 
 
 def test_series_equals_only_a_series():
@@ -1002,10 +1009,40 @@ def test_series_takes_whole_floats_as_ints():
     assert series == MeasurementSeries([10, 20], [1, 3])
 
 
-def test_series_validate():
-    good = MeasurementSeries(np.array([10, 20]), np.array([1, 3]))
-    good.validate()
-    with pytest.raises(PreconditionError):
-        MeasurementSeries(np.array([10, 10]), np.array([1, 1])).validate()
-    with pytest.raises(PreconditionError):
-        MeasurementSeries(np.array([10, 20]), np.array([0, 1])).validate()
+def _stream(how=None):
+    """75 nondecreasing stamps from 1,000 ns, or the same broken `how`."""
+    m = 1_000 + np.cumsum(np.random.default_rng(0).integers(0, 60, 75, endpoint=True))
+    if how == "shuffled":
+        m = np.random.default_rng(0).permutation(m)
+    elif how == "negative-first":
+        m -= m[0] + 1
+    elif how == "steps-down-at-end":
+        m[-1] = m[-2] - 1
+    return m
+
+
+@pytest.mark.parametrize(
+    "m_ns, count, message",
+    [
+        ([10, 20], [0, 1], "measurement counts must be >= 1"),
+        ([10, 20, 20], [1, 3, -1], "measurement counts must be >= 1"),
+        ([20, 10], [1, 1], "m_ns must be nondecreasing"),
+        (_stream("shuffled"), np.ones(75), "m_ns must be nondecreasing"),
+        (_stream("steps-down-at-end"), np.ones(75), "m_ns must be nondecreasing"),
+        ([-5, 10], [1, 1], "m_ns must be non-negative"),
+        (_stream("negative-first"), np.ones(75), "m_ns must be non-negative"),
+    ],
+    ids=[
+        "count-zero", "count-negative", "decrease", "shuffled", "steps-down-at-end",
+        "negative-time", "negative-first",
+    ],
+)
+def test_series_refuses_a_break_of_its_rule_at_construction(m_ns, count, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        MeasurementSeries(m_ns, count)
+
+
+def test_series_takes_ties_and_a_zero_stamp():
+    assert MeasurementSeries(_stream(), np.ones(75)).m_ns.tolist() == _stream().tolist()
+    series = MeasurementSeries([0, 0, 10, 10], [1, 2, 1, 1])
+    assert series.m_ns.tolist() == [0, 0, 10, 10] and series.total_packets() == 5

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icmeas import pad
-from icmeas.errors import ConfigError, PreconditionError
-from icmeas.harness import COALESCENCE_PRESETS, build_trace, preset_traffic, run_detector
+from icmeas.errors import ConfigError
+from icmeas.harness import COALESCENCE_PRESETS, build_trace, preset_traffic
 from icmeas.meassim import MeasurementSeries, TransferConfig, measure
 from icmeas.pad import PadConfig, detect_psd, periodogram, rasterize
 from oracles import pad_scan_reference
@@ -128,20 +128,6 @@ class TestRasterize:
             rasterize(_series([1], [1]), 0)
         with pytest.raises(ConfigError):
             rasterize(_series([1], [1]), 100, n_samples=-1)
-
-    @pytest.mark.parametrize("n_samples", [None, 10])
-    @pytest.mark.parametrize("m_ns, at", [([-5, 10, 200_000], 0), ([10, -5, 200_000], 1)])
-    def test_negative_stamp_is_refused(self, n_samples, m_ns, at):
-        ms = MeasurementSeries(m_ns, [1, 1, 1])
-        message = f"^m_ns\\[{at}\\] = -5 ns is negative: the raster starts at 0$"
-        with pytest.raises(PreconditionError, match=message):
-            rasterize(ms, 100 * US, n_samples)
-
-    @pytest.mark.parametrize("window_ns", [None, SECOND])
-    def test_negative_stamp_is_refused_by_run_detector(self, window_ns):
-        ms = MeasurementSeries([-5, 10, 200_000], [1, 1, 1])
-        with pytest.raises(PreconditionError, match=r"^m_ns\[0\] = -5 ns is negative"):
-            run_detector("pad", ms, PadConfig(), window_ns)
 
 
 class TestPeriodogram:
