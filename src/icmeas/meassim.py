@@ -156,16 +156,24 @@ def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
     return PacketTrace(delay[order], trace.size_bytes[order], trace.label[order])
 
 
-# measured on 2M 10 us-spaced packets in R equal runs: the frontier beats the walk from R ~ 16
+# open runs below which the rest are walked; on a 2-core Xeon 8-64 timed alike
+# and 256 was 3-8% slower on 20 s high-rate trial traces (seeds 0 and 3, hicv1
+# and hicv2), whose runs are irregular.  The walk covers a run of one spacing in
+# a few stride checks, so on 2M 10 us-spaced packets in R equal runs it beat
+# the frontier up to R ~ 1,000 (hicv2, R = 48: 7.2 against 57 ms)
 _WALK_BELOW_RUNS = 16
-# keys the walk searches at once, and its first stride check; on a 2-core Xeon
-# 2,048 was ~6% slower on a 20 s Poisson trace (19 us mean gap) under a 125 us
-# TIC, and 8,192 3.6x slower than 4,096 on 2M keys at 10 us spacing with one
-# key in 8,192 moved by 1 ns, under hicv2
+# keys the walk searches at once, and its first stride check; 2,048 and 8,192
+# timed within 3% of 4,096 on 2M keys at 10 us spacing and on the trial traces,
+# but with one arrival inserted every 8,192 keys (each breaks a start's hop, so
+# a per-key search follows) they took 25.6 and 60.1 against 36.8 ms under
+# hicv2, and 2,048 was 5% slower on a 20 s Poisson trace (19 us mean gap) under
+# a 125 us TIC
 _WALK_BLOCK = 4096
 # most keys one stride check covers, doubling from _WALK_BLOCK while checks
-# pass; 16,384-65,536 timed alike on the 2M-key traces above
-_WALK_CHECK_MAX = 32_768
+# pass; a check compares only its would-be starts, so on the 10 us lattice
+# under a 125 us TIC, hicv1 and hicv2 65,536 took 3-7% less per call than
+# 32,768, 131,072 timed alike and 16,384 took 5-12% more
+_WALK_CHECK_MAX = 65_536
 # gaps compared with the packet timer at once, so no diff the length of the trace is built
 _CUT_BLOCK = 65_536
 
@@ -191,14 +199,21 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
     together as a vectorized frontier while many are open; only a run whose
     last arrival reaches its group's expiry searches for its next start, the
     rest being one group.  The last few are walked a block of keys at a
-    time.  A block in which a group from any key would hold the same number
-    of arrivals (a constant stride) is checked by two shifted comparisons
-    and written in one strided assignment, and the next check covers twice
-    the keys, up to _WALK_CHECK_MAX.  A longer check that fails keeps the
-    keys before the first one off the stride, and the check drops back to
-    _WALK_BLOCK keys; a check of _WALK_BLOCK keys that fails searches each
-    key's next start and steps group by group.  Without a packet timer
-    (TIC) the whole trace is one run.
+    time.  A block opens at a group start, whose exact hop (the arrivals
+    its group holds) is the block's stride.  Only the would-be starts i,
+    i + stride, ... below the block's end are checked, since a later start
+    depends on its predecessor's hop alone: each must hop the stride, which
+    two strided comparisons test (the arrival a stride less one on is before
+    its expiry, the one a stride on is at or past it).  A start with under a
+    stride of arrivals left in its run (the run-end case) passes only if the
+    run's last arrival is before its expiry.  A block that passes is written
+    in one strided assignment, and the next check covers twice the keys, up
+    to _WALK_CHECK_MAX.  A longer check that fails keeps the starts before
+    the first one off the stride and goes on from that one, a start because
+    the hop that reaches it was checked, with a check of _WALK_BLOCK keys; a
+    check of _WALK_BLOCK keys that fails searches each key's next start and
+    steps group by group.  Without a packet timer (TIC) the whole trace is
+    one run.
     """
     n = len(t)
     cut = np.empty(0, np.int64) if packet_ns is None else _packet_timer_cuts(t, packet_ns)
@@ -221,21 +236,26 @@ def _coalesce_timers(t: np.ndarray, absolute_ns: int, packet_ns: int | None = No
         check = _WALK_BLOCK
         while i < e:
             stop = min(i + check, e)
-            keys = t[i:stop] + absolute_ns
-            # if every key hops `stride` on (or past the run), the block's starts are i::stride
-            stride = int(run[i:].searchsorted(keys[0]))
-            below, above = run[i + stride - 1 : stop + stride - 1], run[i + stride : stop + stride]
+            # i's exact hop; if each would-be start i, i + stride, ... below stop hops
+            # `stride` on (or past the run), those are the block's starts
+            stride = int(run[i:].searchsorted(t[i] + absolute_ns))
+            keys = t[i:stop:stride] + absolute_ns
+            below = run[i + stride - 1 : stop + stride - 1 : stride]
+            above = run[i + stride : stop + stride : stride]
             ok = below < keys[: len(below)]
             ok[: len(above)] &= keys[: len(above)] <= above
+            if len(ok) < len(keys):  # the last start has under `stride` arrivals left in its run
+                ok = np.append(ok, run[-1] < keys[-1])
             passed = bool(ok.all())
             if passed or check > _WALK_BLOCK:
-                if not passed:  # the keys before the first one off the stride still hop by it
-                    stop = i + int(ok.argmin())
+                if not passed:  # the starts before the first one off the stride still hop by it
+                    stop = i + int(ok.argmin()) * stride
                 is_first[i:stop:stride] = True
-                i += -((i - stop) // stride) * stride  # the first multiple of stride past stop
+                i += -((i - stop) // stride) * stride  # to the first start at or past stop
                 check = min(2 * check, _WALK_CHECK_MAX) if passed else _WALK_BLOCK
                 continue
             # keys are sorted, so every key's next start lies in t[i:ub], ub being the last key's
+            keys = t[i:stop] + absolute_ns
             ub = i + int(run[i:].searchsorted(keys[-1]))
             hop = memoryview(np.searchsorted(t[i:ub], keys, side="left"))
             j, block_len = 0, stop - i

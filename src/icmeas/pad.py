@@ -89,14 +89,16 @@ def rasterize(ms, sample_interval_ns: int, n_samples: int | None = None) -> np.n
         raise ConfigError("n_samples must be non-negative")
     if len(ms) == 0:
         return np.zeros(0 if n_samples is None else n_samples)
-    idx = (ms.m_ns // sample_interval_ns).astype(np.int64, copy=False)
-    weights = ms.count
+    m, weights = ms.m_ns, ms.count
+    end = None if n_samples is None else int(n_samples) * sample_interval_ns  # never wraps
+    if end is not None and end <= np.iinfo(np.int64).max:  # a grid end past int64 drops nothing
+        # m_ns is nondecreasing, so the measurements before the grid's end are a prefix
+        k = int(m.searchsorted(end))
+        m, weights = m[:k], weights[:k]
+    idx = (m // sample_interval_ns).astype(np.int64, copy=False)
     if n_samples is None:
-        # time-ordered, so the last index is the largest and every index is kept
+        # time-ordered, so the last index is the largest
         n_samples = int(idx[-1]) + 1
-    else:
-        keep = idx < n_samples
-        idx, weights = idx[keep], weights[keep]
     return np.bincount(idx, weights=weights, minlength=n_samples)
 
 

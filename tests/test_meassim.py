@@ -765,6 +765,31 @@ def test_walk_on_constant_spacing_searches_no_block_of_keys(monkeypatch, cfg):
     assert multi_key == []
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_checks_only_the_group_starts_of_a_jittered_lattice(monkeypatch, seed):
+    # the multiples of 13 stay on the 10 ns lattice and every other arrival
+    # moves 1-4 ns: each start's key is the start 13 on, while the other keys
+    # hop 12, 13 or 14, so a check of the starts alone passes every block
+    multi_key = _counting_multi_key_searches(monkeypatch)
+    t = 100 + 10 * np.arange(3 * _B + 7)
+    rng = np.random.default_rng(seed)
+    off = np.flatnonzero(np.arange(len(t)) % _STRIDE)
+    t[off] += rng.choice([-1, 1], len(off)) * rng.integers(1, 4, len(off), endpoint=True)
+    _assert_walk_matches_references(t, 21, 10 * _STRIDE)
+    assert multi_key == []
+
+
+@pytest.mark.parametrize("m", [320, 400, 2600])
+@pytest.mark.parametrize("gap", [131, 257, 500])
+def test_walk_last_start_with_under_a_stride_left_in_its_run(m, gap):
+    # the last lattice stamp 13 m opens a group with one arrival after it, at
+    # or past its expiry: a start with under a stride of arrivals left has no
+    # arrival a stride on to check, so the run's last arrival is checked instead
+    t = 100 + 10 * np.arange(_STRIDE * m + 1)
+    t = np.append(t, t[-1] + gap)
+    _assert_walk_matches_references(t, gap + 1, 10 * _STRIDE)  # inverted HIC, then TIC
+
+
 # checks of B, 2B, ... keys reach the cap after cap - B keys (plus the
 # stride's rounding at each check's end), so a lattice key near 1.5 cap lies
 # inside the first check at the cap; key n - 20 lies in the last check
@@ -775,10 +800,12 @@ _IN_CAPPED_CHECK = (_CAP + _CAP // 2) // _STRIDE * _STRIDE
 
 @pytest.mark.parametrize("spacing", [1, 10])
 @pytest.mark.parametrize("delta", [-1, 1])
-@pytest.mark.parametrize("offset", [0, 5], ids=["start", "inside-a-group"])
+@pytest.mark.parametrize(
+    "offset", [0, 5, _STRIDE - 1], ids=["start", "inside-a-group", "before-a-start"]
+)
 def test_walk_capped_check_on_a_lattice_with_keys_moved(monkeypatch, offset, delta, spacing):
     # until the first move the group starts are the multiples of 13; a capped
-    # check that fails keeps its keys before the first one off the stride,
+    # check that fails keeps its starts before the first one off the stride,
     # the check drops back to B keys, and only a check of B keys that fails
     # searches its keys one by one
     multi_key = _counting_multi_key_searches(monkeypatch)
@@ -791,10 +818,19 @@ def test_walk_capped_check_on_a_lattice_with_keys_moved(monkeypatch, offset, del
     _assert_walk_matches_references(t, 2 * spacing + 1, hard)
     _assert_walk_matches_references(t, hard + 2, hard)  # inverted
     assert max(multi_key, default=0) <= _B
-    # on the 10 ns lattice a move breaks the hop of a start only when it moves
-    # a start (1 ns late) or the key a stride past one (1 ns early); on the
-    # 1 ns lattice it also shortens or stretches the hops of its neighbours
-    assert bool(multi_key) == (spacing == 1 or offset == 0)
+    # only the starts' hops are checked, so keys are searched one by one
+    # exactly when a move breaks a start's hop of 13 (the start after a broken
+    # one is then off the new stride). Moving key q by 1 ns breaks one when q
+    # is a start: its own key moves (late) or it falls below the key of the
+    # start 13 back (early). On the 1 ns lattice it also breaks one when q lies
+    # 12 past a start and moves late onto that start's key; 1 ns early there,
+    # or a move of any other key, leaves every start's hop at 13. The first
+    # move lies 0, 5 or 12 past a start;
+    # when it breaks nothing the starts stay the multiples of 13
+    def breaks(past_a_start):
+        return past_a_start == 0 or (past_a_start == _STRIDE - 1 and delta == 1 and spacing == 1)
+
+    assert bool(multi_key) == (breaks(offset) or breaks((n - 20) % _STRIDE))
 
 
 @st.composite

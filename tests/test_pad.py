@@ -123,6 +123,39 @@ class TestRasterize:
         out = rasterize(ms, 100.0 * US, n_samples)
         np.testing.assert_array_equal(out, [2.0, 5.0, 4.0][:n_samples])
 
+    @staticmethod
+    def _mask_cut(ms, sample_interval_ns, n_samples):
+        idx = ms.m_ns // sample_interval_ns
+        keep = idx < n_samples
+        return np.bincount(idx[keep], weights=ms.count[keep], minlength=n_samples)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_window_cut_equals_the_mask_cut(self, seed):
+        # tied stamps, and grid ends before, on, between and past the stamps
+        rng = np.random.default_rng(seed)
+        m = np.sort(rng.integers(0, 50, 400)) * 1_000
+        ms = MeasurementSeries(m, rng.integers(1, 9, 400), {})
+        for si in (1_000, 3_000, 7_777):
+            for n_samples in range(0, 52_000 // si + 2):
+                got = rasterize(ms, si, n_samples)
+                assert got.tolist() == self._mask_cut(ms, si, n_samples).tolist()
+
+    def test_window_edge_on_a_stamp_drops_it(self):
+        ms = _series([100, 200, 200, 300], [1, 2, 3, 4])
+        out = rasterize(ms, 100 * US, np.int64(2))  # the grid ends at 200 us
+        np.testing.assert_array_equal(out, [0.0, 1.0])
+
+    def test_zero_samples_keep_nothing(self):
+        assert len(rasterize(_series([0, 5], [1, 2]), 100 * US, 0)) == 0
+
+    def test_window_past_int64_keeps_every_measurement(self):
+        # 4 * 2**62 ns passes int64: every stamp lies inside the grid
+        big = 2**62
+        ms = MeasurementSeries(np.array([0, big - 1, big, 2**63 - 1]), np.array([1, 2, 3, 4]), {})
+        out = rasterize(ms, big, 4)
+        np.testing.assert_array_equal(out, [3.0, 7.0, 0.0, 0.0])
+        assert out.tolist() == self._mask_cut(ms, big, 4).tolist()
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             rasterize(_series([1], [1]), 0)
