@@ -246,9 +246,11 @@ def _detector_config(args):
     section = {}
     if args.config is not None:
         doc = load_config_json(args.config)
-        section = doc.get(args.detector, {}) if isinstance(doc, dict) else None
-        if not isinstance(section, dict):
+        section = doc.get(args.detector) if isinstance(doc, dict) else doc
+        if not isinstance(doc, dict) or not isinstance(section, dict | None):
             raise ConfigError(f"{args.config}: the {args.detector} section must be an object")
+        if section is None:  # missing or null: the calibrated defaults, as in experiment
+            section = {}
     if getattr(args, key) is not None:
         section = {**section, key: getattr(args, key)}
     return config_from_dict(section, type(getattr(ExperimentConfig, args.detector)))

@@ -48,6 +48,8 @@ class PadConfig:
             raise ConfigError("window must be a power of two, at least 64")
         if self.segments < 1 or self.window % self.segments != 0:
             raise ConfigError("segments must divide the window evenly")
+        if self.window // self.segments < 2:
+            raise ConfigError("segments must hold at least 2 samples each")
         if self.peak_factor <= 1.0:
             raise ConfigError("peak_factor must exceed 1")
         if self.min_freq_hz < 0 or self.max_freq_hz <= self.min_freq_hz:

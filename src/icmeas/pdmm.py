@@ -111,42 +111,35 @@ _CHUNK_BLOCKS = 4
 _BUFFER_ELEMS = 1 << 17
 
 
-def _order_ranges(m, shifted, first: int, end: int, top: int, span: int):
-    """(start, stop, masked) ranges of the orders 1..top worth counting.
+def _order_ranges(m, first: int, end: int, top: int, low: int, high: int):
+    """(lo, hi, masked): the orders lo..hi-1 worth counting, and whether to clip them.
 
-    Row `order` holds d = m[i] - (m[i - order] + low) for max(first, order)
-    <= i < end.  m is nondecreasing (a MeasurementSeries' rule), so d grows
-    with the order at every i; the rows lose entries from the front as the
-    order grows, but the row minima and maxima still grow with it, and
-    bisections over them find the bounds.  Rows below lo (max < 0) or from
-    hi on (min >= span) hold no difference in range and are left out.  Rows
-    in [a, b) (min >= -span, max < 2 * span) hold only differences that
-    _count_blocks keys into its cells, slack included, and need no mask.
-    Every d is at least -low, so when low <= span (the defaults) no row is
-    masked at the low edge, and [a, b) is all of [lo, hi) unless a row's
-    largest difference reaches 2 * span; that case is tried before
-    bisecting.
+    Row `order` holds the raw differences m[i] - m[i - order] for
+    max(first, order) <= i < end.  m is nondecreasing (a MeasurementSeries'
+    rule), so a difference grows with the order at every i; the rows lose
+    entries from the front as the order grows, but the row minima and
+    maxima still grow with it, and bisections over them find the bounds.
+    Rows below lo (max < low) or from hi on (min >= high) hold no difference
+    in range and are left out.  The chunk is masked exactly when some row
+    reaches past the slack cells of _count_blocks, that is when row lo's
+    minimum is below low - span or row hi - 1's maximum reaches high + span;
+    then every row of the chunk is clipped, otherwise none is.
     """
+    span = high - low
     row = np.empty(end - first, np.int64)
 
     @cache
     def row_extrema(order):
         i = max(first, order)
         d = row[: end - i]
-        np.subtract(m[i:end], shifted[i - order : end - order], out=d)
+        np.subtract(m[i:end], m[i - order : end - order], out=d)
         return int(d.min()), int(d.max())
 
     orders = range(top + 1)
-    lo = bisect_left(orders, True, 1, key=lambda o: row_extrema(o)[1] >= 0)
-    hi = bisect_left(orders, True, lo, key=lambda o: row_extrema(o)[0] >= span)
-    if lo == hi or (row_extrema(lo)[0] >= -span and row_extrema(hi - 1)[1] < 2 * span):
-        a, b = lo, hi  # the common case at the defaults, found without bisecting
-    else:
-        a = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[0] >= -span)
-        b = bisect_left(orders, True, lo, hi, key=lambda o: row_extrema(o)[1] >= 2 * span)
-        if a >= b:
-            a = b = hi
-    return [(lo, a, True), (a, b, False), (b, hi, True)]
+    lo = bisect_left(orders, True, 1, key=lambda o: row_extrema(o)[1] >= low)
+    hi = bisect_left(orders, True, lo, key=lambda o: row_extrema(o)[0] >= high)
+    masked = lo < hi and (row_extrema(lo)[0] < low - span or row_extrema(hi - 1)[1] >= high + span)
+    return lo, hi, masked
 
 
 def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig):
@@ -155,21 +148,22 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     Block k holds m[first + k*block_len : first + (k+1)*block_len]; m[:first]
     is history.  Each block has sub_bins cells below the range, the sub_bins
     cells of [low, high) and sub_bins above it: together they key the
-    differences d in [-span, 2 * span), span = high - low, as
-    k * 3 * span + span + d, which floor-divides by the cell width to
-    k * 3 * sub_bins + sub_bins + cell.  So one bincount per group of
+    differences d = m[i] - m[j] - low in [-span, 2 * span), span = high -
+    low, as k * 3 * span + span + d, which floor-divides by the cell width
+    to k * 3 * sub_bins + sub_bins + cell.  So one bincount per group of
     orders counts all blocks, and only the middle cells are returned;
     PdmmConfig checks that a chunk's keys and counts fit.
-    low_cutoff_ns is folded into a shifted copy of m and the key offset
-    into a keyed copy, so an unmasked row's keys come out of one
-    subtraction.  A masked row's d are clipped to [-span, 2 * span) before
-    the offset is added, so those past the layout land in the dropped slack
-    cells.  An entry whose earlier endpoint would lie before m[0] gets key
-    0, block 0's lowest slack cell.
+    The key offset less low_cutoff_ns is folded into one keyed copy of m,
+    so every row's keys come out of one subtraction.  When _order_ranges
+    masks the chunk, each key is clipped into its own block's cells, so a
+    key past the layout lands in a dropped slack cell; a true key past
+    int64 wraps below its block, so the clip sends it there too.  Without
+    the mask every key lies in its block's cells.  An entry whose earlier
+    endpoint would lie before m[0] gets key 0, block 0's lowest slack cell.
     m is non-negative and nondecreasing (a MeasurementSeries' rule), so
-    every m[i] - m[j] with j <= i lies in [0, 2**63 - 1] and no d wraps;
-    where m + low_cutoff_ns or m + offset wraps past int64, the subtraction
-    still gives the exact difference modulo 2**64.
+    every m[i] - m[j] with j <= i lies in [0, 2**63 - 1]; where the keyed
+    copy wraps past int64, the subtraction still gives the exact key
+    modulo 2**64.
     """
     span = cfg.high_cutoff_ns - cfg.low_cutoff_ns
     width = span // cfg.sub_bins
@@ -179,28 +173,24 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     end = first + length
     counts = np.zeros(n_cells)
     top = min(cfg.max_order, end - 1)
-    shifted = m[:end] + cfg.low_cutoff_ns
-    offset = np.repeat(span + 3 * span * np.arange(n_blocks, dtype=np.int64), block_len)
-    keyed = m[first:end] + offset
+    lo, hi, masked = _order_ranges(m, first, end, top, cfg.low_cutoff_ns, cfg.high_cutoff_ns)
+    floor = np.repeat(3 * span * np.arange(n_blocks, dtype=np.int64), block_len)  # each block's first key
+    keyed = m[first:end] + (floor + (span - cfg.low_cutoff_ns))
+    ceiling = floor + (3 * span - 1)
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
-    for start, stop, masked in _order_ranges(m, shifted, first, end, top, span):
-        for group in range(start, stop, len(diffs)):
-            rows = diffs[: min(len(diffs), stop - group)]
-            for row, order in zip(rows, range(group, group + len(rows))):
-                skip = max(order - first, 0)
-                i = first + skip
-                row[:skip] = 0
-                tail = row[skip:]
-                if masked:
-                    np.subtract(m[i:end], shifted[i - order : end - order], out=tail)
-                    np.clip(tail, -span, 2 * span - 1, out=tail)
-                    tail += offset[skip:]
-                else:
-                    np.subtract(keyed[skip:], shifted[i - order : end - order], out=tail)
-            keys = rows.ravel()
-            unsigned = keys.view(np.uint64)  # every key is >= 0: a cheaper division
-            unsigned //= width
-            counts += np.bincount(keys, minlength=n_cells)
+    for group in range(lo, hi, len(diffs)):
+        rows = diffs[: min(len(diffs), hi - group)]
+        for row, order in zip(rows, range(group, group + len(rows))):
+            skip = max(order - first, 0)
+            row[:skip] = 0
+            tail = row[skip:]
+            np.subtract(keyed[skip:], m[first + skip - order : end - order], out=tail)
+            if masked:
+                np.clip(tail, floor[skip:], ceiling[skip:], out=tail)
+        keys = rows.ravel()
+        unsigned = keys.view(np.uint64)  # every key is >= 0: a cheaper division
+        unsigned //= width
+        counts += np.bincount(keys, minlength=n_cells)
     return counts.reshape(n_blocks, block_cells)[:, cfg.sub_bins : 2 * cfg.sub_bins]
 
 

@@ -461,7 +461,19 @@ class TestDetect:
 
     def test_config_section_must_be_an_object(self, tmp_path):
         assert self._detect_with_config(tmp_path, {"pad": [1, 2]}, detector="pad") == 1
+        assert self._detect_with_config(tmp_path, {"pad": 3}, detector="pad") == 1
         assert self._detect_with_config(tmp_path, [1, 2], detector="pad") == 1
+        assert self._detect_with_config(tmp_path, None, detector="pad") == 1
+
+    @pytest.mark.parametrize("detector", ["pdmm", "pad"])
+    def test_null_config_section_takes_the_defaults(self, tmp_path, monkeypatch, detector):
+        # as in experiment --config, whose echo writes null for a detector it did not run
+        used = []
+        monkeypatch.setattr(
+            cli, "run_detector", lambda name, ms, cfg: used.append(cfg) or DetectionReport(None, 0)
+        )
+        assert self._detect_with_config(tmp_path, {"pdmm": None, "pad": None}, detector) == 0
+        assert used == [{"pdmm": PdmmConfig(), "pad": PadConfig()}[detector]]
 
     def test_config_section_with_wrong_typed_value(self, tmp_path):
         assert self._detect_with_config(tmp_path, {"pad": {"window": "8192"}}, "pad") == 1

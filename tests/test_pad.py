@@ -41,6 +41,8 @@ class TestConfig:
             {"max_freq_hz": 9000.0},  # beyond Nyquist at 100 us sampling
             # between the 195.3 and 205.1 Hz bins of a 1024-sample segment
             {"min_freq_hz": 200.0, "max_freq_hz": 205.0},
+            # one sample per segment: every periodogram would need at least 2
+            {"window": 64, "segments": 64, "min_freq_hz": 0.0, "max_freq_hz": 10.0},
         ],
     )
     def test_invalid(self, kw):

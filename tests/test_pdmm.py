@@ -667,7 +667,8 @@ def test_order_ranges_sentinel_rows_are_unmasked(monkeypatch, first):
         assert order < 3 or (lo >= 0 and hi < span)
     calls = _spy_ranges(monkeypatch)
     _assert_blocks_match_oracle(m, first, CHUNK, cfg)
-    assert [[masked for _, _, masked in ranges] for ranges in calls] == [[False]]
+    [(lo, hi, masked)] = calls
+    assert lo < hi and not masked
 
 
 def test_order_ranges_sentinel_rows_in_a_later_chunk():
@@ -760,12 +761,12 @@ def test_differences_up_to_2_63_minus_1_are_counted_exactly(m, first, low, want)
 
 
 def _spy_ranges(monkeypatch):
-    """Record the non-empty (start, stop, masked) order ranges of each _count_blocks call."""
+    """Record the one (lo, hi, masked) order range of each _count_blocks call."""
     calls = []
 
     def spy(*args):
         ranges = _order_ranges(*args)
-        calls.append([r for r in ranges if r[0] < r[1]])
+        calls.append(ranges)
         return ranges
 
     monkeypatch.setattr(pdmm, "_order_ranges", spy)
@@ -801,7 +802,7 @@ def test_slack_edges_match_oracle(monkeypatch, edge_d, masked):
         assert set(edge_d) <= set((np.diff(m) - cfg.low_cutoff_ns).tolist())
         calls = _spy_ranges(monkeypatch)
         _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
-        assert calls == [[(1, 2, masked)]]
+        assert calls == [(1, 2, masked)]
 
 
 def test_slack_row_one_below_minus_span_is_masked(monkeypatch):
@@ -814,26 +815,29 @@ def test_slack_row_one_below_minus_span_is_masked(monkeypatch):
         assert _row_extrema(m, 1, len(m), 1, cfg.low_cutoff_ns)[0] == -41
         calls = _spy_ranges(monkeypatch)
         _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
-        assert calls == [[(1, 2, True)]]
+        assert calls == [(1, 2, True)]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_slack_low_cutoff_above_span_masks_rows_below_the_slack(monkeypatch, seed):
-    # low 200 ns, span 100 ns, gaps of 0-60 ns: a row whose smallest d is
-    # below -span and whose largest is in range straddles the layout's low
-    # end and stays masked; a row wholly in [-span, 2 * span) does not
-    cfg = _fuzz_cfg(low_cutoff_ns=200, high_cutoff_ns=300, sub_bins=4, bin_width_ns=5)
-    first, end = cfg.max_order, cfg.max_order + CHUNK * cfg.block_len
-    m = _fuzz_stream(seed, end)
-    extrema = {o: _row_extrema(m, first, end, o, cfg.low_cutoff_ns) for o in range(1, first + 1)}
-    below = {o for o, (lo, hi) in extrema.items() if lo < -100 and hi >= 0}
-    keyed = {o for o, (lo, hi) in extrema.items() if -100 <= lo and hi < 200 and (lo < 0 or hi >= 100)}
-    assert below and keyed
-    calls = _spy_ranges(monkeypatch)
-    _assert_blocks_match_oracle(m, first, CHUNK, cfg)
-    [ranges] = calls
-    assert below <= {o for a, b, masked in ranges if masked for o in range(a, b)}
-    assert keyed <= {o for a, b, masked in ranges if not masked for o in range(a, b)}
+    # low 200 ns, span 100 ns: the layout keys d in [-100, 200).  Gaps of
+    # 0-60 ns give a counted row whose smallest d is below -span, so the
+    # whole chunk is masked; gaps of 25-60 ns up to order 6 keep every
+    # counted row in the layout, slack included, so the chunk is not
+    for max_order, low_gap, masked in [(16, 0, True), (6, 25, False)]:
+        cfg = _fuzz_cfg(
+            low_cutoff_ns=200, high_cutoff_ns=300, max_order=max_order, sub_bins=4, bin_width_ns=5
+        )
+        first, end = cfg.max_order, cfg.max_order + CHUNK * cfg.block_len
+        m = _gaps_stream(np.random.default_rng(seed).integers(low_gap, 60, end - 1, endpoint=True))
+        extrema = {o: _row_extrema(m, first, end, o, cfg.low_cutoff_ns) for o in range(1, first + 1)}
+        counted = [o for o, (lo, hi) in extrema.items() if hi >= 0 and lo < 100]
+        straddling = [o for o in counted if extrema[o][0] < -100 or extrema[o][1] >= 200]
+        assert counted and bool(straddling) == masked
+        assert any(extrema[o][0] < 0 for o in counted)  # a counted d in the lower slack
+        calls = _spy_ranges(monkeypatch)
+        _assert_blocks_match_oracle(m, first, CHUNK, cfg)
+        assert calls == [(counted[0], counted[-1] + 1, masked)]
 
 
 def test_slack_sentinel_rows_in_chunk_0(monkeypatch):
@@ -848,8 +852,8 @@ def test_slack_sentinel_rows_in_chunk_0(monkeypatch):
         assert _row_extrema(m, 3, len(m), 3, cfg.low_cutoff_ns)[1] >= 40  # the upper slack
         calls = _spy_ranges(monkeypatch)
         _assert_chunks_match_oracle(m, cfg)
-        assert len(calls) == 4 and all(ranges for ranges in calls)
-        assert all(not masked for ranges in calls for _, _, masked in ranges)
+        assert len(calls) == 4
+        assert all(lo < hi and not masked for lo, hi, masked in calls)
 
 
 # the largest span PdmmConfig accepts: a chunk's keys reach 12 * _SPAN - 1,
@@ -882,7 +886,7 @@ def test_largest_span_keys_its_slack_edges_like_the_oracle(monkeypatch, edge_d, 
         assert (hi >= 2 * _SPAN) == masked
         calls = _spy_ranges(monkeypatch)
         _assert_blocks_match_oracle(m, 1, CHUNK, cfg)
-        assert calls == [[(1, 2, masked)]]
+        assert calls == [(1, 2, masked)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -902,5 +906,17 @@ def test_default_config_counts_sorted_high_rate_series_unmasked(monkeypatch, see
         start = max(0, lo - cfg.max_order)
         _count_blocks(m[start:], lo - start, cfg.block_len, min(CHUNK, n_blocks - b), cfg)
     assert len(calls) > 2
-    for ranges in calls:
-        assert [masked for _, _, masked in ranges] == [False]
+    assert all(lo < hi and not masked for lo, hi, masked in calls)
+
+
+def test_default_config_clips_a_chunk_holding_a_10_ms_silence(monkeypatch):
+    # a 10 ms silence in a hicv1 series: the rows reaching across it hold
+    # differences past high + span = 9 ms, so that chunk, and only that
+    # one, is masked, and the report still equals the oracle's
+    background, _ = preset_traffic("high-rate", 1_000 * MS, seed=0, attack=False)
+    m = measure(build_trace(background), TransferConfig(), COALESCENCE_PRESETS["hicv1"]).m_ns
+    cfg = PdmmConfig()
+    m[3_000:] += 10 * MS
+    calls = _spy_ranges(monkeypatch)
+    assert detect_stream(_series(m), cfg) == _oracle_report(m, cfg)
+    assert [masked for _, _, masked in calls] == [True, False]
