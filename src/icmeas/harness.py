@@ -16,7 +16,14 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .meassim import CoalescenceConfig, HicConfig, TransferConfig, apply_transfer, coalesce
+from .meassim import (
+    CoalescenceConfig,
+    HicConfig,
+    TransferConfig,
+    _kernel_of,
+    apply_transfer,
+    coalesce,
+)
 from .pad import PadConfig, detect_psd, rasterize
 from .pdmm import PdmmConfig, detect_stream
 from .trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
@@ -90,6 +97,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown detectors: {bad}")
         if len(set(self.detectors)) < len(self.detectors):
             raise ConfigError(f"detectors must not repeat: {list(self.detectors)}")
+        _kernel_of(self.coalescence)  # an unknown kind is refused before any trace is built
 
 
 @dataclass(frozen=True)
@@ -262,6 +270,8 @@ def run_systems(cfg: ExperimentConfig, systems: dict) -> dict:
     """
     if not systems:
         raise ConfigError("run_systems needs at least one system")
+    for c in systems.values():
+        _kernel_of(c)  # refused before the first trial's trace is built
     per_seed = [_run_trial(cfg, seed, systems) for seed in trial_seeds(cfg.seed_base, cfg.trials)]
     return {
         name: _aggregate(dataclasses.replace(cfg, coalescence=c), tuple(t[name] for t in per_seed))

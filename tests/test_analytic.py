@@ -218,6 +218,9 @@ class TestSinglePairEstimator:
         est = estimate_lambda_single_pairs(ms, 30 * US)
         assert est.value_ns == pytest.approx(10.0 * US)
         assert est.sample_count == 3
+        # two measurements are the fewest that make a pair
+        est = estimate_lambda_single_pairs(_series([100, 150], [1, 1]), 30 * US)
+        assert (est.value_ns, est.sample_count) == (20.0 * US, 1)
 
     def test_no_qualifying_pairs(self):
         ms = _series([100, 200, 300], [1, 2, 1])

@@ -139,6 +139,7 @@ class TestPresets:
         assert cfg.attack.size_bytes == 1500
         assert cfg.coalescence == COALESCENCE_PRESETS["hicv2"]
         assert cfg.trials == 3 and cfg.seed_base == 9
+        assert cfg.detection_window_ns == cfg.background.duration_ns == 20 * SECOND
 
 
 class TestExperimentConfigValidation:
@@ -168,6 +169,20 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError, match="seed_base"):
             self._base(seed_base=-1)
 
+    def test_rejects_unknown_coalescence_kind(self):
+        with pytest.raises(ConfigError) as info:
+            self._base(coalescence=TransferConfig())
+        assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
+
+    def test_run_systems_rejects_unknown_kind_before_any_trace(self, monkeypatch):
+        def no_trace(*args):
+            raise AssertionError("a trace was built")
+
+        monkeypatch.setattr(harness, "build_trace", no_trace)
+        systems = {"hicv1": COALESCENCE_PRESETS["hicv1"], "x": "hicv2"}
+        with pytest.raises(ConfigError, match="^unknown coalescence config: 'hicv2'$"):
+            run_systems(self._base(), systems)
+
 
 class TestTrialSeeds:
     def test_deterministic(self):
@@ -196,6 +211,12 @@ class TestMeasurementStats:
         assert stats.var_gap_us2 == 0.0
         assert stats.mean_count == 4.0
         assert stats.rate_per_s == pytest.approx(4000.0, rel=1e-12)
+
+    def test_three_point_example(self):
+        # gaps of 1 and 2 us: the fewest measurements whose gaps have a sample variance
+        stats = measurement_stats(MeasurementSeries([0, 1000, 3000], [1, 1, 1], {}))
+        assert stats.mean_gap_us == 1.5
+        assert stats.var_gap_us2 == 0.5
 
     def test_matches_numpy_on_random_series(self):
         # the very floats numpy gives for the gaps' mean and var(ddof=1), over

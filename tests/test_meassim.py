@@ -54,13 +54,16 @@ def test_config_validation():
         TransferConfig(bit_rate_bps=0)
     with pytest.raises(ConfigError, match="too small"):
         TransferConfig(bit_rate_bps=1e-301)  # 8e9 / rate is inf
-    with pytest.raises(ConfigError) as info:
-        coalesce(make_trace([0, 100]), TransferConfig())
-    assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
-    # measure names the same kind error on the one-size path and the per-packet one
-    for sizes in ([1500, 1500], [64, 1500]):
+    # the kind is checked before the trace is read, so an empty trace refuses it too
+    for trace in (make_trace([0, 100]), PacketTrace.empty()):
         with pytest.raises(ConfigError) as info:
-            measure(PacketTrace([0, 100], sizes, [0, 0]), TransferConfig(), TransferConfig())
+            coalesce(trace, TransferConfig())
+        assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
+    # measure names the same kind error on the one-size path, the per-packet one and an empty trace
+    one_size, mixed = (PacketTrace([0, 100], sizes, [0, 0]) for sizes in ([1500] * 2, [64, 1500]))
+    for trace in (one_size, mixed, PacketTrace.empty()):
+        with pytest.raises(ConfigError) as info:
+            measure(trace, TransferConfig(), TransferConfig())
         assert str(info.value) == f"unknown coalescence config: {TransferConfig()!r}"
     with pytest.raises(ConfigError, match="^measurement columns must have equal length$"):
         MeasurementSeries([10, 20], [1])

@@ -228,9 +228,10 @@ class TestClosedForm:
         assert abs(chi - ref) / ref < 1e-9
 
     def test_construction_preserves_total(self):
-        counts = deviation_histogram(12, 5000.0, 0.03)
-        assert counts.shape == (12,)
-        assert counts.sum() == pytest.approx(5000.0, rel=1e-12)
+        for total in (5000.0, 1.0, 0.5):  # any positive total, 1 and below included
+            counts = deviation_histogram(12, total, 0.03)
+            assert counts.shape == (12,)
+            assert counts.sum() == pytest.approx(total, rel=1e-12)
 
     def test_construction_validation(self):
         with pytest.raises(ConfigError):
@@ -257,6 +258,13 @@ class TestMinDetectableDeviation:
         h = deviation_histogram(sub_bins, total, s_min * 0.999)
         _, p = pearson_chi_square(h)
         assert p < 1.0 - threshold
+
+    def test_two_sub_bins(self):
+        # closed form 4 * total * s**2 against chi2_0.95(1), the square of z_0.975
+        chi2_95_1 = 1.959963984540054**2
+        for total in (100, 10_000):
+            s = min_detectable_deviation(2, total, 0.05)
+            assert s == pytest.approx(np.sqrt(chi2_95_1 / (4 * total)), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
