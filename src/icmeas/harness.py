@@ -26,7 +26,14 @@ from .meassim import (
 )
 from .pad import PadConfig, detect_psd, rasterize
 from .pdmm import PdmmConfig, detect_stream
-from .trafficgen import AttackConfig, PoissonConfig, gen_periodic, gen_poisson, merge
+from .trafficgen import (
+    AttackConfig,
+    PoissonConfig,
+    _merged_columns,
+    gen_periodic,
+    gen_poisson,
+    merge,
+)
 
 US = 1000
 SECOND = 1_000_000_000
@@ -199,12 +206,29 @@ def build_trace(
     A component of one packet size moves by one shift and the merge
     inserts the attack into the background, so neither sorts.
     """
+    return _build(background, attack, transfer, merge)
+
+
+def _trial_arrivals(
+    background: PoissonConfig, attack: AttackConfig | None, transfer: TransferConfig
+):
+    """What a trial coalesces: the arrival times of build_trace(background, attack, transfer).
+
+    Without an attack that is the transferred background trace itself.
+    With one, only the merged t_ns column is built: coalescing reads the
+    arrival times alone, so the size and label columns would go unread.
+    """
+    return _build(background, attack, transfer, lambda a, b: _merged_columns(a, b, ("t_ns",))[0])
+
+
+def _build(background, attack, transfer, join):
+    """The generated background, or join(background, attack); each is delayed first given transfer."""
     parts = [gen_poisson(background)]
     if attack is not None:
         parts.append(gen_periodic(attack))
     if transfer is not None:
         parts = [apply_transfer(p, transfer) for p in parts]
-    return parts[0] if attack is None else merge(*parts)
+    return parts[0] if attack is None else join(*parts)
 
 
 def run_detector(name: str, ms, cfg, window_ns: int | None = None):
@@ -224,9 +248,9 @@ def _run_trial(cfg: ExperimentConfig, seed: int, systems: dict) -> dict:
     run = {"duration_ns": window_ns, "seed": seed}
     background = dataclasses.replace(cfg.background, **run)
     attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, **run)
-    trace = build_trace(background, attack, cfg.transfer)
-    series = {system: coalesce(trace, c) for system, c in systems.items()}
-    del trace  # released before the detectors run
+    arrivals = _trial_arrivals(background, attack, cfg.transfer)
+    series = {system: coalesce(arrivals, c) for system, c in systems.items()}
+    del arrivals  # released before the detectors run
     trials = {}
     for system, ms in series.items():
         detections = {}
@@ -263,8 +287,8 @@ def _aggregate(cfg: ExperimentConfig, trials: tuple) -> ExperimentResult:
 def run_systems(cfg: ExperimentConfig, systems: dict) -> dict:
     """Run cfg's trials under each {name: coalescence config}; {name: ExperimentResult}.
 
-    Each trial seed's trace is built once, measured under every system and
-    released before the detectors run.  Trial seeds derive from seed_base;
+    Each trial seed's arrivals are built once, coalesced under every system
+    and released before the detectors run.  Trial seeds derive from seed_base;
     a trial's seed replaces the background's and the attack's own seeds.
     Medians rank timeouts last: timing out in half the trials gives None.
     """

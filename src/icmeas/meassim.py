@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, require_finite
-from .trafficgen import PacketTrace, _int_column, _read_int_csv, _write_int_csv
+from .trafficgen import PacketTrace, _arrival_times, _int_column, _read_int_csv, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
 
@@ -309,19 +309,24 @@ def _kernel_of(cfg: CoalescenceConfig) -> tuple:
     raise ConfigError(f"unknown coalescence config: {cfg!r}")
 
 
-def coalesce(trace: PacketTrace, cfg: CoalescenceConfig) -> MeasurementSeries:
-    """Group a trace into measurements under the given strategy.
+def coalesce(arrivals: PacketTrace | np.ndarray, cfg: CoalescenceConfig) -> MeasurementSeries:
+    """Group arrivals into measurements under the given strategy.
 
-    Timers are idle until the next arrival; the last group is closed by its
-    own timers (or flushed, for count-based coalescing).  Packet counts are
-    conserved: sum(count) == len(trace).  The kind is checked first, so an
-    empty trace also refuses an unknown one.
+    arrivals is a PacketTrace or its arrival times alone: a trial coalesces
+    the inserted times of its background and attack, not a merged trace.
+    An array is held to t_ns's rule (whole numbers, >= 0, nondecreasing)
+    and refused with PacketTrace's PreconditionError.  Timers are idle
+    until the next arrival; the last group is closed by its own timers (or
+    flushed, for count-based coalescing).  Packet counts are conserved:
+    sum(count) == len(arrivals).  The kind is checked first, so an empty
+    trace also refuses an unknown one.
     """
     kernel, args, reach = _kernel_of(cfg)
-    if len(trace) == 0:
+    t = arrivals.t_ns if isinstance(arrivals, PacketTrace) else _arrival_times(arrivals)
+    if len(t) == 0:
         return MeasurementSeries(np.empty(0, np.int64), np.empty(0, np.int64))
-    _require_int64(int(trace.t_ns[-1]) + reach, "the last arrival plus a timer")
-    return MeasurementSeries(*kernel(trace.t_ns, *args))
+    _require_int64(int(t[-1]) + reach, "the last arrival plus a timer")
+    return MeasurementSeries(*kernel(t, *args))
 
 
 def measure(

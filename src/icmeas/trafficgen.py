@@ -41,14 +41,29 @@ def _int_column(values, name: str, dtype=np.int64) -> np.ndarray:
     return np.asarray(values, dtype=dtype)
 
 
+def _arrival_times(values) -> np.ndarray:
+    """values as a t_ns column: int64, >= 0 and nondecreasing (ties allowed).
+
+    PreconditionError otherwise, or if the values are floats and one is
+    not a whole number.
+    """
+    t = _int_column(values, "t_ns")
+    if len(t) and t[0] < 0:  # t is checked sorted below, so t[0] is its least entry
+        raise PreconditionError("t_ns must be non-negative")
+    if np.any(t[1:] < t[:-1]):
+        raise PreconditionError("trace is not sorted by t_ns")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class PacketTrace:
     """Column-oriented packet sequence.
 
-    PreconditionError unless t_ns >= 0, size_bytes >= 1, every label is 0 or
-    1, and t_ns is sorted; a float column must hold whole numbers.  A column
-    may be a read-only view, such as a broadcast of one value; nothing in the
-    package writes into a trace column.
+    PreconditionError unless t_ns >= 0 and sorted (_arrival_times checks
+    it first), size_bytes >= 1 and every label is 0 or 1; a float column
+    must hold whole numbers.  A column may be a read-only view, such as a
+    broadcast of one value; nothing in the package writes into a trace
+    column.
     """
 
     t_ns: np.ndarray
@@ -56,21 +71,17 @@ class PacketTrace:
     label: np.ndarray
 
     def __post_init__(self):
-        t = _int_column(self.t_ns, "t_ns")
+        t = _arrival_times(self.t_ns)
         size = _int_column(self.size_bytes, "size_bytes")
         label = np.asarray(self.label)  # checked before the uint8 cast could wrap it
         if not (len(t) == len(size) == len(label)):
             raise ConfigError("trace columns must have equal length")
         if len(t):
-            if t[0] < 0:  # t is checked sorted below, so t[0] is its least entry
-                raise PreconditionError("t_ns must be non-negative")
             if _stored(size).min() < 1:
                 raise PreconditionError("size_bytes must be >= 1")
             stored = _stored(label)
             if not (BACKGROUND <= stored.min() and stored.max() <= ATTACK):  # NaN fails too
                 raise PreconditionError(f"labels must be {BACKGROUND} or {ATTACK}")
-        if np.any(t[1:] < t[:-1]):
-            raise PreconditionError("trace is not sorted by t_ns")
         object.__setattr__(self, "t_ns", t)
         object.__setattr__(self, "size_bytes", size)
         object.__setattr__(self, "label", _int_column(label, "label", np.uint8))
@@ -216,7 +227,12 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
 
 
 def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
-    """Merge two traces by time; on a tie a's packets go before b's.
+    """Merge two traces by time; on a tie a's packets go before b's."""
+    return PacketTrace(*_merged_columns(a, b, ("t_ns", "size_bytes", "label")))
+
+
+def _merged_columns(a: PacketTrace, b: PacketTrace, names) -> list:
+    """The columns `names` of merge(a, b), as arrays.
 
     b's packets are inserted into a by position.  Each output column is
     filled with a's value where a's column holds one value, or else gets
@@ -227,7 +243,8 @@ def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
     keep = np.ones(n, bool)
     keep[pos] = False
     cols = []
-    for a_col, b_col in zip((a.t_ns, a.size_bytes, a.label), (b.t_ns, b.size_bytes, b.label)):
+    for name in names:
+        a_col, b_col = getattr(a, name), getattr(b, name)
         stored = _stored(a_col)
         if len(stored) == 1:
             out = np.full(n, stored[0], a_col.dtype)
@@ -236,7 +253,7 @@ def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
             out[keep] = a_col
         out[pos] = b_col
         cols.append(out)
-    return PacketTrace(*cols)
+    return cols
 
 
 def save_trace(trace: PacketTrace, path) -> None:

@@ -62,6 +62,10 @@ class TestParams:
         with pytest.raises(ConfigError, match=f"^{field} must be finite"):
             GapDistParams(lambda_ns, bound_ns)
 
+    def test_unit_scale_is_accepted(self):
+        p = GapDistParams(lambda_ns=1.0, bound_ns=3.0)
+        assert (p.lambda_ns, p.bound_ratio) == (1.0, 3.0)
+
     def test_bound_ratio(self):
         p = GapDistParams(lambda_ns=10.0 * US, bound_ns=30.0 * US)
         assert p.bound_ratio == 3.0
@@ -106,6 +110,10 @@ class TestTruncExp:
     def test_normalization(self):
         total, _ = quad(lambda y: pdf_trunc_exp(y, self.P), 0.0, 30.0 * US)
         assert abs(total - 1.0) < 1e-9
+
+    def test_density_at_zero_is_the_inverse_norm(self):
+        # y = 0 is the support's closed lower end
+        assert pdf_trunc_exp(0.0, self.P) == 1.0 / (10.0 * US * (1.0 - math.exp(-3.0)))
 
     def test_outside_support_zero(self):
         assert pdf_trunc_exp(-1.0, self.P) == 0.0

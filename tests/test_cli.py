@@ -766,7 +766,7 @@ class TestExperiment:
         def no_trace(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "build_trace", no_trace)
+        monkeypatch.setattr(harness, "_trial_arrivals", no_trace)
         out = tmp_path / "r"
         argv = ["experiment", "--preset", "high-rate", "--systems", "hicv1,bogus", "--trials", "5"]
         assert main([*argv, "--out", str(out)]) == 1

@@ -19,6 +19,7 @@ from icmeas.harness import (
     ExperimentConfig,
     MeasurementStats,
     TrialResult,
+    _trial_arrivals,
     build_trace,
     config_from_dict,
     config_to_dict,
@@ -178,7 +179,7 @@ class TestExperimentConfigValidation:
         def no_trace(*args):
             raise AssertionError("a trace was built")
 
-        monkeypatch.setattr(harness, "build_trace", no_trace)
+        monkeypatch.setattr(harness, "_trial_arrivals", no_trace)
         systems = {"hicv1": COALESCENCE_PRESETS["hicv1"], "x": "hicv2"}
         with pytest.raises(ConfigError, match="^unknown coalescence config: 'hicv2'$"):
             run_systems(self._base(), systems)
@@ -375,6 +376,20 @@ class TestBuildTrace:
         assert len(trace) > 100_000
         assert peak / len(trace) < bound
 
+    def test_trial_arrivals_peak_allocation_per_packet(self):
+        # a trial's merged times alone hold 8 bytes per packet.  The attack-transferred
+        # build above, without its merged size and label columns, peaked at 17.4 bytes
+        # per packet; build_trace's peak on a warm process was 26.4
+        background, atk = preset_traffic("high-rate", SHORT, seed=0)
+        tracemalloc.start()
+        try:
+            arrivals = _trial_arrivals(background, atk, TransferConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrivals.dtype == np.int64 and len(arrivals) > 100_000
+        assert peak / len(arrivals) < 20
+
 
 class TestRunDetector:
     # no attack: both detectors scan the whole 2 s series, which holds pad's
@@ -505,31 +520,80 @@ class TestRunSystems:
     def test_builds_one_trace_per_seed(self, monkeypatch):
         built = []
 
-        def counting_build_trace(*args):
+        def counting_trial_arrivals(*args):
             built.append(args[0].seed)
             assert args[1].seed == args[0].seed  # the attack jitter draws from the trial seed
-            return build_trace(*args)
+            return _trial_arrivals(*args)
 
-        monkeypatch.setattr(harness, "build_trace", counting_build_trace)
+        monkeypatch.setattr(harness, "_trial_arrivals", counting_trial_arrivals)
         cfg = preset_experiment(
             "high-rate", "hicv1", trials=3, seed_base=5, detectors=(), detection_window_ns=SHORT
         )
         run_systems(cfg, SYSTEMS)
         assert built == trial_seeds(5, 3)
 
+    @pytest.mark.parametrize("seed_base", [0, 7])
+    @pytest.mark.parametrize("case", ["preset", "size-mix-and-jitter", "no-attack"])
+    def test_each_series_equals_coalescing_the_built_trace(self, monkeypatch, case, seed_base):
+        # a trial coalesces the merged arrival times alone: they are build_trace's t_ns
+        if case == "size-mix-and-jitter":
+            cfg = ExperimentConfig(
+                background=PoissonConfig(
+                    mean_gap_ns=3_000.0, duration_ns=0, seed=0, size_mix=((64, 0.5), (1500, 0.5))
+                ),
+                attack=AttackConfig(
+                    period_ns=50 * US, duration_ns=0, size_bytes=1000, jitter_stddev_ns=5_000.0
+                ),
+                transfer=TransferConfig(bit_rate_bps=100e6),
+                detectors=(),
+                detection_window_ns=SHORT // 4,
+                trials=3,
+                seed_base=seed_base,
+            )
+        else:
+            cfg = preset_experiment(
+                "high-rate",
+                "hicv1",
+                trials=3,
+                seed_base=seed_base,
+                attack=case == "preset",
+                detectors=(),
+                detection_window_ns=SHORT,
+            )
+        seen = []
+
+        def recording_coalesce(arrivals, c):
+            ms = coalesce(arrivals, c)
+            seen.append((c, ms))
+            return ms
+
+        monkeypatch.setattr(harness, "coalesce", recording_coalesce)
+        run_systems(cfg, SYSTEMS)
+        seeds = trial_seeds(seed_base, cfg.trials)
+        assert [c for c, _ in seen] == list(SYSTEMS.values()) * len(seeds)
+        for k, seed in enumerate(seeds):
+            run = {"duration_ns": cfg.detection_window_ns, "seed": seed}
+            background = dataclasses.replace(cfg.background, **run)
+            attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, **run)
+            trace = build_trace(background, attack, cfg.transfer)
+            for c, ms in seen[k * len(SYSTEMS) : (k + 1) * len(SYSTEMS)]:
+                want = coalesce(trace, c)
+                assert ms == want and ms.flags == want.flags
+
     def test_trace_is_released_before_the_detectors_run(self, monkeypatch):
         traces = []
 
-        def tracked_build_trace(*args):
-            trace = build_trace(*args)
-            traces.append(weakref.ref(trace))
-            return trace
+        def tracked_trial_arrivals(*args):
+            arrivals = _trial_arrivals(*args)
+            assert isinstance(arrivals, np.ndarray)  # the merged times, not a PacketTrace
+            traces.append(weakref.ref(arrivals))
+            return arrivals
 
         def checked_run_detector(*args):
             assert traces and all(ref() is None for ref in traces)
             return run_detector(*args)
 
-        monkeypatch.setattr(harness, "build_trace", tracked_build_trace)
+        monkeypatch.setattr(harness, "_trial_arrivals", tracked_trial_arrivals)
         monkeypatch.setattr(harness, "run_detector", checked_run_detector)
         cfg = preset_experiment(
             "high-rate", "hicv1", trials=2, detectors=("pdmm",), detection_window_ns=SHORT

@@ -951,6 +951,66 @@ def test_coalesce_determinism():
     assert coalesce(trace, cfg) == coalesce(trace, cfg)
 
 
+# --- arrival-time arrays ---
+
+_ARRAY_CASES = {
+    "empty": np.empty(0, np.int64),
+    "one-packet": np.array([7_000], np.int64),
+    "poisson": gen_poisson(PoissonConfig(mean_gap_ns=19_000.0, duration_ns=200_000_000, seed=2)).t_ns,
+    "tied-lattice": np.repeat(np.arange(0, 3_000_000, 10 * US), 2),
+    "whole-floats": np.array([0.0, 5e4, 5e4, 4e5]),
+}
+
+
+@pytest.mark.parametrize("t", _ARRAY_CASES.values(), ids=_ARRAY_CASES.keys())
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TicConfig(timer_ns=125 * US),
+        PicConfig(count=10),
+        COALESCENCE_PRESETS["hicv1"],
+        COALESCENCE_PRESETS["hicv2"],
+        HicConfig(packet_timer_ns=9 * US, absolute_timer_ns=47 * US),
+    ],
+    ids=["tic", "pic", "hicv1", "hicv2", "hic"],
+)
+def test_coalesce_of_times_equals_coalesce_of_their_trace(t, cfg):
+    kept = t.copy()
+    got, want = coalesce(t, cfg), coalesce(make_trace(t), cfg)
+    assert got == want and got.flags == want.flags
+    assert np.array_equal(t, kept) and not np.shares_memory(got.m_ns, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timer_cases())
+def test_coalesce_of_times_equals_coalesce_of_their_trace_under_drawn_hic(case):
+    t, pack, hard = case
+    cfg = HicConfig(pack, hard, allow_inverted_timers=True)
+    got, want = coalesce(t, cfg), coalesce(make_trace(t), cfg)
+    assert got == want and got.flags == want.flags
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (np.array([-5, 3]), "t_ns must be non-negative"),
+        (np.array([0, 200, 100]), "trace is not sorted by t_ns"),
+        (np.array([0.0, 1.5]), "t_ns must hold whole numbers"),
+        (np.array([0.0, np.nan]), "t_ns must hold whole numbers"),
+    ],
+    ids=["negative", "decrease", "fraction", "nan"],
+)
+def test_coalesce_holds_times_to_the_trace_rule(t, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        PacketTrace(t, np.ones(len(t)), np.zeros(len(t)))
+    for cfg in (TicConfig(timer_ns=10), PicConfig(count=1), COALESCENCE_PRESETS["hicv1"]):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            coalesce(t, cfg)
+    # the kind is checked before the times are read
+    with pytest.raises(ConfigError, match="^unknown coalescence config"):
+        coalesce(t, TransferConfig())
+
+
 # --- persistence ---
 
 

@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PadConfig(**kw)
 
+    def test_one_ns_sample_interval_is_accepted(self):
+        # the least positive interval: 64-sample segments then hold ~15.6 MHz bins
+        cfg = PadConfig(
+            sample_interval_ns=1, window=64, segments=1, min_freq_hz=1e8, max_freq_hz=5e8
+        )
+        assert cfg.bin_hz == pytest.approx(15.625e6)
+        assert cfg.band == range(7, 33)
+
     def test_band_search_steps_down_onto_the_bin_at_min_freq(self):
         # min_freq_hz over the 26.04 Hz bin width is 11.000000000000002, yet bin
         # 11 sits on min_freq_hz: a ceil of that ratio would start the band at 12
@@ -158,6 +166,10 @@ class TestRasterize:
         np.testing.assert_array_equal(out, [3.0, 7.0, 0.0, 0.0])
         assert out.tolist() == self._mask_cut(ms, big, 4).tolist()
 
+    def test_one_ns_interval_is_accepted(self):
+        ms = MeasurementSeries(np.array([0, 2, 2]), np.array([1, 2, 3]), {})
+        np.testing.assert_array_equal(rasterize(ms, 1), [1.0, 0.0, 5.0])
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             rasterize(_series([1], [1]), 0)
@@ -185,6 +197,10 @@ class TestPeriodogram:
     def test_too_short(self):
         with pytest.raises(ConfigError):
             periodogram(np.array([1.0]))
+
+    def test_two_samples(self):
+        # deviations -1 and 1: all their energy, 2, sits in the Nyquist bin
+        np.testing.assert_array_equal(periodogram(np.array([1.0, 3.0])), [0.0, 2.0])
 
 
 class TestDetectPsd:
