@@ -130,9 +130,14 @@ def preset_traffic(traffic: str, duration_ns: int, seed: int = 0, attack: bool =
     if traffic not in TRAFFIC_PRESETS:
         raise ConfigError(f"unknown traffic preset: {traffic!r}")
     background, attack_cfg = TRAFFIC_PRESETS[traffic]
+    return _in_run(background, attack_cfg if attack else None, duration_ns, seed)
+
+
+def _in_run(background: PoissonConfig, attack: AttackConfig | None, duration_ns: int, seed: int):
+    """(background, attack or None), each set to run for duration_ns drawing from seed."""
     run = {"duration_ns": duration_ns, "seed": seed}
-    attack_cfg = dataclasses.replace(attack_cfg, **run) if attack else None
-    return dataclasses.replace(background, **run), attack_cfg
+    attack = None if attack is None else dataclasses.replace(attack, **run)
+    return dataclasses.replace(background, **run), attack
 
 
 def preset_experiment(
@@ -192,43 +197,25 @@ def trial_seeds(seed_base: int, trials: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed_base).generate_state(trials)]
 
 
-def build_trace(
-    background: PoissonConfig,
-    attack: AttackConfig | None = None,
-    transfer: TransferConfig | None = None,
-):
-    """The Poisson background trace, merged with the periodic attack when given.
-
-    With a transfer config each component is delayed before the merge, so
-    the result is the transferred trace in arrival order.  The background
-    is passed to merge first, and merge orders packets that arrive at the
-    same instant by argument order, so they go background before attack.
-    A component of one packet size moves by one shift and the merge
-    inserts the attack into the background, so neither sorts.
-    """
-    return _build(background, attack, transfer, merge)
+def build_trace(background: PoissonConfig, attack: AttackConfig | None = None):
+    """The Poisson background trace as sent, merged with the periodic attack when given."""
+    trace = gen_poisson(background)
+    return trace if attack is None else merge(trace, gen_periodic(attack))
 
 
 def _trial_arrivals(
     background: PoissonConfig, attack: AttackConfig | None, transfer: TransferConfig
 ):
-    """What a trial coalesces: the arrival times of build_trace(background, attack, transfer).
+    """What a trial coalesces: each component generated and delayed, the attack's times inserted.
 
-    Without an attack that is the transferred background trace itself.
-    With one, only the merged t_ns column is built: coalescing reads the
-    arrival times alone, so the size and label columns would go unread.
+    Without an attack that is the delayed background trace itself.  With
+    one, only the merged t_ns column is built: coalescing reads the arrival
+    times alone, so the size and label columns would go unread.
     """
-    return _build(background, attack, transfer, lambda a, b: _merged_columns(a, b, ("t_ns",))[0])
-
-
-def _build(background, attack, transfer, join):
-    """The generated background, or join(background, attack); each is delayed first given transfer."""
-    parts = [gen_poisson(background)]
-    if attack is not None:
-        parts.append(gen_periodic(attack))
-    if transfer is not None:
-        parts = [apply_transfer(p, transfer) for p in parts]
-    return parts[0] if attack is None else join(*parts)
+    arrivals = apply_transfer(gen_poisson(background), transfer)
+    if attack is None:
+        return arrivals
+    return _merged_columns(arrivals, apply_transfer(gen_periodic(attack), transfer), ("t_ns",))[0]
 
 
 def run_detector(name: str, ms, cfg, window_ns: int | None = None):
@@ -245,10 +232,7 @@ def run_detector(name: str, ms, cfg, window_ns: int | None = None):
 
 def _run_trial(cfg: ExperimentConfig, seed: int, systems: dict) -> dict:
     window_ns = cfg.detection_window_ns
-    run = {"duration_ns": window_ns, "seed": seed}
-    background = dataclasses.replace(cfg.background, **run)
-    attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, **run)
-    arrivals = _trial_arrivals(background, attack, cfg.transfer)
+    arrivals = _trial_arrivals(*_in_run(cfg.background, cfg.attack, window_ns, seed), cfg.transfer)
     series = {system: coalesce(arrivals, c) for system, c in systems.items()}
     del arrivals  # released before the detectors run
     trials = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, require_finite
-from .trafficgen import PacketTrace, _arrival_times, _int_column, _read_int_csv, _write_int_csv
+from .trafficgen import PacketTrace, _int_column, _read_int_csv, _time_column, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
 
@@ -24,8 +24,9 @@ class MeasurementSeries:
     """Column-oriented measurement sequence with simulation flags.
 
     PreconditionError unless m_ns is non-negative and nondecreasing (ties
-    allowed) and every count is >= 1, as coalesce makes them; a float
-    column must hold whole numbers.
+    allowed; _time_column checks it first, as for a trace's t_ns) and every
+    count is >= 1, as coalesce makes them; a float column must hold whole
+    numbers.
     """
 
     m_ns: np.ndarray
@@ -33,17 +34,12 @@ class MeasurementSeries:
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = _int_column(self.m_ns, "m_ns")
+        m = _time_column(self.m_ns, "m_ns")
         count = _int_column(self.count, "count")
         if len(m) != len(count):
             raise ConfigError("measurement columns must have equal length")
-        if np.any(m[1:] < m[:-1]):
-            raise PreconditionError("m_ns must be nondecreasing")
-        if len(m):
-            if m[0] < 0:  # m is sorted, so m[0] is its least entry
-                raise PreconditionError("m_ns must be non-negative")
-            if count.min() < 1:
-                raise PreconditionError("measurement counts must be >= 1")
+        if len(m) and count.min() < 1:
+            raise PreconditionError("measurement counts must be >= 1")
         object.__setattr__(self, "m_ns", m)
         object.__setattr__(self, "count", count)
 
@@ -124,8 +120,8 @@ CoalescenceConfig = TicConfig | PicConfig | HicConfig
 _INT64_MAX = 2**63 - 1
 
 
-def _require_int64(value: int, what: str) -> None:
-    """Raise PreconditionError when the time value (ns) is past the int64 range."""
+def _require_int64(value: int | float, what: str) -> None:
+    """Raise PreconditionError when the time value (ns, an int or inf) is past the int64 range."""
     if value > _INT64_MAX:
         raise PreconditionError(f"{what} reaches {value} ns, past the int64 range")
 
@@ -136,11 +132,15 @@ def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
     A one-size trace gets one entry: one shift moves every packet and keeps
     the order.  The trace must not be empty.
     """
-    size = trace.size_bytes
-    delay = (size[:1] if trace._one_size else size) * (8e9 / cfg.bit_rate_bps)
+    size = trace.size_bytes[:1] if trace._one_size else trace.size_bytes
+    per_byte = 8e9 / cfg.bit_rate_bps
+    # t_ns is sorted, so no shifted time can pass its last entry plus the largest
+    # delay, rounded as each delay is; a product past the double range is inf
+    largest = float(size.max()) * per_byte
+    reach = int(trace.t_ns[-1]) + round(largest) if largest < math.inf else largest
+    _require_int64(reach, "the last t_ns plus the largest delay")
+    delay = size * per_byte
     np.rint(delay, out=delay)
-    # t_ns is sorted, so no shifted time can pass its last entry plus the largest delay
-    _require_int64(int(trace.t_ns[-1]) + int(delay.max()), "the last t_ns plus the largest delay")
     return delay.astype(np.int64)
 
 
@@ -315,14 +315,14 @@ def coalesce(arrivals: PacketTrace | np.ndarray, cfg: CoalescenceConfig) -> Meas
     arrivals is a PacketTrace or its arrival times alone: a trial coalesces
     the inserted times of its background and attack, not a merged trace.
     An array is held to t_ns's rule (whole numbers, >= 0, nondecreasing)
-    and refused with PacketTrace's PreconditionError.  Timers are idle
+    by PacketTrace's own check, _time_column.  Timers are idle
     until the next arrival; the last group is closed by its own timers (or
     flushed, for count-based coalescing).  Packet counts are conserved:
     sum(count) == len(arrivals).  The kind is checked first, so an empty
     trace also refuses an unknown one.
     """
     kernel, args, reach = _kernel_of(cfg)
-    t = arrivals.t_ns if isinstance(arrivals, PacketTrace) else _arrival_times(arrivals)
+    t = arrivals.t_ns if isinstance(arrivals, PacketTrace) else _time_column(arrivals, "t_ns")
     if len(t) == 0:
         return MeasurementSeries(np.empty(0, np.int64), np.empty(0, np.int64))
     _require_int64(int(t[-1]) + reach, "the last arrival plus a timer")

@@ -176,7 +176,7 @@ def _count_blocks(m, first: int, block_len: int, n_blocks: int, cfg: PdmmConfig)
     lo, hi, masked = _order_ranges(m, first, end, top, cfg.low_cutoff_ns, cfg.high_cutoff_ns)
     floor = np.repeat(3 * span * np.arange(n_blocks, dtype=np.int64), block_len)  # each block's first key
     keyed = m[first:end] + (floor + (span - cfg.low_cutoff_ns))
-    ceiling = floor + (3 * span - 1)
+    ceiling = floor + (3 * span - 1) if masked else None  # each block's last key, for the clip
     diffs = np.empty((min(top, max(1, _BUFFER_ELEMS // length)), length), dtype=np.int64)
     for group in range(lo, hi, len(diffs)):
         rows = diffs[: min(len(diffs), hi - group)]

@@ -41,17 +41,17 @@ def _int_column(values, name: str, dtype=np.int64) -> np.ndarray:
     return np.asarray(values, dtype=dtype)
 
 
-def _arrival_times(values) -> np.ndarray:
-    """values as a t_ns column: int64, >= 0 and nondecreasing (ties allowed).
+def _time_column(values, name: str) -> np.ndarray:
+    """values as a time column (ns) such as t_ns or m_ns: int64, >= 0, nondecreasing.
 
-    PreconditionError otherwise, or if the values are floats and one is
-    not a whole number.
+    Ties are allowed.  PreconditionError otherwise, or if the values are
+    floats and one is not a whole number.
     """
-    t = _int_column(values, "t_ns")
+    t = _int_column(values, name)
     if len(t) and t[0] < 0:  # t is checked sorted below, so t[0] is its least entry
-        raise PreconditionError("t_ns must be non-negative")
+        raise PreconditionError(f"{name} must be non-negative")
     if np.any(t[1:] < t[:-1]):
-        raise PreconditionError("trace is not sorted by t_ns")
+        raise PreconditionError(f"{name} must be nondecreasing")
     return t
 
 
@@ -59,8 +59,8 @@ def _arrival_times(values) -> np.ndarray:
 class PacketTrace:
     """Column-oriented packet sequence.
 
-    PreconditionError unless t_ns >= 0 and sorted (_arrival_times checks
-    it first), size_bytes >= 1 and every label is 0 or 1; a float column
+    PreconditionError unless t_ns >= 0 and nondecreasing (_time_column
+    checks it first), size_bytes >= 1 and every label is 0 or 1; a float column
     must hold whole numbers.  A column may be a read-only view, such as a
     broadcast of one value; nothing in the package writes into a trace
     column.
@@ -71,7 +71,7 @@ class PacketTrace:
     label: np.ndarray
 
     def __post_init__(self):
-        t = _arrival_times(self.t_ns)
+        t = _time_column(self.t_ns, "t_ns")
         size = _int_column(self.size_bytes, "size_bytes")
         label = np.asarray(self.label)  # checked before the uint8 cast could wrap it
         if not (len(t) == len(size) == len(label)):

@@ -241,6 +241,7 @@ class TestMeasure:
             b"t_ns,size,label\n100,500,0\n",
             b"t_ns,size_bytes,label\n100,500,-1\n",
             b"t_ns,size_bytes,label\n-5,500,0\n",
+            b"t_ns,size_bytes,label\n200,500,0\n100,500,0\n",
             b"\x7fELF\x02\x01\x01\x00\xff\xfe\n\x00\x00",
             b"t_ns,size_bytes,label\n# note\n100,500,0\n",
             b"t_ns,size_bytes,label\n100,500,0 # note\n",
@@ -249,6 +250,7 @@ class TestMeasure:
             "bad-header",
             "bad-label",
             "negative-time",
+            "unsorted",
             "not-utf8",
             "comment-line",
             "trailing-comment",
@@ -263,14 +265,19 @@ class TestMeasure:
         assert err.startswith("invalid input file:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "row",
-        ["100,9000000000000000000,0", "9223372036854775000,1500,0"],
-        ids=["delay-past-int64", "time-plus-delay-past-int64"],
+        "row, rate_gbps",
+        [
+            ("100,9000000000000000000,0", "1"),
+            ("9223372036854775000,1500,0", "1"),
+            ("0,1000000000000000000,0", "1e-299"),  # the double product of the delay is inf
+        ],
+        ids=["delay-past-int64", "time-plus-delay-past-int64", "delay-past-the-double-range"],
     )
-    def test_int64_overflow_is_invalid_input_and_writes_nothing(self, tmp_path, capsys, row):
+    def test_int64_overflow_is_invalid_input_and_writes_nothing(self, tmp_path, capsys, row, rate_gbps):
         trace = tmp_path / "t.csv"
         trace.write_text(f"t_ns,size_bytes,label\n{row}\n")
-        argv = ["measure", "--trace", str(trace), "--system", "hicv1", "--out", str(tmp_path / "m.csv")]
+        out = str(tmp_path / "m.csv")
+        argv = ["measure", "--trace", str(trace), "--system", "hicv1", "--rate-gbps", rate_gbps, "--out", out]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input file: {trace}:") and "int64" in err and "Traceback" not in err

@@ -263,12 +263,24 @@ class TestBuildTrace:
             parts = [transfer_reference(p, transfer.bit_rate_bps) for p in parts]
         return parts[0] if attack is None else merge_reference(*parts)
 
+    @staticmethod
+    def _assert_arrivals_of(arrivals, trace, attack):
+        """A trial's arrivals are trace itself without an attack, else trace's t_ns alone."""
+        if attack is None:
+            assert arrivals == trace
+        else:
+            assert arrivals.dtype == np.int64 and np.array_equal(arrivals, trace.t_ns)
+
     @pytest.mark.parametrize("transfer", [None, TransferConfig()], ids=["sent", "transferred"])
     @pytest.mark.parametrize("attack", [True, False])
     @pytest.mark.parametrize("traffic", sorted(TRAFFIC_PRESETS))
     def test_equals_reference_build(self, traffic, attack, transfer):
         background, atk = preset_traffic(traffic, SHORT, seed=4, attack=attack)
-        assert build_trace(background, atk, transfer) == self._reference(background, atk, transfer)
+        want = self._reference(background, atk, transfer)
+        if transfer is None:
+            assert build_trace(background, atk) == want
+        else:
+            self._assert_arrivals_of(_trial_arrivals(background, atk, transfer), want, atk)
 
     @pytest.mark.parametrize("rate_bps", [100e6, 16e9])
     def test_equals_reference_build_with_size_mix_and_jitter(self, rate_bps):
@@ -279,33 +291,29 @@ class TestBuildTrace:
             period_ns=50 * US, duration_ns=SHORT // 4, size_bytes=999, jitter_stddev_ns=5_000.0, seed=6
         )
         transfer = TransferConfig(bit_rate_bps=rate_bps)
-        assert build_trace(background, attack, transfer) == self._reference(background, attack, transfer)
+        want = self._reference(background, attack, transfer)
+        self._assert_arrivals_of(_trial_arrivals(background, attack, transfer), want, attack)
 
-    @staticmethod
-    def _assert_same_arrivals(new, old):
-        """Equal t_ns, equal packets as a multiset, equal series under every scheme.
-
-        Only the order of packets that arrive at the same instant may differ,
-        so the (t, size, label) rows are compared sorted.
-        """
-        assert np.array_equal(new.t_ns, old.t_ns)
-        rows_new = np.lexsort((new.label, new.size_bytes, new.t_ns))
-        rows_old = np.lexsort((old.label, old.size_bytes, old.t_ns))
-        assert np.array_equal(new.size_bytes[rows_new], old.size_bytes[rows_old])
-        assert np.array_equal(new.label[rows_new], old.label[rows_old])
+    @classmethod
+    def _assert_same_arrivals(cls, arrivals, trace, attack):
+        """_assert_arrivals_of, and equal series and flags under every scheme."""
+        cls._assert_arrivals_of(arrivals, trace, attack)
         schemes = [*COALESCENCE_PRESETS.values(), TicConfig(timer_ns=125 * US), PicConfig(count=10)]
         for cfg in schemes:
-            ms_new, ms_old = coalesce(new, cfg), coalesce(old, cfg)
+            ms_new, ms_old = coalesce(arrivals, cfg), coalesce(trace, cfg)
             assert ms_new == ms_old and ms_new.flags == ms_old.flags
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("attack", [True, False])
     @pytest.mark.parametrize("traffic", sorted(TRAFFIC_PRESETS))
     def test_transfer_before_merge_equals_transfer_after(self, traffic, attack, seed):
+        # the trial delays each component, then inserts; the reference merges, then
+        # delays each packet and stable-sorts
         background, atk = preset_traffic(traffic, SHORT, seed=seed, attack=attack)
         transfer = TransferConfig()
-        new = build_trace(background, atk, transfer)
-        self._assert_same_arrivals(new, apply_transfer(build_trace(background, atk), transfer))
+        arrivals = _trial_arrivals(background, atk, transfer)
+        trace = apply_transfer(build_trace(background, atk), transfer)
+        self._assert_same_arrivals(arrivals, trace, atk)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_transfer_before_merge_with_size_mix_and_jitter(self, seed):
@@ -320,17 +328,9 @@ class TestBuildTrace:
         # so the background component itself re-sorts under the delay
         bg = gen_poisson(background)
         assert np.any(np.diff(bg.t_ns + 80 * bg.size_bytes) < 0)
-        new = build_trace(background, attack, transfer)
-        self._assert_same_arrivals(new, apply_transfer(build_trace(background, attack), transfer))
-
-    def test_arrival_ties_put_background_before_attack(self):
-        # one background packet every ~2 ns, so many attack arrivals tie with one
-        background = PoissonConfig(mean_gap_ns=2.0, duration_ns=MS, seed=4, size_bytes=500)
-        attack = AttackConfig(period_ns=10 * US, duration_ns=MS, size_bytes=1500, start_offset_ns=7)
-        trace = build_trace(background, attack, TransferConfig())
-        tied = np.flatnonzero(trace.t_ns[1:] == trace.t_ns[:-1])
-        assert np.any(trace.label[tied] != trace.label[tied + 1])
-        assert np.all(trace.label[tied] <= trace.label[tied + 1])
+        arrivals = _trial_arrivals(background, attack, transfer)
+        trace = apply_transfer(build_trace(background, attack), transfer)
+        self._assert_same_arrivals(arrivals, trace, attack)
 
     @pytest.mark.parametrize("size_mix", [(), ((64, 0.5), (1500, 0.5))], ids=["one-size", "size-mix"])
     def test_trial_on_read_only_columns_matches_writable_copies(self, tmp_path, size_mix):
@@ -356,39 +356,37 @@ class TestBuildTrace:
             outputs.append((*series, merged, reports, p.read_bytes(), load_trace(p)))
         assert outputs[0] == outputs[1]
 
-    # Bytes per packet at the peak of a 2 s high-rate build: the built trace alone holds
-    # 17 (t_ns, size and label).  Materialized one-value columns and an int64 copy of the
-    # draw buffer measured 36.4, 26.5 and 26.5; broadcasts and an in-place cast 27.4, 17.5
-    # and 9.5.
-    @pytest.mark.parametrize(
-        "attack, transfer, bound",
-        [(True, TransferConfig(), 30), (False, TransferConfig(), 20), (False, None, 12)],
-        ids=["attack-transferred", "background-transferred", "background-sent"],
-    )
-    def test_peak_allocation_per_packet(self, attack, transfer, bound):
-        background, atk = preset_traffic("high-rate", SHORT, seed=0, attack=attack)
+    @staticmethod
+    def _peak_per_packet(build, *args):
+        """build(*args) and the peak bytes it allocated per packet of that result."""
         tracemalloc.start()
         try:
-            trace = build_trace(background, atk, transfer)
+            out = build(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(trace) > 100_000
-        assert peak / len(trace) < bound
+        assert len(out) > 100_000
+        return out, peak / len(out)
 
-    def test_trial_arrivals_peak_allocation_per_packet(self):
-        # a trial's merged times alone hold 8 bytes per packet.  The attack-transferred
-        # build above, without its merged size and label columns, peaked at 17.4 bytes
-        # per packet; build_trace's peak on a warm process was 26.4
-        background, atk = preset_traffic("high-rate", SHORT, seed=0)
-        tracemalloc.start()
-        try:
-            arrivals = _trial_arrivals(background, atk, TransferConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert arrivals.dtype == np.int64 and len(arrivals) > 100_000
-        assert peak / len(arrivals) < 20
+    # Bytes per packet at the peak of a 2 s high-rate build as sent: the merged trace alone
+    # holds 17 (t_ns, size and label) and peaked at 26.9 on a warm process.  The background
+    # alone, its one-value columns broadcasts and its draw buffer cast in place, peaked at 9.5.
+    @pytest.mark.parametrize(
+        "attack, bound", [(True, 30), (False, 12)], ids=["attack-sent", "background-sent"]
+    )
+    def test_peak_allocation_per_packet(self, attack, bound):
+        background, atk = preset_traffic("high-rate", SHORT, seed=0, attack=attack)
+        assert self._peak_per_packet(build_trace, background, atk)[1] < bound
+
+    @pytest.mark.parametrize("attack", [True, False], ids=["attack", "background"])
+    def test_trial_arrivals_peak_allocation_per_packet(self, attack):
+        # a trial's arrival times hold 8 bytes per packet, and the sent times are still held
+        # beside them at the peak: both cases peaked at about 17.5 on a warm process.  A build
+        # that also merged the size and label columns peaked at 26.4
+        background, atk = preset_traffic("high-rate", SHORT, seed=0, attack=attack)
+        arrivals, peak = self._peak_per_packet(_trial_arrivals, background, atk, TransferConfig())
+        assert isinstance(arrivals, np.ndarray if attack else PacketTrace)
+        assert peak < 20
 
 
 class TestRunDetector:
@@ -535,7 +533,8 @@ class TestRunSystems:
     @pytest.mark.parametrize("seed_base", [0, 7])
     @pytest.mark.parametrize("case", ["preset", "size-mix-and-jitter", "no-attack"])
     def test_each_series_equals_coalescing_the_built_trace(self, monkeypatch, case, seed_base):
-        # a trial coalesces the merged arrival times alone: they are build_trace's t_ns
+        # a trial coalesces the merged arrival times alone: they are the t_ns of the sent
+        # trace delayed after the merge
         if case == "size-mix-and-jitter":
             cfg = ExperimentConfig(
                 background=PoissonConfig(
@@ -575,7 +574,7 @@ class TestRunSystems:
             run = {"duration_ns": cfg.detection_window_ns, "seed": seed}
             background = dataclasses.replace(cfg.background, **run)
             attack = None if cfg.attack is None else dataclasses.replace(cfg.attack, **run)
-            trace = build_trace(background, attack, cfg.transfer)
+            trace = apply_transfer(build_trace(background, attack), cfg.transfer)
             for c, ms in seen[k * len(SYSTEMS) : (k + 1) * len(SYSTEMS)]:
                 want = coalesce(trace, c)
                 assert ms == want and ms.flags == want.flags

@@ -400,6 +400,17 @@ def test_measure_int64_boundary_is_the_same_on_both_paths(sizes):
         )
 
 
+@pytest.mark.parametrize("sizes", [[10**18, 10**18], [64, 10**18]], ids=["one-size", "two-sizes"])
+def test_delay_past_the_double_range_is_refused_as_past_int64(sizes):
+    # at 1e-290 bps a byte takes 8e299 ns: 10**18 bytes overflow the double product to inf
+    trace = PacketTrace(np.array([0, 5]), np.array(sizes), np.zeros(2, np.uint8))
+    transfer = TransferConfig(bit_rate_bps=1e-290)
+    want = "the last t_ns plus the largest delay reaches inf ns, past the int64 range"
+    assert _error_text(lambda: apply_transfer(trace, transfer)) == want
+    for cfg in (PicConfig(1), TicConfig(5 * US), COALESCENCE_PRESETS["hicv1"]):
+        assert _error_text(lambda: measure(trace, transfer, cfg)) == want
+
+
 def test_measure_never_sees_a_size_below_1():
     # a size below 1 would shift packets back in time; a trace cannot hold one
     with pytest.raises(PreconditionError, match="^size_bytes must be >= 1$"):
@@ -994,7 +1005,7 @@ def test_coalesce_of_times_equals_coalesce_of_their_trace_under_drawn_hic(case):
     "t, message",
     [
         (np.array([-5, 3]), "t_ns must be non-negative"),
-        (np.array([0, 200, 100]), "trace is not sorted by t_ns"),
+        (np.array([0, 200, 100]), "t_ns must be nondecreasing"),
         (np.array([0.0, 1.5]), "t_ns must hold whole numbers"),
         (np.array([0.0, np.nan]), "t_ns must hold whole numbers"),
     ],
@@ -1130,10 +1141,12 @@ def _stream(how=None):
         (_stream("steps-down-at-end"), np.ones(75), "m_ns must be nondecreasing"),
         ([-5, 10], [1, 1], "m_ns must be non-negative"),
         (_stream("negative-first"), np.ones(75), "m_ns must be non-negative"),
+        ([-5, -10], [1, 1], "m_ns must be non-negative"),  # both rules broken: t_ns's order
+        ([20, 10], [1], "m_ns must be nondecreasing"),  # the time rule before the lengths
     ],
     ids=[
         "count-zero", "count-negative", "decrease", "shuffled", "steps-down-at-end",
-        "negative-time", "negative-first",
+        "negative-time", "negative-first", "negative-and-decreasing", "decrease-before-lengths",
     ],
 )
 def test_series_refuses_a_break_of_its_rule_at_construction(m_ns, count, message):

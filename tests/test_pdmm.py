@@ -205,6 +205,12 @@ class TestPearsonChiSquare:
         with pytest.raises(InsufficientDataError):
             pearson_chi_square(np.full(10, 4.9))
 
+    def test_not_ready_names_the_floor_and_the_count(self):
+        # the floor is 5 counted differences per cell: 20 for 4 cells, met exactly by 4 x 5.0
+        with pytest.raises(InsufficientDataError, match="^need at least 20 counted differences, have 16$"):
+            pearson_chi_square(np.full(4, 4.0))
+        assert pearson_chi_square(np.full(4, 5.0)) == (0.0, 0.0)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_needs_two_cells(self, n):
         with pytest.raises(ConfigError, match=f"^need at least 2 cells, have {n}$"):

@@ -349,7 +349,7 @@ def test_merge_rejects_unsorted():
 
 
 def test_trace_is_sorted_by_construction(tmp_path):
-    with pytest.raises(PreconditionError, match="not sorted"):
+    with pytest.raises(PreconditionError, match="^t_ns must be nondecreasing$"):
         PacketTrace(np.array([0, 200, 100]), np.full(3, 500), np.zeros(3))
     with pytest.raises(ConfigError, match="^trace columns must have equal length$"):
         PacketTrace(np.array([0, 100]), np.full(3, 500), np.zeros(3))
@@ -357,9 +357,9 @@ def test_trace_is_sorted_by_construction(tmp_path):
     assert tied.t_ns.tolist() == [0, 100, 100]
     p = tmp_path / "unsorted.csv"
     p.write_text("t_ns,size_bytes,label\n200,500,0\n100,500,0\n", encoding="utf-8")
-    with pytest.raises(PreconditionError, match="not sorted") as info:
+    with pytest.raises(PreconditionError) as info:
         load_trace(p)
-    assert str(p) in str(info.value)
+    assert str(info.value) == f"{p}: t_ns must be nondecreasing"
 
 
 @pytest.mark.parametrize(
