@@ -56,7 +56,6 @@ _PRESET_RUN = {
 }
 # defaults of the gen flags that only a trace without --preset takes
 _CUSTOM_TRACE = {
-    "mean_gap_us": None,
     "size_bytes": 500,
     "attack_period_us": None,
     "attack_size_bytes": AttackConfig.size_bytes,
@@ -88,9 +87,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="icmeas", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a packet trace", parents=[])
-    gen.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
-    gen.add_argument("--mean-gap-us", type=float, help="background exponential mean")
+    gen = sub.add_parser("gen", help="generate a packet trace")
+    traffic = gen.add_mutually_exclusive_group(required=True)
+    traffic.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
+    traffic.add_argument("--mean-gap-us", type=float, help="background exponential mean")
     # the _CUSTOM_TRACE flags (defaults there): a preset sets these itself
     gen.add_argument("--size-bytes", type=_int64)
     gen.add_argument("--attack-period-us", type=float)
@@ -103,11 +103,12 @@ def _build_parser() -> _Parser:
 
     meas = sub.add_parser("measure", help="simulate measurement of a trace")
     meas.add_argument("--trace", required=True)
-    meas.add_argument("--system", choices=sorted(COALESCENCE_PRESETS))
-    meas.add_argument("--pack-us", type=float, help="dual-timer per-packet timer")
-    meas.add_argument("--abs-us", type=float, help="dual-timer absolute timer")
-    meas.add_argument("--tic-us", type=float, help="fixed-timer coalescing")
-    meas.add_argument("--pic-count", type=_int64, help="count-based coalescing")
+    scheme = meas.add_mutually_exclusive_group(required=True)
+    scheme.add_argument("--system", choices=sorted(COALESCENCE_PRESETS))
+    scheme.add_argument("--pack-us", type=float, help="dual-timer per-packet timer")
+    scheme.add_argument("--tic-us", type=float, help="fixed-timer coalescing")
+    scheme.add_argument("--pic-count", type=_int64, help="count-based coalescing")
+    meas.add_argument("--abs-us", type=float, help="dual-timer absolute timer, with --pack-us")
     meas.add_argument("--rate-gbps", type=float, default=TransferConfig.bit_rate_bps / 1e9)
     meas.add_argument("--out", required=True)
 
@@ -120,8 +121,9 @@ def _build_parser() -> _Parser:
     det.add_argument("--out", help="write the report here instead of stdout")
 
     exp = sub.add_parser("experiment", help="run the seeded end-to-end pipeline")
-    exp.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
-    exp.add_argument("--config", help="JSON experiment config file")
+    source = exp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=sorted(TRAFFIC_PRESETS))
+    source.add_argument("--config", help="JSON experiment config file")
     # the _PRESET_RUN flags (defaults there): a config file sets these itself
     exp.add_argument("--systems")
     exp.add_argument("--detectors")
@@ -155,7 +157,7 @@ def _cmd_gen(args) -> int:
         if given:
             raise ConfigError(f"{_flags(given)} cannot be combined with --preset")
         background, attack = preset_traffic(args.preset, duration_ns, seed=args.seed)
-    elif args.mean_gap_us is not None:
+    else:
         opts = {**_CUSTOM_TRACE, **given}
         attack_flags = [
             k for k in ("attack_size_bytes", "attack_jitter_us") if getattr(args, k) is not None
@@ -163,7 +165,7 @@ def _cmd_gen(args) -> int:
         if attack_flags and opts["attack_period_us"] is None and not args.no_attack:
             raise ConfigError(f"{_flags(attack_flags)} cannot be used without --attack-period-us")
         background = PoissonConfig(
-            mean_gap_ns=opts["mean_gap_us"] * US,
+            mean_gap_ns=args.mean_gap_us * US,
             duration_ns=duration_ns,
             seed=args.seed,
             size_bytes=opts["size_bytes"],
@@ -178,8 +180,6 @@ def _cmd_gen(args) -> int:
             if opts["attack_period_us"] is not None
             else None
         )
-    else:
-        raise ConfigError("gen needs --preset or --mean-gap-us")
     if args.no_attack:
         attack = None  # the jitter is not checked against an attack that is not sent
     elif attack is not None and args.attack_jitter_us is not None:
@@ -194,15 +194,6 @@ def _coalescence_from_args(args):
     if (args.pack_us is None) != (args.abs_us is None):
         missing = "--abs-us" if args.abs_us is None else "--pack-us"
         raise ConfigError(f"--pack-us and --abs-us go together: {missing} is missing")
-    choices = {
-        "--system": args.system,
-        "--pack-us/--abs-us": args.pack_us,
-        "--tic-us": args.tic_us,
-        "--pic-count": args.pic_count,
-    }
-    given = [flag for flag, value in choices.items() if value is not None]
-    if len(given) > 1:
-        raise ConfigError(f"measure takes one coalescence choice, not {' and '.join(given)}")
     if args.system is not None:
         return COALESCENCE_PRESETS[args.system]
     if args.pack_us is not None:
@@ -212,9 +203,7 @@ def _coalescence_from_args(args):
         )
     if args.tic_us is not None:
         return TicConfig(timer_ns=_ns(args.tic_us, US, "--tic-us"))
-    if args.pic_count is not None:
-        return PicConfig(count=args.pic_count)
-    raise ConfigError("measure needs --system, --pack-us/--abs-us, --tic-us, or --pic-count")
+    return PicConfig(count=args.pic_count)
 
 
 def _cmd_measure(args) -> int:
@@ -277,7 +266,7 @@ def _cmd_experiment(args) -> int:
             raise ConfigError(f"{_flags(given)} cannot be combined with --config")
         cfg = dataclasses.replace(config_from_dict(load_config_json(args.config)), **runs)
         systems = {"config": cfg.coalescence}
-    elif args.preset is not None:
+    else:
         opts = {**_PRESET_RUN, **given}
         names = [s for s in opts["systems"].split(",") if s]
         if not names:
@@ -296,8 +285,6 @@ def _cmd_experiment(args) -> int:
         if unknown:  # fail before any trial runs
             raise ConfigError(f"unknown coalescence preset: {unknown[0]!r}")
         systems = {s: COALESCENCE_PRESETS[s] for s in names}
-    else:
-        raise ConfigError("experiment needs --preset or --config")
     results = run_systems(cfg, systems)
     emit_results(results, args.out)
     for name in sorted(results):

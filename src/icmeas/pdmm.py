@@ -268,7 +268,7 @@ def deviation_histogram(sub_bins: int, total: float, deviation: float) -> np.nda
     if total <= 0:
         raise ConfigError("total must be positive")
     base = 1.0 / sub_bins
-    if deviation < 0 or base - deviation / (sub_bins - 1) < 0 or base + deviation > 1:
+    if deviation < 0 or base - deviation / (sub_bins - 1) < 0:
         raise ConfigError("deviation must keep all sub-bins non-negative")
     counts = np.full(sub_bins, (base - deviation / (sub_bins - 1)) * total)
     counts[0] = (base + deviation) * total

@@ -31,14 +31,22 @@ def _int_column(values, name: str, dtype=np.int64) -> np.ndarray:
     """values as an array of dtype.
 
     PreconditionError if the values are floats and one is not a whole number
-    (a fraction, NaN or inf); an int or bool column is not scanned.
+    (a fraction, NaN or inf), or if a float, uint64 or Python int value lies
+    outside int64; an int64, narrower int or bool column is not scanned.
     """
     col = np.asarray(values)
     if col.dtype.kind == "f":
         stored = _stored(col)
         if not (np.isfinite(stored).all() and (np.trunc(stored) == stored).all()):
             raise PreconditionError(f"{name} must hold whole numbers")
-    return np.asarray(values, dtype=dtype)
+        if not ((stored >= -(2.0**63)).all() and (stored < 2.0**63).all()):
+            raise PreconditionError(f"{name} must fit int64")
+    elif col.dtype == np.uint64 and col.size and _stored(col).max() > np.iinfo(np.int64).max:
+        raise PreconditionError(f"{name} must fit int64")
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:  # an object column: a Python int that no numpy integer holds
+        raise PreconditionError(f"{name} must fit int64") from None
 
 
 def _time_column(values, name: str) -> np.ndarray:

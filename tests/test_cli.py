@@ -120,8 +120,12 @@ class TestGen:
         assert not np.array_equal(attack[0], attack[1])
         assert np.array_equal(attack[1], attack[2])
 
-    def test_requires_preset_or_mean_gap(self, tmp_path):
-        assert main(["gen", "--out", str(tmp_path / "t.csv")]) == 1
+    def test_requires_preset_or_mean_gap(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["gen", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: one of the arguments --preset --mean-gap-us is required\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -154,21 +158,29 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "extra, flags",
+        "extra, message",
         [
-            (["--mean-gap-us", "5"], "--mean-gap-us"),
-            (["--attack-period-us", "400"], "--attack-period-us"),
-            (["--size-bytes", "500"], "--size-bytes"),
-            (["--attack-size-bytes", "1500"], "--attack-size-bytes"),
-            (["--attack-period-us", "400", "--mean-gap-us", "5"], "--mean-gap-us, --attack-period-us"),
+            (["--mean-gap-us", "5"], "argument --mean-gap-us: not allowed with argument --preset"),
+            (["--attack-period-us", "400"], "--attack-period-us cannot be combined with --preset"),
+            (["--size-bytes", "500"], "--size-bytes cannot be combined with --preset"),
+            (["--attack-size-bytes", "1500"], "--attack-size-bytes cannot be combined with --preset"),
+            # argparse refuses --mean-gap-us as it parses, before any custom flag is checked
+            (
+                ["--attack-period-us", "400", "--mean-gap-us", "5"],
+                "argument --mean-gap-us: not allowed with argument --preset",
+            ),
+            (
+                ["--attack-period-us", "400", "--size-bytes", "500"],
+                "--size-bytes, --attack-period-us cannot be combined with --preset",
+            ),
         ],
-        ids=["mean-gap", "attack-period", "size", "attack-size", "two"],
+        ids=["mean-gap", "attack-period", "size", "attack-size", "two", "two-custom"],
     )
-    def test_preset_rejects_custom_trace_flags(self, tmp_path, capsys, extra, flags):
+    def test_preset_rejects_custom_trace_flags(self, tmp_path, capsys, extra, message):
         out = tmp_path / "t.csv"
         argv = ["gen", "--preset", "high-rate", "--duration-s", "0.1", "--out", str(out), *extra]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"config error: {flags} cannot be combined with --preset\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_custom_trace_defaults(self, tmp_path):
@@ -199,33 +211,56 @@ class TestMeasure:
         assert len(tic) > 0 and len(pic) > 0
         assert np.all(pic.count[:-1] == 8)
 
-    def test_needs_some_scheme(self, tmp_path):
+    def test_needs_some_scheme(self, tmp_path, capsys):
         trace = _gen(tmp_path)
-        assert main(["measure", "--trace", str(trace), "--out", str(tmp_path / "m.csv")]) == 1
+        out = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert main(["measure", "--trace", str(trace), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: one of the arguments --system --pack-us --tic-us --pic-count is required\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra, message",
         [
             (
                 ["--system", "hicv1", "--pic-count", "5"],
-                "measure takes one coalescence choice, not --system and --pic-count",
+                "argument --pic-count: not allowed with argument --system",
             ),
             (
                 ["--pack-us", "30", "--abs-us", "300", "--tic-us", "100"],
-                "measure takes one coalescence choice, not --pack-us/--abs-us and --tic-us",
+                "argument --tic-us: not allowed with argument --pack-us",
             ),
+            # argparse stops at the second choice it parses
             (
                 ["--tic-us", "100", "--pic-count", "5", "--system", "hicv2"],
-                "measure takes one coalescence choice, not --system and --tic-us and --pic-count",
+                "argument --pic-count: not allowed with argument --tic-us",
             ),
             (
                 ["--pack-us", "30", "--tic-us", "100"],
-                "--pack-us and --abs-us go together: --abs-us is missing",
+                "argument --tic-us: not allowed with argument --pack-us",
             ),
             (["--pack-us", "30"], "--pack-us and --abs-us go together: --abs-us is missing"),
-            (["--abs-us", "300"], "--pack-us and --abs-us go together: --pack-us is missing"),
+            (
+                ["--abs-us", "300"],
+                "one of the arguments --system --pack-us --tic-us --pic-count is required",
+            ),
+            (
+                ["--system", "hicv1", "--abs-us", "300"],
+                "--pack-us and --abs-us go together: --pack-us is missing",
+            ),
         ],
-        ids=["system-pic", "hic-tic", "three", "lone-pack-tic", "lone-pack", "lone-abs"],
+        ids=[
+            "system-pic",
+            "hic-tic",
+            "three",
+            "lone-pack-tic",
+            "lone-pack",
+            "lone-abs",
+            "abs-beside-system",
+        ],
     )
     def test_one_coalescence_choice(self, tmp_path, capsys, extra, message):
         trace = _gen(tmp_path)
@@ -835,8 +870,30 @@ class TestExperiment:
         )
         assert digests == self.PINNED[run]
 
-    def test_needs_preset_or_config(self, tmp_path):
+    def test_needs_preset_or_config(self, tmp_path, capsys):
         assert main(["experiment", "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: one of the arguments --preset --config is required\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ("preset-first", "argument --config: not allowed with argument --preset"),
+            ("config-first", "argument --preset: not allowed with argument --config"),
+        ],
+        ids=["preset-first", "config-first"],
+    )
+    def test_preset_with_config_is_config_error_and_writes_nothing(
+        self, tmp_path, capsys, order, message
+    ):
+        # the config would run on its own; the preset beside it is not dropped
+        flags = [["--preset", "high-rate"], ["--config", str(self._write_config(tmp_path))]]
+        if order == "config-first":
+            flags.reverse()
+        assert main(["experiment", *flags[0], *flags[1], "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     def test_unwritable_out_is_io_error(self, tmp_path):
         argv = [

@@ -1008,8 +1008,10 @@ def test_coalesce_of_times_equals_coalesce_of_their_trace_under_drawn_hic(case):
         (np.array([0, 200, 100]), "t_ns must be nondecreasing"),
         (np.array([0.0, 1.5]), "t_ns must hold whole numbers"),
         (np.array([0.0, np.nan]), "t_ns must hold whole numbers"),
+        (np.array([0, 2**63], np.uint64), "t_ns must fit int64"),
+        (np.array([0.0, 1e19]), "t_ns must fit int64"),
     ],
-    ids=["negative", "decrease", "fraction", "nan"],
+    ids=["negative", "decrease", "fraction", "nan", "uint64-past-int64", "float-past-int64"],
 )
 def test_coalesce_holds_times_to_the_trace_rule(t, message):
     with pytest.raises(PreconditionError, match=f"^{message}$"):
@@ -1110,6 +1112,21 @@ def test_series_equals_only_a_series():
 )
 def test_series_refuses_floats_that_are_not_whole(m_ns, count, name):
     with pytest.raises(PreconditionError, match=f"^{name} must hold whole numbers$"):
+        MeasurementSeries(m_ns, count)
+
+
+@pytest.mark.parametrize(
+    "m_ns, count, name",
+    [
+        (np.array([0.0, 1e19]), [1, 1], "m_ns"),
+        ([0, 2**63], [1, 1], "m_ns"),
+        ([0, 2**64], [1, 1], "m_ns"),
+        ([10, 20], np.array([1, 2**63], np.uint64), "count"),
+    ],
+    ids=["float", "int", "object", "uint64-count"],
+)
+def test_series_refuses_values_past_int64(m_ns, count, name):
+    with pytest.raises(PreconditionError, match=f"^{name} must fit int64$"):
         MeasurementSeries(m_ns, count)
 
 

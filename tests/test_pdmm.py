@@ -247,6 +247,24 @@ class TestClosedForm:
         with pytest.raises(ConfigError):
             deviation_histogram(10, -5.0, 0.01)
 
+    def test_construction_refuses_a_deviation_one_ulp_past_the_edge(self):
+        # the raised share 0.5 + deviation rounds to 1 + 1 ulp, but the other cell is -1.1e-16
+        assert deviation_histogram(2, 1.0, 0.5).tolist() == [1.0, 0.0]
+        with pytest.raises(ConfigError, match="^deviation must keep all sub-bins non-negative$"):
+            deviation_histogram(2, 1.0, 0.5000000000000001)
+
+    def test_construction_near_the_edge_leaves_no_cell_negative(self):
+        # 1 - 1/sub_bins and its neighbouring doubles: each is refused or builds a
+        # histogram with no negative cell
+        for sub_bins in range(2, 2001):
+            edge = 1.0 - 1.0 / sub_bins
+            for deviation in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                try:
+                    counts = deviation_histogram(sub_bins, 1.0, float(deviation))
+                except ConfigError:
+                    continue
+                assert counts.min() >= 0.0
+
 
 class TestMinDetectableDeviation:
     def test_doubling_total_shrinks_by_sqrt2(self):

@@ -409,6 +409,33 @@ def test_trace_refuses_floats_that_are_not_whole(cols, name):
         PacketTrace(*cols)
 
 
+@pytest.mark.parametrize(
+    "cols, name",
+    [
+        ((np.array([0.0, 1e19]), [500, 500], [0, 0]), "t_ns"),
+        ((np.array([0.0, 2.0**63]), [500, 500], [0, 0]), "t_ns"),
+        (([0, 2**63], [500, 500], [0, 0]), "t_ns"),
+        ((np.array([0, 2**63], np.uint64), [500, 500], [0, 0]), "t_ns"),
+        (([0, 1], [500, 2**64], [0, 0]), "size_bytes"),
+        (([0, 1], np.array([500.0, -1e19]), [0, 0]), "size_bytes"),
+    ],
+    ids=["float-time", "float-time-at-2**63", "int-time", "uint64-time", "object-size", "float-size"],
+)
+def test_trace_refuses_values_past_int64(cols, name):
+    # the int64 cast would wrap or clip them, and a later rule would name the wrong break
+    with pytest.raises(PreconditionError, match=f"^{name} must fit int64$"):
+        PacketTrace(*cols)
+
+
+def test_trace_takes_the_ends_of_int64():
+    # only values past int64 are refused: the top from uint64, the bottom from a float
+    top = 2**63 - 1
+    trace = PacketTrace(np.array([0, top], np.uint64), [1, top], [0, 1])
+    assert trace.t_ns.dtype == np.int64 and trace.t_ns.tolist() == [0, top]
+    with pytest.raises(PreconditionError, match="^t_ns must be non-negative$"):
+        PacketTrace(np.array([-(2.0**63), 0.0]), [1, 1], [0, 0])
+
+
 def test_trace_takes_whole_floats_as_ints():
     trace = PacketTrace([0.0, 2.0, 2.0], np.broadcast_to(1500.0, (3,)), np.array([0.0, 1.0, 1.0]))
     assert trace.t_ns.dtype == trace.size_bytes.dtype == np.int64 and trace.label.dtype == np.uint8
