@@ -29,7 +29,6 @@ from .pdmm import PdmmConfig, detect_stream
 from .trafficgen import (
     AttackConfig,
     PoissonConfig,
-    _merged_columns,
     gen_periodic,
     gen_poisson,
     merge,
@@ -206,16 +205,18 @@ def build_trace(background: PoissonConfig, attack: AttackConfig | None = None):
 def _trial_arrivals(
     background: PoissonConfig, attack: AttackConfig | None, transfer: TransferConfig
 ):
-    """What a trial coalesces: each component generated and delayed, the attack's times inserted.
+    """What a trial coalesces: each component generated and delayed, then their times merged.
 
     Without an attack that is the delayed background trace itself.  With
-    one, only the merged t_ns column is built: coalescing reads the arrival
-    times alone, so the size and label columns would go unread.
+    one, only the merged arrival times are built: coalescing reads them
+    alone, so the size and label columns would go unread.
     """
     arrivals = apply_transfer(gen_poisson(background), transfer)
     if attack is None:
         return arrivals
-    return _merged_columns(arrivals, apply_transfer(gen_periodic(attack), transfer), ("t_ns",))[0]
+    t = np.concatenate([arrivals.t_ns, apply_transfer(gen_periodic(attack), transfer).t_ns])
+    t.sort(kind="stable")  # two sorted runs: the stable sort (timsort) merges them in one pass
+    return t
 
 
 def run_detector(name: str, ms, cfg, window_ns: int | None = None):

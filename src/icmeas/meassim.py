@@ -313,7 +313,7 @@ def coalesce(arrivals: PacketTrace | np.ndarray, cfg: CoalescenceConfig) -> Meas
     """Group arrivals into measurements under the given strategy.
 
     arrivals is a PacketTrace or its arrival times alone: a trial coalesces
-    the inserted times of its background and attack, not a merged trace.
+    the merged times of its background and attack, not a merged trace.
     An array is held to t_ns's rule (whole numbers, >= 0, nondecreasing)
     by PacketTrace's own check, _time_column.  Timers are idle
     until the next arrival; the last group is closed by its own timers (or

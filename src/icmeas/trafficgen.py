@@ -117,7 +117,6 @@ class PacketTrace:
         return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint8))
 
 
-
 @dataclass(frozen=True)
 class PoissonConfig:
     """Poisson background traffic: i.i.d. exponential inter-arrival gaps.
@@ -137,8 +136,12 @@ class PoissonConfig:
         require_finite(mean_gap_ns=self.mean_gap_ns)
         if self.mean_gap_ns <= 0:
             raise ConfigError("mean_gap_ns must be positive")
+        if self.mean_gap_ns >= 2**63:  # no gap of an int64-ns trace is that long
+            raise ConfigError("mean_gap_ns must be below 2**63")
         if self.duration_ns < 0:
             raise ConfigError("duration_ns must be non-negative")
+        if self.duration_ns / self.mean_gap_ns >= 2**63:  # more packets than a trace can index
+            raise ConfigError("duration_ns / mean_gap_ns must be below 2**63")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.size_mix:
@@ -236,32 +239,10 @@ def gen_periodic(cfg: AttackConfig) -> PacketTrace:
 
 def merge(a: PacketTrace, b: PacketTrace) -> PacketTrace:
     """Merge two traces by time; on a tie a's packets go before b's."""
-    return PacketTrace(*_merged_columns(a, b, ("t_ns", "size_bytes", "label")))
-
-
-def _merged_columns(a: PacketTrace, b: PacketTrace, names) -> list:
-    """The columns `names` of merge(a, b), as arrays.
-
-    b's packets are inserted into a by position.  Each output column is
-    filled with a's value where a's column holds one value, or else gets
-    a's column copied around b's rows; b's column is then written in.
-    """
-    n = len(a) + len(b)
-    pos = np.searchsorted(a.t_ns, b.t_ns, side="right") + np.arange(len(b))
-    keep = np.ones(n, bool)
-    keep[pos] = False
-    cols = []
-    for name in names:
-        a_col, b_col = getattr(a, name), getattr(b, name)
-        stored = _stored(a_col)
-        if len(stored) == 1:
-            out = np.full(n, stored[0], a_col.dtype)
-        else:
-            out = np.empty(n, a_col.dtype)
-            out[keep] = a_col
-        out[pos] = b_col
-        cols.append(out)
-    return cols
+    pos = np.searchsorted(a.t_ns, b.t_ns, side="right")
+    return PacketTrace(
+        *(np.insert(getattr(a, n), pos, getattr(b, n)) for n in ("t_ns", "size_bytes", "label"))
+    )
 
 
 def save_trace(trace: PacketTrace, path) -> None:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from icmeas.trafficgen import PacketTrace, _draw_sizes
+from icmeas.trafficgen import PacketTrace
 
 
 def hic_reference(t_ns, packet_timer_ns, absolute_timer_ns):
@@ -155,7 +155,8 @@ def gen_poisson_reference(cfg):
     Draws the gap chunks in the same order, cumsums their concatenation,
     then keeps the times below duration_ns before and after rounding with
     boolean masks over the whole array.  Each chunk is drawn as
-    rng.exponential(mean_gap_ns, n), not as standard draws scaled in place.
+    rng.exponential(mean_gap_ns, n), not as standard draws scaled in place,
+    and the sizes are drawn here, from the mix's own normalized weights.
     """
     if cfg.duration_ns == 0:
         return PacketTrace.empty()
@@ -171,7 +172,12 @@ def gen_poisson_reference(cfg):
     t = np.cumsum(np.concatenate(chunks))
     t_ns = np.rint(t[t < cfg.duration_ns]).astype(np.int64)
     t_ns = t_ns[t_ns < cfg.duration_ns]
-    sizes = _draw_sizes(rng, len(t_ns), cfg)
+    if cfg.size_mix:
+        weights = [w for _, w in cfg.size_mix]
+        p = np.array(weights) / math.fsum(weights)
+        sizes = rng.choice([s for s, _ in cfg.size_mix], size=len(t_ns), p=p)
+    else:
+        sizes = np.full(len(t_ns), cfg.size_bytes)
     return PacketTrace(t_ns, sizes, np.zeros(len(t_ns), np.uint8))
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,25 @@ class TestGen:
         assert main(["gen", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "config error: one of the arguments --preset --mean-gap-us is required\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mean_gap_us, message",
+        [
+            ("1e304", "mean_gap_ns must be below 2**63"),
+            ("1e-303", "duration_ns / mean_gap_ns must be below 2**63"),
+        ],
+        ids=["gap-past-int64", "packets-past-int64"],
+    )
+    def test_mean_gap_past_int64_is_config_error(self, tmp_path, capsys, mean_gap_us, message):
+        # unchecked, the first gap sums overflow to inf (numpy warnings, a header-only
+        # trace), or the first chunk is sized from an inf packet count (OverflowError)
+        out = tmp_path / "t.csv"
+        argv = ["gen", "--mean-gap-us", mean_gap_us, "--duration-s", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -294,6 +294,39 @@ class TestBuildTrace:
         want = self._reference(background, attack, transfer)
         self._assert_arrivals_of(_trial_arrivals(background, attack, transfer), want, attack)
 
+    # the trial's sort at its edges, each with what its delayed (background, attack) hold
+    _EDGES = {
+        "no-attack-packet": (
+            PoissonConfig(mean_gap_ns=19_000.0, duration_ns=SHORT // 8, seed=2, size_bytes=500),
+            AttackConfig(period_ns=400 * US, duration_ns=SHORT // 8, start_offset_ns=SHORT // 8),
+            lambda bg, atk: len(atk) == 0 < len(bg),
+        ),
+        "one-attack-packet": (
+            PoissonConfig(mean_gap_ns=19_000.0, duration_ns=SHORT // 8, seed=2, size_bytes=500),
+            AttackConfig(period_ns=SHORT // 8, duration_ns=SHORT // 8, start_offset_ns=7 * MS),
+            lambda bg, atk: len(atk) == 1 and len(bg) > 0,
+        ),
+        "empty-background": (
+            PoissonConfig(mean_gap_ns=1e18, duration_ns=SHORT // 8, seed=2),
+            AttackConfig(period_ns=400 * US, duration_ns=SHORT // 8),
+            lambda bg, atk: len(bg) == 0 < len(atk),
+        ),
+        "attack-after-background": (
+            PoissonConfig(mean_gap_ns=19_000.0, duration_ns=SHORT // 8, seed=2, size_bytes=500),
+            AttackConfig(period_ns=400 * US, duration_ns=SHORT // 4, start_offset_ns=SHORT // 8 + MS),
+            lambda bg, atk: len(bg) > 0 and len(atk) > 0 and bg.t_ns[-1] < atk.t_ns[0],
+        ),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(_EDGES))
+    def test_equals_reference_at_the_sort_edges(self, edge):
+        background, attack, holds = self._EDGES[edge]
+        transfer = TransferConfig()
+        bg = apply_transfer(gen_poisson(background), transfer)
+        assert holds(bg, apply_transfer(gen_periodic(attack), transfer))
+        want = self._reference(background, attack, transfer)
+        self._assert_arrivals_of(_trial_arrivals(background, attack, transfer), want, attack)
+
     @classmethod
     def _assert_same_arrivals(cls, arrivals, trace, attack):
         """_assert_arrivals_of, and equal series and flags under every scheme."""
@@ -374,7 +407,7 @@ class TestBuildTrace:
         return out, peak / len(out)
 
     # Bytes per packet at the peak of a 2 s high-rate build as sent: the merged trace alone
-    # holds 17 (t_ns, size and label) and peaked at 26.9 on a warm process.  The background
+    # holds 17 (t_ns, size and label) and peaked at 27.6 on a warm process.  The background
     # alone, its one-value columns broadcasts and its draw buffer cast in place, peaked at 9.5.
     @pytest.mark.parametrize(
         "attack, bound", [(True, 30), (False, 12)], ids=["attack-sent", "background-sent"]
@@ -386,8 +419,8 @@ class TestBuildTrace:
     @pytest.mark.parametrize("attack", [True, False], ids=["attack", "background"])
     def test_trial_arrivals_peak_allocation_per_packet(self, attack):
         # a trial's arrival times hold 8 bytes per packet, and the sent times are still held
-        # beside them at the peak: both cases peaked at about 17.5 on a warm process.  A build
-        # that also merged the size and label columns peaked at 26.4
+        # beside them at the peak: the cases peaked at 16.7 (attack) and 17.5 on a warm
+        # process.  A build that also merged the size and label columns peaked at 26.4
         background, atk = preset_traffic("high-rate", SHORT, seed=0, attack=attack)
         arrivals, peak = self._peak_per_packet(_trial_arrivals, background, atk, TransferConfig())
         assert isinstance(arrivals, np.ndarray if attack else PacketTrace)

@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +48,29 @@ def test_poisson_config_rejects_bad_values():
             PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=1, size_mix=mix)
     with pytest.raises(ConfigError, match="^size_bytes must be >= 1$"):
         PoissonConfig(mean_gap_ns=100.0, duration_ns=S, seed=1, size_bytes=0)
+
+
+@pytest.mark.parametrize(
+    "mean_gap_ns, duration_ns, message",
+    [
+        (2.0**63, S, "mean_gap_ns must be below 2**63"),
+        (1e304, S, "mean_gap_ns must be below 2**63"),
+        (1.0, 2**63, "duration_ns / mean_gap_ns must be below 2**63"),
+        (1e-303, S, "duration_ns / mean_gap_ns must be below 2**63"),
+    ],
+    ids=["gap-at-2**63", "gap-1e304", "packets-at-2**63", "gap-1e-303"],
+)
+def test_poisson_config_refuses_traces_past_int64(mean_gap_ns, duration_ns, message):
+    # gen_poisson's gap sums would overflow to inf, or its first chunk be sized from inf
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PoissonConfig(mean_gap_ns=mean_gap_ns, duration_ns=duration_ns, seed=1)
+
+
+def test_poisson_config_takes_the_values_just_below_its_bounds():
+    PoissonConfig(mean_gap_ns=1.0, duration_ns=2**63 - 1024, seed=1)  # the last ratio below 2**63
+    below = math.nextafter(2.0**63, 0)
+    trace = gen_poisson(PoissonConfig(mean_gap_ns=below, duration_ns=S, seed=1))
+    assert trace == PacketTrace.empty()
 
 
 def test_configs_reject_negative_seed():
