@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-value check."""
+"""Exception types shared across the package, and the finite-value and int64 checks."""
 
 import math
 
@@ -27,3 +27,16 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, not {value!r}")
+
+
+def require_int64(**values) -> None:
+    """Raise ConfigError for the first of the named values that is an int outside int64.
+
+    Other values pass.  A config calls it on all its fields (vars(self))
+    before its own rules, so no rule or kernel meets an integer that numpy
+    cannot hold, and a float field gets an int past int64 refused as the
+    config codec refuses it.
+    """
+    for name, value in values.items():
+        if isinstance(value, int) and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{name} must fit int64, not {value!r}")

@@ -15,7 +15,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, require_int64
 from .meassim import (
     CoalescenceConfig,
     HicConfig,
@@ -92,6 +92,7 @@ class ExperimentConfig:
     seed_base: int = 0
 
     def __post_init__(self):
+        require_int64(**vars(self))
         if self.detection_window_ns <= 0:
             raise ConfigError("detection_window_ns must be positive")
         if self.trials < 1:
@@ -387,8 +388,7 @@ def _decode(tp, value, where):
     ok = isinstance(value, (int, float) if tp is float else tp)
     if not ok or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{where} must be {tp.__name__}, not {value!r}")
-    if isinstance(value, int) and not -(2**63) <= value < 2**63:
-        raise ConfigError(f"{where} must fit int64, not {value!r}")
+    require_int64(**{where: value})  # before the config's own check, to name the JSON path
     return value
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, require_finite
+from .errors import ConfigError, PreconditionError, require_finite, require_int64
 from .trafficgen import PacketTrace, _int_column, _read_int_csv, _time_column, _write_int_csv
 
 _MEAS_HEADER = "m_ns,count"
@@ -62,6 +62,7 @@ class TransferConfig:
     bit_rate_bps: float = 1_000_000_000.0
 
     def __post_init__(self):
+        require_int64(**vars(self))
         require_finite(bit_rate_bps=self.bit_rate_bps)
         if self.bit_rate_bps <= 0:
             raise ConfigError("bit_rate_bps must be positive")
@@ -76,6 +77,7 @@ class TicConfig:
     timer_ns: int
 
     def __post_init__(self):
+        require_int64(**vars(self))
         if self.timer_ns <= 0:
             raise ConfigError("timer_ns must be positive")
 
@@ -87,6 +89,7 @@ class PicConfig:
     count: int
 
     def __post_init__(self):
+        require_int64(**vars(self))
         if self.count < 1:
             raise ConfigError("count must be >= 1")
 
@@ -106,6 +109,7 @@ class HicConfig:
     allow_inverted_timers: bool = False
 
     def __post_init__(self):
+        require_int64(**vars(self))
         if self.packet_timer_ns <= 0 or self.absolute_timer_ns <= 0:
             raise ConfigError("timers must be positive")
         if self.packet_timer_ns >= self.absolute_timer_ns and not self.allow_inverted_timers:
@@ -130,7 +134,8 @@ def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
     """Each packet's serialization delay (ns, rounded half to even), int64.
 
     A one-size trace gets one entry: one shift moves every packet and keeps
-    the order.  The trace must not be empty.
+    the order.  The trace must not be empty.  The delays are returned in the
+    buffer they were computed in, a fresh array the caller may write.
     """
     size = trace.size_bytes[:1] if trace._one_size else trace.size_bytes
     per_byte = 8e9 / cfg.bit_rate_bps
@@ -140,8 +145,9 @@ def _transfer_delay(trace: PacketTrace, cfg: TransferConfig) -> np.ndarray:
     reach = int(trace.t_ns[-1]) + round(largest) if largest < math.inf else largest
     _require_int64(reach, "the last t_ns plus the largest delay")
     delay = size * per_byte
-    np.rint(delay, out=delay)
-    return delay.astype(np.int64)
+    whole = np.rint(delay, out=delay).view(np.int64)
+    np.copyto(whole, delay, casting="unsafe")  # cast in place: element i is read before it is written
+    return whole
 
 
 def apply_transfer(trace: PacketTrace, cfg: TransferConfig) -> PacketTrace:
@@ -334,14 +340,24 @@ def measure(
 ) -> MeasurementSeries:
     """Full measurement pipeline: coalesce(apply_transfer(trace, transfer), cfg).
 
-    Coalescing commutes with one shift of every arrival: the timers group on
-    arrival differences and count-based coalescing on counts.  So a one-size
-    trace is coalesced as given and its m shifted after, with no shifted copy
-    made; its output and errors are still those of the pipeline.
+    No delayed trace is built; the output and errors are still those of the
+    pipeline.  Coalescing reads arrival times alone, so a trace of mixed
+    sizes is coalesced as its delayed times, sorted in the buffer that holds
+    its delays.  Coalescing also commutes with one shift of every arrival:
+    the timers group on arrival differences and count-based coalescing on
+    counts.  So a one-size trace is coalesced as given and its m shifted
+    after, with no shifted copy made.
     """
-    if len(trace) == 0 or not trace._one_size:
-        return coalesce(apply_transfer(trace, transfer), cfg)
+    if len(trace) == 0:
+        return coalesce(trace, cfg)
     delay = _transfer_delay(trace, transfer)
+    if len(delay) > 1:
+        # a sorted integer array does not depend on which packet carried each
+        # time, so no packet order is kept; the stable sort (timsort) reuses
+        # the sorted runs that the delays leave between the reordered packets
+        delay += trace.t_ns
+        delay.sort(kind="stable")
+        return coalesce(delay, cfg)
     reach = int(trace.t_ns[-1]) + int(delay[0]) + _kernel_of(cfg)[2]
     _require_int64(reach, "the last arrival plus a timer")
     series = coalesce(trace, cfg)

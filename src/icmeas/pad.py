@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require_finite, require_int64
 from .pdmm import DetectionReport
 
 
@@ -39,6 +39,7 @@ class PadConfig:
     max_freq_hz: float = 3000.0
 
     def __post_init__(self):
+        require_int64(**vars(self))
         require_finite(
             peak_factor=self.peak_factor, min_freq_hz=self.min_freq_hz, max_freq_hz=self.max_freq_hz
         )

@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, require_int64
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class PdmmConfig:
     window_blocks: int | None = None
 
     def __post_init__(self):
+        require_int64(**vars(self))
         if self.low_cutoff_ns < 0:
             raise ConfigError("low_cutoff_ns must be non-negative")
         if self.high_cutoff_ns <= self.low_cutoff_ns:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, require_finite
+from .errors import ConfigError, PreconditionError, require_finite, require_int64
 
 BACKGROUND = 0
 ATTACK = 1
@@ -133,6 +133,8 @@ class PoissonConfig:
     size_mix: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
+        sizes = {f"size_mix[{i}] size": s for i, (s, _) in enumerate(self.size_mix)}
+        require_int64(**vars(self), **sizes)
         require_finite(mean_gap_ns=self.mean_gap_ns)
         if self.mean_gap_ns <= 0:
             raise ConfigError("mean_gap_ns must be positive")
@@ -170,6 +172,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int64(**vars(self))
         require_finite(jitter_stddev_ns=self.jitter_stddev_ns)
         if self.period_ns <= 0:
             raise ConfigError("period_ns must be positive")

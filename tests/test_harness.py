@@ -967,3 +967,101 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, text):
     path.write_bytes(text)
     with pytest.raises(ConfigError):
         config_from_dict(load_config_json(path))
+
+
+# --- every integer field of a config built in Python fits int64 ---
+
+_BACKGROUND = {"mean_gap_ns": 1.0, "duration_ns": 10, "seed": 0}
+# (class, the other arguments, the integer fields)
+_INT_FIELDS = [
+    (PoissonConfig, _BACKGROUND, ("duration_ns", "seed", "size_bytes")),
+    (
+        AttackConfig,
+        {"period_ns": 10, "duration_ns": 10},
+        ("period_ns", "duration_ns", "size_bytes", "start_offset_ns", "seed"),
+    ),
+    (TicConfig, {}, ("timer_ns",)),
+    (PicConfig, {}, ("count",)),
+    (
+        HicConfig,
+        {"packet_timer_ns": 1, "absolute_timer_ns": 2},
+        ("packet_timer_ns", "absolute_timer_ns"),
+    ),
+    (
+        PdmmConfig,
+        {},
+        (
+            "low_cutoff_ns",
+            "high_cutoff_ns",
+            "max_order",
+            "block_len",
+            "sub_bins",
+            "bin_width_ns",
+            "window_blocks",
+        ),
+    ),
+    (PadConfig, {}, ("sample_interval_ns", "window", "segments")),
+    (
+        ExperimentConfig,
+        {"background": PoissonConfig(**_BACKGROUND)},
+        ("detection_window_ns", "trials", "seed_base"),
+    ),
+]
+
+
+def _config_error_text(cls, kwargs):
+    """The message of the ConfigError that building cls(**kwargs) raises, or None."""
+    try:
+        cls(**kwargs)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "cls, base, field",
+    [(cls, base, f) for cls, base, fields in _INT_FIELDS for f in fields],
+    ids=[f"{cls.__name__}.{f}" for cls, _, fields in _INT_FIELDS for f in fields],
+)
+def test_config_int_fields_must_fit_int64(cls, base, field):
+    for value in (2**63, -(2**63) - 1):
+        assert _config_error_text(cls, {**base, field: value}) == f"{field} must fit int64, not {value}"
+    # the ends of int64 pass that rule: what refuses them, if anything, is the field's own
+    for value in (2**63 - 1, -(2**63)):
+        assert "int64" not in (_config_error_text(cls, {**base, field: value}) or "")
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_size_mix_sizes_must_fit_int64(value):
+    mix = ((500, 0.5), (value, 0.5))
+    with pytest.raises(ConfigError, match=rf"^size_mix\[1\] size must fit int64, not {value}$"):
+        PoissonConfig(**_BACKGROUND, size_mix=mix)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        # the int64 multiply of gen_periodic raised OverflowError
+        (lambda: gen_periodic(AttackConfig(period_ns=2**64, duration_ns=2**65)), "period_ns"),
+        # _coalesce_pic's slice step raised OverflowError
+        (lambda: coalesce(np.arange(5), PicConfig(count=2**64)), "count"),
+        # the float cut at duration_ns ran past int64: numpy's invalid-cast warning
+        (lambda: gen_poisson(PoissonConfig(mean_gap_ns=1e18, duration_ns=2**64, seed=0)), "duration_ns"),
+        # the packet-count rule raised OverflowError converting duration_ns to float
+        (lambda: PoissonConfig(mean_gap_ns=1.0, duration_ns=10**400, seed=0), "duration_ns"),
+        # an int in a float field: math.isfinite raised OverflowError; the codec refuses it too
+        (lambda: PoissonConfig(mean_gap_ns=10**400, duration_ns=10, seed=0), "mean_gap_ns"),
+        (lambda: TransferConfig(bit_rate_bps=10**400), "bit_rate_bps"),
+    ],
+    ids=[
+        "gen_periodic",
+        "pic",
+        "gen_poisson",
+        "poisson-duration-past-float",
+        "poisson-gap-past-float",
+        "transfer-rate-past-float",
+    ],
+)
+def test_api_configs_past_int64_are_config_errors(run, message):
+    with pytest.raises(ConfigError, match=f"^{message} must fit int64, not "):
+        run()

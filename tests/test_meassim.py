@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from icmeas import COALESCENCE_PRESETS
 from icmeas.errors import ConfigError, PreconditionError
+from icmeas.harness import build_trace, preset_traffic
 from icmeas.meassim import (
     _CUT_BLOCK,
     _WALK_BELOW_RUNS,
@@ -428,6 +429,21 @@ def test_measure_of_a_one_size_trace_allocates_under_an_int64_per_packet():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+def test_measure_of_a_mixed_size_trace_allocates_under_20_bytes_per_packet():
+    # a delayed trace (t_ns, size_bytes and label permuted by an argsort) peaked at 34
+    # bytes per packet; the delayed times sorted in their delay buffer peak at 11-16
+    trace = build_trace(*preset_traffic("high-rate", 4 * 10**9, seed=0))
+    assert not trace._one_size
+    for cfg in (TicConfig(125 * US), PicConfig(10), *COALESCENCE_PRESETS.values()):
+        tracemalloc.start()
+        try:
+            measure(trace, TransferConfig(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * len(trace), cfg
 
 
 # --- cross-checks against the independent references ---

@@ -55,7 +55,8 @@ def test_poisson_config_rejects_bad_values():
     [
         (2.0**63, S, "mean_gap_ns must be below 2**63"),
         (1e304, S, "mean_gap_ns must be below 2**63"),
-        (1.0, 2**63, "duration_ns / mean_gap_ns must be below 2**63"),
+        # duration_ns 2**63 is past int64, refused before this rule is reached
+        (0.5, 2**62, "duration_ns / mean_gap_ns must be below 2**63"),
         (1e-303, S, "duration_ns / mean_gap_ns must be below 2**63"),
     ],
     ids=["gap-at-2**63", "gap-1e304", "packets-at-2**63", "gap-1e-303"],
